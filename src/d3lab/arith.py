@@ -29,11 +29,13 @@ __all__ = [
     "ramanujan_sum",
     "ramanujan_sum_bruteforce",
     "sieve_dk",
+    "sieve_dk_convolution",
     "sigma",
     "unit_phase",
 ]
 
-# Two int64 work arrays; 16 bytes/entry keeps N = 10^7 under ~200 MB.
+# sieve_dk works in place on two int64 arrays (the table and the cofactor):
+# 16 bytes/entry, measured under tracemalloc, keeps N = 10^7 under ~200 MB.
 MAX_SIEVE_LIMIT = 50_000_000
 
 
@@ -65,13 +67,7 @@ class DivisorTable:
         return int(self.values[1 : x + 1].sum())
 
 
-def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
-    """Exact table of d_k(1..limit) by k-1 divisor-convolution passes.
-
-    Each pass convolves the current table with the all-ones function:
-    out[m] = sum_{d|m} vals[d], so after k-1 passes vals[n] = d_k(n).
-    Integer arithmetic throughout (int64 cannot overflow at these sizes).
-    """
+def _check_sieve_args(k: int, limit: int, max_limit: int) -> None:
     if k < 2:
         raise ValueError("k must be >= 2")
     if limit < 1:
@@ -82,6 +78,61 @@ def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTab
             f"(~{16 * limit / 1e6:.0f} MB of work arrays); "
             "raise max_limit explicitly if you really want this"
         )
+
+
+def _primes_upto(m: int) -> list[int]:
+    """Primes p <= m by the sieve of Eratosthenes."""
+    if m < 2:
+        return []
+    is_prime = np.ones(m + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).tolist()
+
+
+def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
+    """Exact table of d_k(1..limit) by a multiplicative sieve.
+
+    d_k is multiplicative with d_k(p^e) = C(e+k-1, k-1).  For each prime
+    p <= sqrt(limit) and each e, the multiples of p^e trade the factor
+    d_k(p^(e-1)) they already carry for d_k(p^e) (an exact division),
+    and their cofactor loses one p.  What is left of n is then 1 or a
+    single prime > sqrt(limit), which contributes d_k(p) = k.  All work
+    is in place on two int64 arrays; sieve_dk_convolution is the oracle.
+    """
+    _check_sieve_args(k, limit, max_limit)
+    vals = np.ones(limit + 1, dtype=np.int64)
+    vals[0] = 0
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for p in _primes_upto(math.isqrt(limit)):
+        pe, e = p, 1
+        while pe <= limit:
+            v = vals[pe::pe]
+            if e > 1:
+                v //= math.comb(e + k - 2, k - 1)
+            v *= math.comb(e + k - 1, k - 1)
+            r = rest[pe::pe]
+            r //= p
+            pe *= p
+            e += 1
+    # rest -> 1 where the cofactor is 1 and k where it is a large prime
+    np.minimum(rest, 2, out=rest)
+    rest -= 1
+    rest *= k - 1
+    rest += 1
+    vals *= rest
+    return DivisorTable(k=k, limit=limit, values=vals)
+
+
+def sieve_dk_convolution(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
+    """Oracle for sieve_dk: k-1 divisor-convolution passes, O(k N log N).
+
+    Each pass convolves the current table with the all-ones function:
+    out[m] = sum_{d|m} vals[d], so after k-1 passes vals[n] = d_k(n).
+    """
+    _check_sieve_args(k, limit, max_limit)
     vals = np.ones(limit + 1, dtype=np.int64)
     vals[0] = 0
     for _ in range(k - 1):

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -38,6 +39,10 @@ class RunConfig:
     tolerance: float = 0.0
     fmt: str = "csv"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {self.threads}")
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
@@ -67,11 +72,8 @@ class RunConfig:
         return replace(cfg, **kw)
 
     def workers(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        import os
-
-        return os.cpu_count() or 1
+        """Scan worker processes: threads, or one per CPU when it is 0."""
+        return self.threads or os.cpu_count() or 1
 
     def identity_tolerance(self) -> float:
         """Threshold for the Parseval/decomposition identity checks."""
@@ -89,16 +91,30 @@ def cache_path(cache_dir: str, k: int, limit: int) -> Path:
 
 def write_cache(table: DivisorTable, path: Path) -> None:
     """Binary layout: magic 'D3PL', u16 version, u8 k, u64 N, N x u32
-    values, u64 blake2b checksum of everything before it."""
+    values, u64 blake2b checksum of everything before it.
+
+    The file is written to a temporary name in the same directory and
+    renamed over ``path``, so a reader sees the old file or the new one,
+    never a partial write.
+    """
     vals = table.values[1:]
     if vals.max(initial=0) >= 2**32:
         raise OverflowError("table values exceed the 32-bit cache format")
     header = CACHE_MAGIC + struct.pack("<HBQ", CACHE_VERSION, table.k, table.limit)
     body = vals.astype("<u4").tobytes()
     digest = hashlib.blake2b(header + body, digest_size=8).digest()
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        path.write_bytes(header + body + digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(body)
+                fh.write(digest)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write sieve cache {path}: {exc}") from exc
 
@@ -390,9 +406,7 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
               file=sys.stderr)
         return 2
     table = load_or_build_table(cfg, args.k, xmax)
-    reports = variance.exponent_scan(
-        grid, table, args.k, workers=max(1, cfg.workers() if cfg.threads == 0 else cfg.threads)
-    )
+    reports = variance.exponent_scan(grid, table, args.k, workers=cfg.workers())
     slopes = variance.fit_log_slopes(reports)
     meta = {
         "k": args.k,
@@ -547,15 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.cache_dir is not None:
-        cfg = replace(cfg, cache_dir=args.cache_dir)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
-    if args.format is not None:
-        cfg = replace(cfg, fmt=args.format)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    flags = {"cache_dir": args.cache_dir, "threads": args.threads, "fmt": args.format,
+             "seed": args.seed}
+    try:
+        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        cfg = replace(cfg, **{key: v for key, v in flags.items() if v is not None})
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args, cfg)
     except (expsum.GuardError, ValueError, OSError, ArithmeticError) as exc:

@@ -75,17 +75,14 @@ class LaurentExpansion:
         return self + other.scale(-1.0)
 
     def __mul__(self, other: "LaurentExpansion") -> "LaurentExpansion":
-        lo = self.lo + other.lo
-        hi = min(self.hi + other.lo, other.hi + self.lo)
-        coeffs = []
-        for d in range(lo, hi + 1):
-            acc = math.fsum(
-                self.coeffs[i] * other.coeff(d - (self.lo + i))
-                for i in range(len(self.coeffs))
-                if other.lo <= d - (self.lo + i) <= other.hi
-            )
-            coeffs.append(acc)
-        return LaurentExpansion(lo, tuple(coeffs))
+        # degree lo + m is the fsum of a[i] * b[m - i], i = 0..m; the horizon
+        # is the shorter operand's, so every index stays in range
+        a, b = self.coeffs, other.coeffs
+        coeffs = tuple(
+            math.fsum([a[i] * b[m - i] for i in range(m + 1)])
+            for m in range(min(len(a), len(b)))
+        )
+        return LaurentExpansion(self.lo + other.lo, coeffs)
 
     def scale(self, factor: float) -> "LaurentExpansion":
         return LaurentExpansion(self.lo, tuple(factor * c for c in self.coeffs))
@@ -229,6 +226,7 @@ def zeta_laurent(hi: int) -> LaurentExpansion:
     return LaurentExpansion(-1, tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
 def zeta_power_laurent(k: int, hi: int) -> LaurentExpansion:
     """zeta(s)^k with coefficients exact through degree hi (pole order k)."""
     z = zeta_laurent(hi + 2 * (k - 1))

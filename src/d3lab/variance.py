@@ -47,6 +47,7 @@ __all__ = [
     "exponent_scan",
     "fit_log_slopes",
     "fmt12",
+    "fold_progression_sums",
     "progression_error",
     "progression_sums",
     "reports_to_csv",
@@ -62,14 +63,26 @@ def fmt12(v: float) -> str:
 
 
 def progression_sums(q: int, x: float, table: DivisorTable) -> np.ndarray:
-    """S_r = sum_{n <= x, n = r mod q} d_k(n) for r = 0..q-1, exact int64."""
+    """S_r = sum_{n <= x, n = r mod q} d_k(n) for r = 0..q-1, exact int64.
+
+    d_k(1..x) fills positions 1..x of a zero array cut into rows of
+    length q; the column sums are the S_r.
+    """
     xi = int(x)
     if xi > table.limit:
         raise ValueError(f"sieve limit {table.limit} < x = {xi}")
-    n = np.arange(1, xi + 1, dtype=np.int64)
-    # weighted bincount is exact: all partial sums are < 2^53
-    out = np.bincount(n % q, weights=table.values[1 : xi + 1].astype(np.float64), minlength=q)
-    return out.astype(np.int64)
+    rows = -(-(xi + 1) // q)
+    padded = np.zeros(rows * q, dtype=np.int64)
+    padded[1 : xi + 1] = table.values[1 : xi + 1]
+    return padded.reshape(rows, q).sum(axis=0)
+
+
+def fold_progression_sums(S: np.ndarray, d: int) -> np.ndarray:
+    """S_d from S_q for a divisor d of q = len(S): residues r mod q that
+    agree mod d are summed, exactly."""
+    if len(S) % d:
+        raise ValueError(f"{d} does not divide q = {len(S)}")
+    return S.reshape(-1, d).sum(axis=0)
 
 
 def dft_direct(values: np.ndarray) -> np.ndarray:
@@ -94,15 +107,19 @@ def _class_main_terms(q: int, x: float, k: int) -> np.ndarray:
     return out / q
 
 
-def delta_all(q: int, x: float, table: DivisorTable, k: int = 3) -> np.ndarray:
+def delta_all(
+    q: int, x: float, table: DivisorTable, k: int = 3, *, sums: np.ndarray | None = None
+) -> np.ndarray:
     """Delta(a/q) for a = 0..q-1: length-q DFT of the residue sums minus
     the reduced-point main term f_{q/(a,q)}(x).
 
-    The DFT runs through numpy's pocketfft, which is chirp-based
-    (Bluestein) for prime lengths, O(q log q) for every q; dft_direct is
-    the retained O(q^2) oracle.
+    ``sums`` are the residue sums S_q when the caller already has them;
+    otherwise they are computed from the table.  The DFT runs through
+    numpy's pocketfft, which is chirp-based (Bluestein) for prime
+    lengths, O(q log q) for every q; dft_direct is the retained O(q^2)
+    oracle.
     """
-    S = progression_sums(q, x, table)
+    S = progression_sums(q, x, table) if sums is None else sums
     D = q * np.fft.ifft(S.astype(np.float64))
     a = np.arange(q)
     g = np.gcd(a, q)
@@ -273,7 +290,7 @@ def variance_report(
     S = progression_sums(q, x, table)
     M = _class_main_terms(q, float(x), k)
     E = S.astype(np.float64) - M
-    delta = delta_all(q, x, table, k)
+    delta = delta_all(q, x, table, k, sums=S)
     a = np.arange(q)
     prim = np.gcd(a, q) == 1
 
@@ -303,19 +320,31 @@ def variance_report(
         ratio2=v2_all / b1,
         ratio1=v1_prim / b2,
         parseval_dev=parseval_dev,
-        decomp_dev=divisor_decomposition_check(q, x, table, k) if with_decomposition else math.nan,
+        decomp_dev=(
+            divisor_decomposition_check(q, x, table, k, sums=S)
+            if with_decomposition
+            else math.nan
+        ),
         y_param=float(x) ** 0.5 * q**0.75,
     )
 
 
-def divisor_decomposition_check(q: int, x: float, table: DivisorTable, k: int = 3) -> float:
+def divisor_decomposition_check(
+    q: int, x: float, table: DivisorTable, k: int = 3, *, sums: np.ndarray | None = None
+) -> float:
     """Relative deviation of sum_a |Delta(a/q)|^2 from
-    sum_{d|q} sum'_{h mod d} |Delta(h/d)|^2 (both sides independent)."""
-    delta_q = delta_all(q, x, table, k)
+    sum_{d|q} sum'_{h mod d} |Delta(h/d)|^2.
+
+    Each level d gets its own DFT and main terms; its residue sums S_d
+    are folded exactly from S_q (``sums``, computed from the table when
+    not given).
+    """
+    S = progression_sums(q, x, table) if sums is None else sums
+    delta_q = delta_all(q, x, table, k, sums=S)
     lhs = math.fsum(delta_q.real**2 + delta_q.imag**2)
     rhs_terms = []
     for d in divisors(q):
-        dd = delta_all(d, x, table, k)
+        dd = delta_all(d, x, table, k, sums=fold_progression_sums(S, d))
         h = np.arange(d)
         prim = np.gcd(h, d) == 1 if d > 1 else np.array([True])
         rhs_terms.extend((dd.real[prim] ** 2 + dd.imag[prim] ** 2).tolist())
@@ -352,8 +381,9 @@ def exponent_scan(
     """VarianceReport per grid point, deterministic grid order.
 
     Grid points are independent; with workers > 1 they are dispatched to
-    a process pool and merged back in sorted order, so output bytes do
-    not depend on the worker count.
+    a process pool, whose initializer hands every worker this table, and
+    merged back in sorted order, so output bytes do not depend on the
+    worker count.
     """
     grid = sorted(set((int(x), int(q)) for x, q in grid))
     if workers <= 1:
@@ -363,24 +393,25 @@ def exponent_scan(
         ]
     from concurrent.futures import ProcessPoolExecutor
 
-    ctx_args = [(x, q, table.k, table.limit, k, with_decomposition) for x, q in grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_worker, ctx_args, chunksize=max(1, len(grid) // (4 * workers))))
+    tasks = [(x, q, k, with_decomposition) for x, q in grid]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_scan_worker, initargs=(table,)
+    ) as pool:
+        return list(pool.map(_scan_worker, tasks, chunksize=max(1, len(grid) // (4 * workers))))
 
 
-_WORKER_TABLE: dict = {}
+_worker_table: DivisorTable | None = None
+
+
+def _init_scan_worker(table: DivisorTable) -> None:
+    """Pool initializer: every worker reads the parent's table."""
+    global _worker_table
+    _worker_table = table
 
 
 def _scan_worker(args) -> VarianceReport:
-    x, q, table_k, table_limit, k, with_decomposition = args
-    key = (table_k, table_limit)
-    if key not in _WORKER_TABLE:
-        from .arith import sieve_dk
-
-        _WORKER_TABLE[key] = sieve_dk(table_k, table_limit)
-    return variance_report(
-        q, float(x), _WORKER_TABLE[key], k, with_decomposition=with_decomposition
-    )
+    x, q, k, with_decomposition = args
+    return variance_report(q, float(x), _worker_table, k, with_decomposition=with_decomposition)
 
 
 def fit_log_slopes(reports: list[VarianceReport]) -> dict:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d3lab.arith import (
@@ -18,6 +18,7 @@ from d3lab.arith import (
     ramanujan_sum,
     ramanujan_sum_bruteforce,
     sieve_dk,
+    sieve_dk_convolution,
     sigma,
     unit_phase,
 )
@@ -56,6 +57,18 @@ class TestSieve:
             return
         t = sieve_dk(3, 1600)
         assert t[m * n] == t[m] * t[n]
+
+    @given(st.integers(2, 5), st.integers(1, 3000))
+    @example(2, 1)
+    @example(5, 3000)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_convolution_oracle(self, k, limit):
+        fast, oracle = sieve_dk(k, limit), sieve_dk_convolution(k, limit)
+        assert fast.values.dtype == oracle.values.dtype
+        assert np.array_equal(fast.values, oracle.values)
+
+    def test_matches_convolution_oracle_1e5(self):
+        assert np.array_equal(sieve_dk(3, 10**5).values, sieve_dk_convolution(3, 10**5).values)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):

@@ -119,6 +119,32 @@ class TestSieveCache:
         # and the cache was repaired
         assert read_cache(path, 3, 2000) is not None
 
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        # a real partial write: the writer's file-size limit stops it midway
+        table = sieve_dk(3, 1000)
+        path = cache_path(str(tmp_path), 3, 1000)
+        write_cache(table, path)
+        script = (
+            "import resource, signal, sys\n"
+            "from pathlib import Path\n"
+            "from d3lab.arith import sieve_dk\n"
+            "from d3lab.cli import write_cache\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (2000, resource.RLIM_INFINITY))\n"
+            "try:\n"
+            "    write_cache(sieve_dk(3, 10**4), Path(sys.argv[1]))\n"
+            "except OSError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(3)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot write sieve cache" in proc.stdout
+        back = read_cache(path, 3, 1000)
+        assert back is not None and np.array_equal(back.values, table.values)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_wrong_k_not_reused(self, tmp_path):
         table = sieve_dk(3, 1000)
         path = cache_path(str(tmp_path), 3, 1000)
@@ -135,6 +161,22 @@ class TestConfig:
         assert cfg.threads == 4
         assert cfg.fmt == "json"
         assert cfg.seed == 9
+
+    def test_negative_threads_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            RunConfig(threads=-1)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("threads = -2\n")
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            RunConfig.from_file(str(cfg_file))
+        for argv in (["--threads", "-1", "csum", "--q", "6", "--n", "3"],
+                     ["--config", str(cfg_file), "csum", "--q", "6", "--n", "3"]):
+            assert main(argv) == 2
+            assert "threads must be >= 0" in capsys.readouterr().err
+
+    def test_workers_at_least_one(self):
+        assert RunConfig(threads=0).workers() >= 1
+        assert RunConfig(threads=3).workers() == 3
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from d3lab.arith import DivisorTable, divisors
 from d3lab.variance import (
     bound_bhs,
     bound_first_moment,
@@ -14,6 +17,7 @@ from d3lab.variance import (
     exponent_scan,
     fit_log_slopes,
     fmt12,
+    fold_progression_sums,
     progression_error,
     progression_sums,
     reports_to_csv,
@@ -36,6 +40,33 @@ class TestProgressionSums:
     def test_sieve_too_short(self, d3_table_1e4):
         with pytest.raises(ValueError):
             progression_sums(3, 10**7, d3_table_1e4)
+
+    @given(st.integers(1, 2 * 10**6))
+    @example(1)
+    @example(2 * 10**6)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_matches_bincount_oracle(self, d3_table_1e6, q):
+        # float64 bincount is exact here: every partial sum is below 2^53
+        x = d3_table_1e6.limit
+        n = np.arange(1, x + 1, dtype=np.int64)
+        weights = d3_table_1e6.values[1:].astype(np.float64)
+        oracle = np.bincount(n % q, weights=weights, minlength=q).astype(np.int64)
+        S = progression_sums(q, x, d3_table_1e6)
+        assert S.dtype == np.int64 and np.array_equal(S, oracle)
+
+    @given(st.integers(1, 600), st.integers(0, 1000))
+    @example(1, 1000)
+    @example(360, 100)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_fold_matches_direct(self, d3_table_1e4, q, x):
+        # q > x leaves residue classes with no n <= x, and q = 1 folds to itself
+        S = progression_sums(q, x, d3_table_1e4)
+        for d in divisors(q):
+            assert np.array_equal(fold_progression_sums(S, d), progression_sums(d, x, d3_table_1e4))
+
+    def test_fold_rejects_non_divisor(self, d3_table_1e4):
+        with pytest.raises(ValueError):
+            fold_progression_sums(progression_sums(12, 100, d3_table_1e4), 5)
 
 
 class TestDeltaAll:
@@ -211,6 +242,16 @@ class TestBoundsAndScan:
         A = float(np.clip(np.polyfit(L, y, 1)[0], 0.0, 6.0))
         normalized = [per_x[x] / (1.0 + math.log(x)) ** A for x in xs]
         assert max(normalized) / min(normalized) <= 3.0
+
+    def test_scan_workers_use_the_given_table(self):
+        # a table that no sieve would rebuild: workers must read this one
+        values = np.arange(2001, dtype=np.int64) % 7
+        values[0] = 0
+        table = DivisorTable(k=3, limit=2000, values=values)
+        grid = [(10**3, 5), (2000, 12)]
+        serial = exponent_scan(grid, table, with_decomposition=True, workers=1)
+        parallel = exponent_scan(grid, table, with_decomposition=True, workers=2)
+        assert reports_to_csv(serial) == reports_to_csv(parallel)
 
     def test_scan_workers_match_serial(self, d3_table_1e4):
         grid = [(10**3, 5), (10**3, 12), (10**4, 30)]
