@@ -146,7 +146,7 @@ class TestCriterion03Multiplicativity:
 
 
 class TestCriterion04PrimePowerCatalog:
-    def test_prime_power_catalog(self):
+    def test_prime_power_catalog(self, tmp_path):
         moduli = [(p, k) for p in (2, 3, 5) for k in range(1, 8) if p**k <= 125]
         total, matches, rows_out = 0, 0, []
         mismatch_rows = []
@@ -158,7 +158,6 @@ class TestCriterion04PrimePowerCatalog:
             rows_out.append((p**k, len(rows), n_match))
             mismatch_rows.extend(r for r in rows if not r["match"])
         rate = matches / total
-        REPORTS_DIR.mkdir(exist_ok=True)
         lines = ["q,tuples,matching"]
         lines += [f"{q},{n},{m}" for q, n, m in rows_out]
         lines.append("# mismatches (expected none):")
@@ -166,10 +165,12 @@ class TestCriterion04PrimePowerCatalog:
             f"# {r['q']},{r['a']},{r['a2']},{r['b']},{r['b2']},{r['case']},{r['brute']},{r['closed']}"
             for r in mismatch_rows
         ]
-        (REPORTS_DIR / "prime_power_catalog_summary.csv").write_text("\n".join(lines) + "\n")
+        summary = tmp_path / "lemma3_catalog_summary.csv"
+        summary.write_text("\n".join(lines) + "\n")
         gate(4, "prime-power closed form vs exact brute force",
              rate >= 0.99 and len(mismatch_rows) == 0,
              f"{matches}/{total} match ({100*rate:.2f}%), catalog in reports/")
+        assert summary.read_bytes() == (REPORTS_DIR / "lemma3_catalog_summary.csv").read_bytes()
 
 
 class TestCriterion05CorrelationBound:
