@@ -247,7 +247,7 @@ class ReducedFraction:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("denominator must be >= 1")
-        if not 0 <= self.h < max(self.q, 1 + self.h):
+        if not 0 <= self.h < self.q:
             raise ValueError("numerator must satisfy 0 <= h < q")
         if self.h == 0:
             if self.q != 1:

@@ -29,6 +29,17 @@ CACHE_MAGIC = b"D3PL"
 CACHE_VERSION = 1
 
 
+# config-file key -> (RunConfig field, value parser)
+_CONFIG_KEYS = {
+    "sieve_limit": ("sieve_limit", int),
+    "cache_dir": ("cache_dir", str),
+    "threads": ("threads", int),
+    "tolerance": ("tolerance", float),
+    "format": ("fmt", str),
+    "seed": ("seed", int),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Execution knobs; file values are overridden by CLI flags."""
@@ -43,10 +54,11 @@ class RunConfig:
     def __post_init__(self):
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {self.threads}")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
-        cfg = RunConfig()
         kw = {}
         for line in Path(path).read_text().splitlines():
             line = line.strip()
@@ -54,22 +66,11 @@ class RunConfig:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key == "sieve_limit":
-                kw["sieve_limit"] = int(value)
-            elif key == "cache_dir":
-                kw["cache_dir"] = value
-            elif key == "threads":
-                kw["threads"] = int(value)
-            elif key == "tolerance":
-                kw["tolerance"] = float(value)
-            elif key == "format":
-                kw["fmt"] = value
-            elif key == "seed":
-                kw["seed"] = int(value)
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key: {key}")
-        return replace(cfg, **kw)
+            field, parse = _CONFIG_KEYS[key]
+            kw[field] = parse(value.strip())
+        return RunConfig(**kw)
 
     def workers(self) -> int:
         """Scan worker processes: threads, or one per CPU when it is 0."""
@@ -224,10 +225,9 @@ def _cmd_rsum(args, cfg: RunConfig) -> int:
     pt = ReducedFraction.reduce(args.h, args.q)
     fast = expsum.r_sum_fast(args.a, args.b, args.c, pt)
     print(f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}")
-    if args.q <= (10**9 if args.force else 200):
-        brute = expsum.r_sum_bruteforce(
-            args.a, args.b, args.c, pt, q_guard=10**9 if args.force else 200
-        )
+    q_guard = 10**9 if args.force else 200
+    if args.q <= q_guard:
+        brute = expsum.r_sum_bruteforce(args.a, args.b, args.c, pt, q_guard=q_guard)
         dev = abs(fast - brute)
         print(f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}")
         if dev > 1e-6:

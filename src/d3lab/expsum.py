@@ -30,6 +30,7 @@ from .arith import (
     euler_phi,
     factorize,
     kloosterman_table,
+    mobius,
     mod_inverse,
     ramanujan_sum,
     sigma,
@@ -244,6 +245,27 @@ def reduced_residues(q: int) -> list[int]:
     return [h for h in range(1, q + 1) if math.gcd(h, q) == 1]
 
 
+def _unit_rows(q: int, triples: list[tuple[int, int, int]]) -> np.ndarray:
+    """The phi(q) x len(triples) matrix of R_t(h/q) over reduced h.
+
+    By the twist identity R_{a,b,c}(h/q) = R_{a*hbar,b,c}(1/q) (substitute
+    x -> hbar*x), one column u -> R_{u,b,c}(1/q) per distinct (b, c) mod q
+    serves every triple.  Row i holds h = units[i]^{-1}: as h runs over
+    the units so does hbar, so column t is read at a*units.  Rows are
+    therefore not in h order, which sums over h do not see.
+    """
+    units = np.array(reduced_residues(q), dtype=np.int64) % q
+    one = ReducedFraction.reduce(1, q)
+    columns: dict[tuple[int, int], np.ndarray] = {}
+    M = np.empty((len(units), len(triples)), dtype=np.complex128)
+    for j, (a, b, c) in enumerate(triples):
+        key = (b % q, c % q)
+        if key not in columns:
+            columns[key] = np.array([r_sum_fast(u, *key, one) for u in range(q)])
+        M[:, j] = columns[key][(a % q) * units % q]
+    return M
+
+
 def correlation_sum(args: CorrelationArgs, *, q_guard: int = 60) -> complex:
     """sum'_{h mod q} R_t(h/q) * conj(R_t'(h/q)); real and integer-valued.
 
@@ -251,12 +273,8 @@ def correlation_sum(args: CorrelationArgs, *, q_guard: int = 60) -> complex:
     """
     q = args.q
     _require(q <= q_guard, f"q={q} exceeds correlation guard {q_guard}")
-    a, b, c = args.triple
-    a2, b2, c2 = args.triple2
-    total = 0j
-    for h in reduced_residues(q):
-        pt = ReducedFraction.reduce(h, q) if q > 1 else ReducedFraction(0, 1)
-        total += r_sum_fast(a, b, c, pt) * np.conj(r_sum_fast(a2, b2, c2, pt))
+    M = _unit_rows(q, [args.triple, args.triple2])
+    total = complex(np.vdot(M[:, 1], M[:, 0]))
     val = round_to_integer(total, scale=1.0 + abs(total))
     return complex(val, 0.0)
 
@@ -320,8 +338,6 @@ def cq_table(q: int) -> np.ndarray:
     """c_q(r) for r = 0..q-1, exact int64, by the divisor formula."""
     out = np.zeros(q, dtype=np.int64)
     for hdiv in divisors(q):
-        from .arith import mobius
-
         out[::hdiv] += mobius(q // hdiv) * hdiv
     return out
 
@@ -447,12 +463,6 @@ def prime_power_catalog(
 # ---------------------------------------------------------------------------
 
 
-def _divisor_sum_of_gcd(q: int, m: int) -> int:
-    """sum of f over f | gcd(q, m), reading m = 0 as gcd = q."""
-    g = q if m == 0 else math.gcd(q, m)
-    return sigma(g)
-
-
 def correlation_bound_ratio(
     triple: tuple[int, int, int], triple2: tuple[int, int, int], q: int
 ) -> float:
@@ -464,27 +474,8 @@ def correlation_bound_ratio(
     n = triple[0] * triple[1] * triple[2]
     n2 = triple2[0] * triple2[1] * triple2[2]
     corr = correlation_sum(CorrelationArgs(triple, triple2, q))
-    denom = q**3 * math.gcd(q, math.gcd(n, n2)) * _divisor_sum_of_gcd(q, n - n2)
+    denom = q**3 * math.gcd(q, math.gcd(n, n2)) * sigma(math.gcd(q, n - n2))
     return abs(corr) / denom
-
-
-def _corr_matrix(q: int, triples: list[tuple[int, int, int]]) -> np.ndarray:
-    """All pairwise correlations of the given triples at modulus q.
-
-    Builds the phi(q) x len(triples) matrix of R values over reduced h
-    and returns M^H M, so entry [i, j] = sum'_h conj(R_i) R_j.
-    """
-    res_triples = sorted({(a % q, b % q, c % q) for a, b, c in triples})
-    index = {t: i for i, t in enumerate(res_triples)}
-    hs = reduced_residues(q)
-    M = np.empty((len(hs), len(res_triples)), dtype=np.complex128)
-    for row, h in enumerate(hs):
-        pt = ReducedFraction.reduce(h, q) if q > 1 else ReducedFraction(0, 1)
-        for t, col in index.items():
-            M[row, col] = r_sum_fast(*t, pt)
-    G = M.conj().T @ M
-    cols = [index[(a % q, b % q, c % q)] for a, b, c in triples]
-    return G[np.ix_(cols, cols)]
 
 
 def correlation_bound_scan(
@@ -506,25 +497,23 @@ def correlation_bound_scan(
     prods = np.array([a * b * c for a, b, c in triples], dtype=np.int64)
     best = {"ratio": 0.0}
     for q in q_values:
-        G = _corr_matrix(q, triples)
+        M = _unit_rows(q, triples)
+        G = np.abs(M.conj().T @ M)
         logfac = (1.0 + math.log(q)) ** log_power
-        gcd_qn = np.array([math.gcd(q, int(n)) for n in prods], dtype=np.int64)
-        # denominators over all pairs
-        for i, n in enumerate(prods):
-            gnn = np.gcd(gcd_qn[i], gcd_qn)
-            fsum = np.array(
-                [_divisor_sum_of_gcd(q, int(n - n2)) for n2 in prods], dtype=np.int64
-            )
-            denom = (q**3) * gnn * fsum * logfac
-            ratios = np.abs(G[i]) / denom
-            jmax = int(np.argmax(ratios))
-            if ratios[jmax] > best["ratio"]:
-                best = {
-                    "ratio": float(ratios[jmax]),
-                    "q": q,
-                    "triple": triples[i],
-                    "triple2": triples[jmax],
-                }
+        gcd_qn = np.gcd(q, prods)
+        # sigma(gcd(q, n - n')) depends only on (n - n') mod q
+        sigma_gcd = np.array([sigma(math.gcd(q, r)) for r in range(q)], dtype=np.int64)
+        fsum = sigma_gcd[(prods[:, None] - prods[None, :]) % q]
+        denom = (q**3) * np.gcd.outer(gcd_qn, gcd_qn) * fsum * logfac
+        ratios = G / denom
+        i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if ratios[i, j] > best["ratio"]:
+            best = {
+                "ratio": float(ratios[i, j]),
+                "q": q,
+                "triple": triples[i],
+                "triple2": triples[j],
+            }
     return best
 
 
@@ -536,10 +525,9 @@ def corr_identity_values(n: int, m: int, q: int, *, q_guard: int = 40) -> tuple[
     if math.gcd(n, q) != 1:
         raise ValueError("requires gcd(n, q) = 1")
     _require(q <= q_guard, f"q={q} exceeds guard {q_guard}")
-    lhs = 0j
-    for h in reduced_residues(q):
-        pt = ReducedFraction.reduce(h, q) if q > 1 else ReducedFraction(0, 1)
-        lhs += a_sum(pt, n) * np.conj(a_sum(pt, m))
+    tn, tm = ordered_triples(n), ordered_triples(m)
+    M = _unit_rows(q, tn + tm)
+    lhs = complex(np.vdot(M[:, len(tn):].sum(axis=1), M[:, : len(tn)].sum(axis=1)))
     rhs = q**3 * ramanujan_sum(q, n - m) * dk_exact(3, n) * dk_exact(3, m)
     return lhs, complex(rhs)
 

@@ -209,8 +209,9 @@ class TestSmallPieces:
             ReducedFraction(2, 4)
         with pytest.raises(ValueError):
             ReducedFraction(0, 3)
-        with pytest.raises(ValueError):
-            ReducedFraction(3, 3)
+        for h, q in ((3, 3), (7, 5), (1, 1), (-1, 5)):
+            with pytest.raises(ValueError):
+                ReducedFraction(h, q)
 
     @given(st.integers(1, 400), st.integers(-400, 400))
     @settings(max_examples=80, deadline=None, derandomize=True)

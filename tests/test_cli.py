@@ -174,6 +174,16 @@ class TestConfig:
             assert main(argv) == 2
             assert "threads must be >= 0" in capsys.readouterr().err
 
+    def test_bad_format_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            RunConfig(fmt="xml")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("format = xml\n")
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            RunConfig.from_file(str(cfg_file))
+        assert main(["--config", str(cfg_file), "csum", "--q", "6", "--n", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: format must be csv or json")
+
     def test_workers_at_least_one(self):
         assert RunConfig(threads=0).workers() >= 1
         assert RunConfig(threads=3).workers() == 3
@@ -181,7 +191,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown config key: bogus"):
             RunConfig.from_file(str(cfg_file))
 
     def test_flag_overrides_file(self, tmp_path, capsys):

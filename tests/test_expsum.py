@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from d3lab.arith import ReducedFraction, divisors, euler_phi, kloosterman_sum
+from d3lab.arith import ReducedFraction, divisors, euler_phi, kloosterman_sum, sigma
 from d3lab.expsum import (
     CorrelationArgs,
     GuardError,
     PrimePowerCase,
+    _unit_rows,
     a_sum,
     corr_identity_deviation,
     correlation_bound_ratio,
@@ -20,6 +23,7 @@ from d3lab.expsum import (
     prime_power_catalog,
     correlation_bound_scan,
     ordered_triples,
+    round_to_integer,
     r_sum_bruteforce,
     r_sum_bruteforce_table,
     r_sum_fast,
@@ -123,6 +127,36 @@ class TestASum:
 
 
 class TestCorrelation:
+    @given(
+        st.integers(1, 40),
+        st.lists(st.tuples(*[st.integers(-100, 100)] * 3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_unit_rows_match_per_h(self, q, triples):
+        # row i of the twisted table is the point h = units[i]^{-1}
+        M = _unit_rows(q, triples)
+        for i, u in enumerate(reduced(q)):
+            pt = ReducedFraction.reduce(pow(u, -1, q), q)
+            for j, t in enumerate(triples):
+                ref = r_sum_fast(*t, pt)
+                assert abs(M[i, j] - ref) <= 1e-9 * (1 + abs(ref)), (q, t, u)
+                if q <= 24:
+                    brute = r_sum_bruteforce(*t, pt)
+                    assert abs(M[i, j] - brute) <= 1e-9 * (1 + abs(brute)), (q, t, u)
+
+    def test_sum_equals_definition(self):
+        # sum'_h R_t(h/q) conj(R_t'(h/q)) from the brute-force oracle
+        rng = np.random.default_rng(7)
+        for _ in range(24):
+            q = int(rng.integers(1, 61))
+            t1, t2 = (tuple(int(v) for v in rng.integers(0, 2 * q, 3)) for _ in range(2))
+            direct = 0j
+            for h in reduced(q):
+                pt = ReducedFraction.reduce(h, q)
+                direct += r_sum_bruteforce(*t1, pt) * np.conj(r_sum_bruteforce(*t2, pt))
+            expect = round_to_integer(direct, scale=1.0 + abs(direct))
+            assert correlation_sum(CorrelationArgs(t1, t2, q)) == complex(expect, 0.0), (q, t1, t2)
+
     def test_examples(self):
         assert correlation_sum(CorrelationArgs((1, 1, 1), (1, 1, 1), 2)).real == 4
         assert correlation_sum(CorrelationArgs((3, 1, 4), (1, 5, 9), 1)).real == 1
@@ -213,8 +247,6 @@ class TestBounds:
         # |S| <= C * q * (q,b,b') * sum_{f | (q, ab-a'b')} f * (1+log q)^3
         # over the prime-power scan family; C is the fitted max ratio and
         # stays well below 1 (deterministic seeded family)
-        from d3lab.expsum import _divisor_sum_of_gcd
-
         worst = 0.0
         for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
             q = p**k
@@ -222,8 +254,8 @@ class TestBounds:
             for r in prime_power_catalog(p, k, n_samples=2000, seed=3):
                 denom = (
                     q
-                    * math.gcd(q, math.gcd(r["b"], r["b2"]) or q)
-                    * _divisor_sum_of_gcd(q, r["a"] * r["b"] - r["a2"] * r["b2"])
+                    * math.gcd(q, math.gcd(r["b"], r["b2"]))
+                    * sigma(math.gcd(q, r["a"] * r["b"] - r["a2"] * r["b2"]))
                     * logfac
                 )
                 worst = max(worst, abs(r["brute"]) / denom)
