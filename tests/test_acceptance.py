@@ -269,7 +269,7 @@ class TestCriterion08VoronoiMagnitude:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the nominal cutoff (x^2 q^3/Y^3)^{1.1} is 0.8..13 here while "
+        reason="the nominal cutoff (x^2 q^3/Y^3)^{1.1} is 0.78..16.1 here while "
         "the dual sum converges on a scale of thousands of terms (ledger)",
     )
     def test_truncation_stability_clause(self):

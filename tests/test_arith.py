@@ -102,6 +102,23 @@ class TestFactorize:
         n = 999983 * 999979
         assert factorize(n).factors == ((999979, 1), (999983, 1))
 
+    def test_cached_value_holds_python_ints(self):
+        # a cached entry holds Python ints whatever type of n made it, and
+        # cannot be mutated
+        f = factorize(np.int64(10**6 + 3))
+        assert f is factorize(np.int64(10**6 + 3))
+        assert all(type(p) is int and type(e) is int for p, e in f.factors)
+        with pytest.raises(AttributeError):
+            f.factors = ()
+
+
+class TestDivisors:
+    def test_against_enumeration(self):
+        for n in range(1, 2001):
+            got = divisors(n)
+            assert type(got) is tuple
+            assert got == tuple(d for d in range(1, n + 1) if n % d == 0), n
+
 
 class TestRamanujan:
     def test_examples(self):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d3lab.arith import ReducedFraction, divisors, euler_phi, kloosterman_sum, sigma
+from d3lab import expsum
 from d3lab.expsum import (
     CorrelationArgs,
     GuardError,
@@ -18,6 +20,7 @@ from d3lab.expsum import (
     correlation_sum,
     cq_pair_sum,
     cq_pair_sum_prime_power,
+    cq_pair_sums,
     cq_table,
     dk_exact,
     prime_power_catalog,
@@ -133,7 +136,9 @@ class TestCorrelation:
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_unit_rows_match_per_h(self, q, triples):
-        # row i of the twisted table is the point h = units[i]^{-1}
+        # row i of the twisted table is the point h = units[i]^{-1}; the
+        # last two triples take the closed-form branch b = c = 0 mod q
+        triples = triples + [(triples[0][0], 0, q), (7, -q, 2 * q)]
         M = _unit_rows(q, triples)
         for i, u in enumerate(reduced(q)):
             pt = ReducedFraction.reduce(pow(u, -1, q), q)
@@ -196,11 +201,34 @@ class TestPairSum:
         # q = 500 is the brute-force cost-guard limit; the counting path
         # must still round exactly
         rng = np.random.default_rng(2)
-        for _ in range(3):
-            a, a2, b, b2 = (int(v) for v in rng.integers(0, 500, 4))
-            assert isinstance(cq_pair_sum(a, a2, b, b2, 500), int)
+        tuples = rng.integers(0, 500, size=(3, 4)).tolist()
+        scalar = [cq_pair_sum(*t, 500) for t in tuples]
+        assert all(isinstance(v, int) for v in scalar)
+        assert cq_pair_sums(tuples, 500) == scalar
         with pytest.raises(GuardError):
             cq_pair_sum(1, 2, 3, 4, 501)
+        with pytest.raises(GuardError):
+            cq_pair_sums([(1, 2, 3, 4)], 501)
+
+    @given(
+        st.integers(1, 80),
+        st.lists(st.tuples(*[st.integers(-200, 200)] * 4), min_size=1, max_size=12),
+        st.sampled_from([1, 50, 1000, expsum.PAIR_CHUNK]),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_batched_matches_scalar(self, q, tuples, chunk):
+        # entries negative or >= q; small chunks split the rows anywhere
+        with mock.patch.object(expsum, "PAIR_CHUNK", chunk):
+            got = cq_pair_sums(tuples, q)
+        assert got == [cq_pair_sum(*t, q) for t in tuples]
+        assert all(type(v) is int for v in got)
+
+    def test_batched_every_modulus(self):
+        # 40 rows straddle a chunk boundary wherever phi(q)^2 > PAIR_CHUNK / 40
+        rng = np.random.default_rng(5)
+        for q in range(1, 81):
+            tuples = rng.integers(-2 * q, 3 * q, size=(40, 4)).tolist()
+            assert cq_pair_sums(tuples, q) == [cq_pair_sum(*t, q) for t in tuples], q
 
     def test_cq_table(self):
         from d3lab.arith import ramanujan_sum
@@ -242,6 +270,16 @@ class TestBounds:
         best = correlation_bound_scan(list(range(1, 25)), 4, log_power=0)
         assert best["ratio"] == pytest.approx(2.5, abs=1e-9)
         assert best["q"] == 6
+
+    def test_tied_maximum_reports_first_pair(self):
+        # 40 pairs tie at q = 70 and differ only in their last bits; the
+        # next ratio is a third lower
+        best = correlation_bound_scan(list(range(61, 121)), 6)
+        assert (best["q"], best["triple"], best["triple2"]) == (70, (2, 2, 2), (5, 5, 5))
+        assert best["ratio"] == pytest.approx(0.0213427947386, rel=1e-11)
+        # at q = 1 every ratio is exactly 1
+        best = correlation_bound_scan([1, 2], 3)
+        assert (best["q"], best["triple"], best["triple2"]) == (1, (1, 1, 1), (1, 1, 1))
 
     def test_critical_bound_fitted_constant(self):
         # |S| <= C * q * (q,b,b') * sum_{f | (q, ab-a'b')} f * (1+log q)^3
