@@ -48,7 +48,6 @@ __all__ = [
     "correlation_sum",
     "cq_pair_sum",
     "cq_pair_sum_prime_power",
-    "cq_pair_sums",
     "cq_table",
     "dk_exact",
     "prime_power_catalog",
@@ -63,10 +62,6 @@ __all__ = [
 
 # relative gap below which correlation_bound_scan treats two ratios as tied
 TIE_RTOL = 1e-12
-# largest modulus the pair-sum brute force accepts
-PAIR_GUARD = 500
-# pairs (X, X') tallied per cq_pair_sums chunk: rows * phi(q)^2 <= PAIR_CHUNK
-PAIR_CHUNK = 1 << 14
 
 
 class GuardError(RuntimeError):
@@ -367,7 +362,7 @@ def cq_table(q: int) -> np.ndarray:
     return out
 
 
-def cq_pair_sum(a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = PAIR_GUARD) -> int:
+def cq_pair_sum(a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500) -> int:
     """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X'), exact integer.
 
     Pairs are tallied by joint phase/twist residue class in integers,
@@ -383,36 +378,6 @@ def cq_pair_sum(a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = PAIR
     weights = joint @ cq_table(q)  # integer W_t per phase class
     val = _phase_combine(weights, q)
     return round_to_integer(val)
-
-
-def cq_pair_sums(tuples, q: int) -> list[int]:
-    """cq_pair_sum for every (a, a2, b, b2) row of tuples, in one pass.
-
-    The same definition: the pairs (X, X') of row i are tallied by the
-    phase residue (aX - a2X') mod q with weight c_q(bX - b2X'), all rows
-    in one bincount (exact integers in float64), then one (rows x q) @
-    e(r/q) product combines the phases and each row is rounded as in
-    cq_pair_sum.  Rows go through in chunks of at most PAIR_CHUNK pairs.
-    """
-    _require(q <= PAIR_GUARD, f"q={q} exceeds pair-sum guard {PAIR_GUARD}")
-    rows = np.asarray(tuples, dtype=np.int64).reshape(-1, 4) % q
-    units = np.array(reduced_residues(q), dtype=np.int64) % q
-    # differences of residues lie in (-q, q): shifted by q they index 2q
-    # bins per row (folded to q afterwards) and a twice-tiled c_q table
-    cq2 = np.tile(cq_table(q), 2).astype(np.float64)
-    phase = np.exp(2j * np.pi * np.arange(q) / q)
-    step = max(1, PAIR_CHUNK // len(units) ** 2)
-    vals = np.empty(len(rows), dtype=np.complex128)
-    for lo in range(0, len(rows), step):
-        a, a2, b, b2 = (rows[lo : lo + step, i, None] * units % q for i in range(4))
-        n = len(a)
-        a += (np.arange(n) * 2 * q + q)[:, None]
-        keys = a[:, :, None] - a2[:, None, :]
-        weights = cq2[(b + q)[:, :, None] - b2[:, None, :]]
-        tally = np.bincount(keys.ravel(), weights.ravel(), minlength=2 * q * n)
-        tally = tally.reshape(n, 2, q).sum(axis=1)
-        vals[lo : lo + n] = tally @ phase
-    return [round_to_integer(v) for v in vals.tolist()]
 
 
 class PrimePowerCase(Enum):
@@ -493,8 +458,9 @@ def prime_power_catalog(
         ]
     else:
         rng = np.random.default_rng(seed)
-        tuples = rng.integers(0, q, size=(n_samples, 4)).tolist()
-    for (a, a2, b, b2), brute in zip(tuples, cq_pair_sums(tuples, q)):
+        tuples = [tuple(int(v) for v in row) for row in rng.integers(0, q, size=(n_samples, 4))]
+    for a, a2, b, b2 in tuples:
+        brute = cq_pair_sum(a, a2, b, b2, q)
         label, closed = cq_pair_sum_prime_power(a, a2, b, b2, p, k)
         rows.append(
             {

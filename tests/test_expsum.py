@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d3lab.arith import ReducedFraction, divisors, euler_phi, kloosterman_sum, sigma
-from d3lab import expsum
 from d3lab.expsum import (
     CorrelationArgs,
     GuardError,
@@ -20,7 +18,6 @@ from d3lab.expsum import (
     correlation_sum,
     cq_pair_sum,
     cq_pair_sum_prime_power,
-    cq_pair_sums,
     cq_table,
     dk_exact,
     prime_power_catalog,
@@ -201,34 +198,11 @@ class TestPairSum:
         # q = 500 is the brute-force cost-guard limit; the counting path
         # must still round exactly
         rng = np.random.default_rng(2)
-        tuples = rng.integers(0, 500, size=(3, 4)).tolist()
-        scalar = [cq_pair_sum(*t, 500) for t in tuples]
-        assert all(isinstance(v, int) for v in scalar)
-        assert cq_pair_sums(tuples, 500) == scalar
+        for _ in range(3):
+            a, a2, b, b2 = (int(v) for v in rng.integers(0, 500, 4))
+            assert isinstance(cq_pair_sum(a, a2, b, b2, 500), int)
         with pytest.raises(GuardError):
             cq_pair_sum(1, 2, 3, 4, 501)
-        with pytest.raises(GuardError):
-            cq_pair_sums([(1, 2, 3, 4)], 501)
-
-    @given(
-        st.integers(1, 80),
-        st.lists(st.tuples(*[st.integers(-200, 200)] * 4), min_size=1, max_size=12),
-        st.sampled_from([1, 50, 1000, expsum.PAIR_CHUNK]),
-    )
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_batched_matches_scalar(self, q, tuples, chunk):
-        # entries negative or >= q; small chunks split the rows anywhere
-        with mock.patch.object(expsum, "PAIR_CHUNK", chunk):
-            got = cq_pair_sums(tuples, q)
-        assert got == [cq_pair_sum(*t, q) for t in tuples]
-        assert all(type(v) is int for v in got)
-
-    def test_batched_every_modulus(self):
-        # 40 rows straddle a chunk boundary wherever phi(q)^2 > PAIR_CHUNK / 40
-        rng = np.random.default_rng(5)
-        for q in range(1, 81):
-            tuples = rng.integers(-2 * q, 3 * q, size=(40, 4)).tolist()
-            assert cq_pair_sums(tuples, q) == [cq_pair_sum(*t, q) for t in tuples], q
 
     def test_cq_table(self):
         from d3lab.arith import ramanujan_sum
