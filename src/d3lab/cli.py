@@ -156,16 +156,6 @@ def load_or_build_table(cfg: RunConfig, k: int, limit: int) -> DivisorTable:
     return arith.sieve_dk(k, limit)
 
 
-def cache_roundtrip(table: DivisorTable, cache_dir: str) -> DivisorTable:
-    """Write-then-read; the result must be bit-exact."""
-    path = cache_path(cache_dir, table.k, table.limit)
-    write_cache(table, path)
-    back = read_cache(path, table.k, table.limit)
-    if back is None or not np.array_equal(back.values, table.values):
-        raise OSError(f"sieve cache roundtrip through {path} failed")
-    return back
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "CorrelationArgs",
     "GuardError",
     "PrimePowerCase",
-    "TripleSumArgs",
     "a_sum",
     "corr_identity_deviation",
     "correlation_bound_ratio",
@@ -105,16 +104,6 @@ def ordered_triples(n: int) -> list[tuple[int, int, int]]:
         for d2 in divisors(m):
             out.append((d1, d2, m // d2))
     return out
-
-
-@dataclass(frozen=True)
-class TripleSumArgs:
-    """Arguments (a, b, c) mod q of R at the reduced point h/q."""
-
-    a: int
-    b: int
-    c: int
-    point: ReducedFraction
 
 
 @dataclass(frozen=True)
@@ -279,7 +268,7 @@ def _unit_rows(q: int, triples: list[tuple[int, int, int]]) -> np.ndarray:
     the units so does hbar, so column t is read at a*units.  Rows are
     therefore not in h order, which sums over h do not see.
     """
-    units = np.array(reduced_residues(q), dtype=np.int64) % q
+    units = _pair_tables(q)[0]
     t = np.asarray(triples, dtype=np.int64).reshape(-1, 3) % q
     keys, which = np.unique(t[:, 1:], axis=0, return_inverse=True)
     columns = np.stack([_twist_column(q, int(b), int(c)) for b, c in keys])
@@ -362,22 +351,48 @@ def cq_table(q: int) -> np.ndarray:
     return out
 
 
+# moduli whose pair-sum tables stay cached: a catalog reads one modulus and
+# a multiplicativity check three; the tables cost about 2 MB at q = 500
+PAIR_TABLE_CACHE = 4
+
+
+@lru_cache(maxsize=PAIR_TABLE_CACHE)
+def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only lookup tables mod q shared by every pair sum at q.
+
+    Returns the units mod q (int64), the multiplication table r*X mod q
+    (q x phi(q), rows r, columns the units), the difference table
+    (x - y) mod q (q x q, int32) and the phases e(r/q).
+    """
+    units = np.array(reduced_residues(q), dtype=np.int64) % q
+    r = np.arange(q, dtype=np.int64)
+    mul = (r[:, None] * units[None, :] % q).astype(np.int32)
+    diff = ((r[:, None] - r[None, :]) % q).astype(np.int32)
+    phases = np.exp(2j * np.pi * r / q)
+    for table in (units, mul, diff, phases):
+        table.flags.writeable = False
+    return units, mul, diff, phases
+
+
 def cq_pair_sum(a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500) -> int:
     """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X'), exact integer.
 
     Pairs are tallied by joint phase/twist residue class in integers,
-    so the only float step is a final length-q cosine combination.
+    so the only float step is a final length-q combination with e(r/q).
+    The residues aX - a2X' and bX - b2X' are gathered from the cached
+    tables of _pair_tables.
     """
     _require(q <= q_guard, f"q={q} exceeds pair-sum guard {q_guard}")
     if q == 1:
         return 1
-    units = np.array(reduced_residues(q), dtype=np.int64) % q
-    t = (a * units[:, None] - a2 * units[None, :]) % q
-    s = (b * units[:, None] - b2 * units[None, :]) % q
-    joint = np.bincount((t * q + s).ravel(), minlength=q * q).reshape(q, q)
+    _, mul, diff, phases = _pair_tables(q)
+    t = diff.take(mul[a % q], axis=0).take(mul[a2 % q], axis=1)  # (aX - a2X') mod q
+    s = diff.take(mul[b % q], axis=0).take(mul[b2 % q], axis=1)  # (bX - b2X') mod q
+    t *= q
+    t += s  # joint class t*q + s
+    joint = np.bincount(t.ravel(), minlength=q * q).reshape(q, q)
     weights = joint @ cq_table(q)  # integer W_t per phase class
-    val = _phase_combine(weights, q)
-    return round_to_integer(val)
+    return round_to_integer(complex(weights @ phases))
 
 
 class PrimePowerCase(Enum):
@@ -387,6 +402,14 @@ class PrimePowerCase(Enum):
     P2_DIVIDES_Q = "p2_divides_Q"
     Q_EQUALS_P = "q_equals_p"
     UNDEFINED = "undefined"
+
+
+def _check_prime_power(p: int, k: int) -> None:
+    if p < 2 or k < 1:
+        raise ValueError("need a prime p and exponent k >= 1")
+    for pp, _ in factorize(p).factors:
+        if pp != p:
+            raise ValueError(f"{p} is not prime")
 
 
 def cq_pair_sum_prime_power(
@@ -406,11 +429,7 @@ def cq_pair_sum_prime_power(
     formulas; the brute-force sum is the authoritative contract and the
     catalog records any residual mismatch.
     """
-    if p < 2 or k < 1:
-        raise ValueError("need a prime p and exponent k >= 1")
-    for pp, _ in factorize(p).factors:
-        if pp != p:
-            raise ValueError(f"{p} is not prime")
+    _check_prime_power(p, k)
     q = p**k
     a, a2, b, b2 = a % q, a2 % q, b % q, b2 % q
     Bb = math.gcd(q, math.gcd(b, b2))
@@ -433,6 +452,47 @@ def cq_pair_sum_prime_power(
     return PrimePowerCase.Q_EQUALS_P, val
 
 
+def _closed_form_batch(T: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """cq_pair_sum_prime_power for every row (a, a2, b, b2) of the int64 array T.
+
+    The same case split as array passes: Bb = gcd(q, b, b2) from np.gcd,
+    c_q from cq_table(q) and c_{q*Bb} from cq_table(p^(k+j)), one gather
+    per Bb = p^j < q present.  Returns the PrimePowerCase value (label
+    string) of each row and the int64 values.
+    """
+    _check_prime_power(p, k)
+    q = p**k
+    a, a2, b, b2 = (np.asarray(T, dtype=np.int64).reshape(-1, 4) % q).T
+    Bb = np.gcd(q, np.gcd(b, b2))
+    Q = q // Bb
+    p_div = (b // Bb) * (b2 // Bb) % p == 0
+    cq = cq_table(q)
+    ca_ca2 = cq[a] * cq[a2]
+    x = a * b2 - a2 * b
+    cross = np.zeros_like(x)
+    for g in (p**j for j in range(k)):  # the rows with Q > 1
+        rows = Bb == g
+        if rows.any():
+            cross[rows] = cq_table(q * g)[x[rows] % (q * g)]
+    p2 = Q % (p * p) == 0
+    ok2 = (np.gcd(q, a) == Bb) & (np.gcd(q, a2) == Bb)
+    ok3 = (a % Bb == 0) & (a2 % Bb == 0)
+    # object arrays, so every row shares one string per label
+    label = {case: np.array(case.value, dtype=object) for case in PrimePowerCase}
+    cases = np.select(
+        [p_div, Q == 1, p2],
+        [label[PrimePowerCase.P_DIVIDES_BB], label[PrimePowerCase.UNDEFINED],
+         label[PrimePowerCase.P2_DIVIDES_Q]],
+        label[PrimePowerCase.Q_EQUALS_P],
+    )
+    values = np.select(
+        [p_div | (Q == 1), p2],
+        [cq[Bb % q] * ca_ca2, q * cross * ok2],
+        q * cross * ok3 - Bb * ca_ca2,
+    )
+    return cases, values
+
+
 def prime_power_catalog(
     p: int,
     k: int,
@@ -444,38 +504,31 @@ def prime_power_catalog(
 
     Exhaustive when q^4 <= n_samples, otherwise a seeded deterministic
     sample of n_samples tuples.  Each row records both values, the case
-    label, and whether they match exactly.
+    label, and whether they match exactly.  The brute force evaluates
+    the definition for every tuple; the closed form is one batch.
     """
     q = p**k
-    rows = []
     if q**4 <= n_samples:
-        tuples = [
-            (a, a2, b, b2)
-            for a in range(q)
-            for a2 in range(q)
-            for b in range(q)
-            for b2 in range(q)
-        ]
+        T = np.indices((q,) * 4).reshape(4, -1).T  # a slowest, b2 fastest
     else:
-        rng = np.random.default_rng(seed)
-        tuples = [tuple(int(v) for v in row) for row in rng.integers(0, q, size=(n_samples, 4))]
-    for a, a2, b, b2 in tuples:
-        brute = cq_pair_sum(a, a2, b, b2, q)
-        label, closed = cq_pair_sum_prime_power(a, a2, b, b2, p, k)
-        rows.append(
-            {
-                "q": q,
-                "a": a,
-                "a2": a2,
-                "b": b,
-                "b2": b2,
-                "case": label.value,
-                "brute": brute,
-                "closed": closed,
-                "match": brute == closed,
-            }
-        )
-    return rows
+        T = np.random.default_rng(seed).integers(0, q, size=(n_samples, 4))
+    tuples = T.tolist()
+    brute = [cq_pair_sum(a, a2, b, b2, q) for a, a2, b, b2 in tuples]
+    cases, closed = _closed_form_batch(T, p, k)
+    return [
+        {
+            "q": q,
+            "a": a,
+            "a2": a2,
+            "b": b,
+            "b2": b2,
+            "case": case,
+            "brute": s,
+            "closed": c,
+            "match": s == c,
+        }
+        for (a, a2, b, b2), s, case, c in zip(tuples, brute, cases.tolist(), closed.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

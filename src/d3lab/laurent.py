@@ -57,12 +57,6 @@ class LaurentExpansion:
         """Coefficient of (s-1)^(-1)."""
         return self.coeff(-1)
 
-    def value_at_one(self) -> float:
-        """Constant term; the value at s = 1 for a pole-free expansion."""
-        if self.pole_order > 0:
-            raise ArithmeticError("expansion has a pole at s = 1")
-        return self.coeff(0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentExpansion") -> "LaurentExpansion":
@@ -86,10 +80,6 @@ class LaurentExpansion:
 
     def scale(self, factor: float) -> "LaurentExpansion":
         return LaurentExpansion(self.lo, tuple(factor * c for c in self.coeffs))
-
-    def shift(self, k: int) -> "LaurentExpansion":
-        """Multiply by (s-1)^k."""
-        return LaurentExpansion(self.lo + k, self.coeffs)
 
     def inverse(self) -> "LaurentExpansion":
         """Reciprocal series; leading coefficient must be nonzero."""

@@ -1,5 +1,7 @@
+import gzip
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from d3lab.arith import sieve_dk
 from d3lab.cli import (
     RunConfig,
     cache_path,
-    cache_roundtrip,
     load_or_build_table,
     main,
     read_cache,
     write_cache,
 )
+
+# the benchmark's reference outputs, captured at its default seed
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run_cli(*argv):
@@ -71,15 +75,30 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestCatalogReference:
+    @pytest.mark.parametrize("p,k", [(3, 2), (2, 5)])  # exhaustive, sampled
+    def test_lemma3_catalog_byte_identical(self, p, k, tmp_path):
+        out = tmp_path / "catalog.out"
+        argv = ["--seed", "20250810", "lemma3-check", "--p", str(p), "--k", str(k),
+                "--out", str(out)]
+        assert main(argv) == 0
+        ref = gzip.decompress((REFERENCE / f"lemma3-check-p{p}-k{k}.out.gz").read_bytes())
+        assert out.read_bytes() == ref
+
+
 class TestSieveCache:
     def test_roundtrip_bit_exact(self, tmp_path):
         table = sieve_dk(3, 10**4)
-        back = cache_roundtrip(table, str(tmp_path))
+        path = cache_path(str(tmp_path), 3, 10**4)
+        write_cache(table, path)
+        back = read_cache(path, 3, 10**4)
         assert np.array_equal(back.values, table.values)
         assert back.k == table.k and back.limit == table.limit
 
     def test_roundtrip_bit_exact_1e6(self, d3_table_1e6, tmp_path):
-        back = cache_roundtrip(d3_table_1e6, str(tmp_path))
+        path = cache_path(str(tmp_path), d3_table_1e6.k, d3_table_1e6.limit)
+        write_cache(d3_table_1e6, path)
+        back = read_cache(path, d3_table_1e6.k, d3_table_1e6.limit)
         assert np.array_equal(back.values, d3_table_1e6.values)
 
     def test_corrupt_checksum_rejected(self, tmp_path):

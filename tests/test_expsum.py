@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,11 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d3lab.arith import ReducedFraction, divisors, euler_phi, kloosterman_sum, sigma
+from d3lab.arith import (
+    ReducedFraction,
+    divisors,
+    euler_phi,
+    kloosterman_sum,
+    ramanujan_sum,
+    sigma,
+)
 from d3lab.expsum import (
     CorrelationArgs,
     GuardError,
     PrimePowerCase,
+    _closed_form_batch,
+    _pair_tables,
     _unit_rows,
     a_sum,
     corr_identity_deviation,
@@ -194,19 +204,45 @@ class TestPairSum:
         assert cq_pair_sum(0, 0, 3, 1, 3) == -4
         assert cq_pair_sum(1, 2, 3, 4, 1) == 1
 
+    @given(st.integers(1, 40).flatmap(
+        lambda q: st.tuples(st.just(q), *[st.integers(-3 * q, 3 * q)] * 4)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_definition(self, args):
+        # the double loop over the units with c_q from the divisor formula
+        q, a, a2, b, b2 = args
+        units = reduced(q)
+        total = sum(
+            cmath.exp(2j * cmath.pi * (a * X - a2 * Y) / q) * ramanujan_sum(q, b * X - b2 * Y)
+            for X in units
+            for Y in units
+        )
+        expect = round(total.real)
+        assert abs(total - expect) < 1e-6
+        assert cq_pair_sum(a, a2, b, b2, q) == expect, args
+
     def test_integer_valued_at_guard_scale(self):
         # q = 500 is the brute-force cost-guard limit; the counting path
-        # must still round exactly
+        # must still round exactly.  (1, 1, 0, 0) at a prime near 500
+        # leaves the largest rounding residual measured at q <= 500
+        # (1.6e-8 at q = 479 and 499, against the 1e-6 tolerance).
         rng = np.random.default_rng(2)
         for _ in range(3):
             a, a2, b, b2 = (int(v) for v in rng.integers(0, 500, 4))
             assert isinstance(cq_pair_sum(a, a2, b, b2, 500), int)
+        for q in (499, 500):
+            assert cq_pair_sum(1, 1, 0, 0, q) == (498 if q == 499 else 0)
+            assert cq_pair_sum(0, 0, 0, 0, q) == euler_phi(q) ** 3
+        for args in ((1, 1, 0, 0), (0, 0, 0, 0)):
+            assert cq_pair_sum(*args, 499) == cq_pair_sum_prime_power(*args, 499, 1)[1]
         with pytest.raises(GuardError):
             cq_pair_sum(1, 2, 3, 4, 501)
 
-    def test_cq_table(self):
-        from d3lab.arith import ramanujan_sum
+    def test_pair_tables_read_only(self):
+        for table in _pair_tables(12):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
+    def test_cq_table(self):
         for q in (1, 2, 12, 30):
             assert [int(v) for v in cq_table(q)] == [ramanujan_sum(q, r) for r in range(q)]
 
@@ -230,9 +266,31 @@ class TestPairSum:
                 assert case is PrimePowerCase.P2_DIVIDES_Q
                 assert val == cq_pair_sum(a, a2, 1, 2, q)
 
+    @given(
+        st.sampled_from([(p, k) for p in (2, 3, 5, 7) for k in range(1, 9) if p**k <= 343])
+        .flatmap(lambda pk: st.tuples(
+            st.just(pk),
+            st.lists(st.tuples(*[st.integers(-3 * pk[0] ** pk[1], 3 * pk[0] ** pk[1])] * 4),
+                     min_size=1, max_size=30),
+        ))
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_closed_form_batch_matches_scalar(self, args):
+        (p, k), rows = args
+        q = p**k
+        # rows with b = b2 = 0 mod q (Q = 1)
+        rows = rows + [(rows[0][0], rows[0][1], 0, q), (1, -1, -q, 2 * q)]
+        cases, values = _closed_form_batch(np.array(rows, dtype=np.int64), p, k)
+        assert len(cases) == len(values) == len(rows)
+        for row, case, val in zip(rows, cases, values.tolist()):
+            assert (PrimePowerCase(case), val) == cq_pair_sum_prime_power(*row, p, k), (p, k, row)
+
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             cq_pair_sum_prime_power(0, 0, 1, 1, 6, 1)
+        for p, k in ((6, 1), (1, 2), (3, 0)):
+            with pytest.raises(ValueError):
+                _closed_form_batch(np.array([[0, 0, 1, 1]], dtype=np.int64), p, k)
 
 
 class TestBounds:

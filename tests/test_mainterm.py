@@ -69,7 +69,7 @@ class TestLaurentAlgebra:
         z3 = zeta_power_laurent(3, 3)
         depoled = z3 * LaurentExpansion(3, (1.0,) + (0.0,) * 8)
         assert depoled.pole_order == 0
-        assert depoled.value_at_one() == pytest.approx(1.0)
+        assert depoled.coeff(0) == pytest.approx(1.0)
 
 
 class TestStieltjes:
