@@ -401,7 +401,6 @@ class PrimePowerCase(Enum):
     P_DIVIDES_BB = "p_divides_BB"
     P2_DIVIDES_Q = "p2_divides_Q"
     Q_EQUALS_P = "q_equals_p"
-    UNDEFINED = "undefined"
 
 
 def _check_prime_power(p: int, k: int) -> None:
@@ -423,8 +422,9 @@ def cq_pair_sum_prime_power(
                              gcd(q,a2) = Bb, else 0
       * p !| B*B2, Q = p:    S = q * c_{qBb}(a*b2 - a2*b) [Bb | a, a2]
                              - Bb * c_q(a) c_q(a2)
-      * Q = 1 is outside the case split (label UNDEFINED); there
-        bX - b2X' is 0 mod q identically and the first formula is exact.
+      * Q = 1 means b = b2 = 0 mod q, so B = B2 = 0 and the first case
+        applies; there bX - b2X' is 0 mod q identically and its formula
+        is exact.
     The cross-argument a*b2 - a2*b follows the derivation of the case
     formulas; the brute-force sum is the authoritative contract and the
     catalog records any residual mismatch.
@@ -437,9 +437,6 @@ def cq_pair_sum_prime_power(
     B, B2 = b // Bb, b2 // Bb
     ca, ca2 = ramanujan_sum(q, a), ramanujan_sum(q, a2)
 
-    if Q == 1:
-        label = PrimePowerCase.P_DIVIDES_BB if (B * B2) % p == 0 else PrimePowerCase.UNDEFINED
-        return label, ramanujan_sum(q, Bb) * ca * ca2
     if (B * B2) % p == 0:
         return PrimePowerCase.P_DIVIDES_BB, ramanujan_sum(q, Bb) * ca * ca2
     cross = ramanujan_sum(q * Bb, a * b2 - a2 * b)
@@ -480,13 +477,12 @@ def _closed_form_batch(T: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.nd
     # object arrays, so every row shares one string per label
     label = {case: np.array(case.value, dtype=object) for case in PrimePowerCase}
     cases = np.select(
-        [p_div, Q == 1, p2],
-        [label[PrimePowerCase.P_DIVIDES_BB], label[PrimePowerCase.UNDEFINED],
-         label[PrimePowerCase.P2_DIVIDES_Q]],
+        [p_div, p2],
+        [label[PrimePowerCase.P_DIVIDES_BB], label[PrimePowerCase.P2_DIVIDES_Q]],
         label[PrimePowerCase.Q_EQUALS_P],
     )
     values = np.select(
-        [p_div | (Q == 1), p2],
+        [p_div, p2],
         [cq[Bb % q] * ca_ca2, q * cross * ok2],
         q * cross * ok3 - Bb * ca_ca2,
     )

@@ -78,6 +78,18 @@ class LaurentExpansion:
         )
         return LaurentExpansion(self.lo + other.lo, coeffs)
 
+    def product_coeff(self, other: "LaurentExpansion", degree: int) -> float:
+        """Coefficient of (s-1)^degree in self * other, without forming the
+        other degrees; the same fsum as __mul__, so bit-identical to
+        (self * other).coeff(degree)."""
+        m = degree - self.lo - other.lo
+        a, b = self.coeffs, other.coeffs
+        if m >= min(len(a), len(b)):
+            raise ValueError(f"degree {degree} beyond the product's truncation")
+        if m < 0:
+            return 0.0
+        return math.fsum([a[i] * b[m - i] for i in range(m + 1)])
+
     def scale(self, factor: float) -> "LaurentExpansion":
         return LaurentExpansion(self.lo, tuple(factor * c for c in self.coeffs))
 
@@ -196,8 +208,11 @@ def stieltjes_constants(j_max: int, N: int = 400, R: int = 15) -> tuple[float, .
     with mpmath.workdps(40):
         logs = [mpmath.log(k) for k in range(1, N + 1)]
         logN = logs[-1]
+        terms = [1 / mpmath.mpf(k) for k in range(1, N + 1)]  # log^j k / k, j = 0
         for j in range(j_max + 1):
-            head = mpmath.fsum(logs[k - 1] ** j / k for k in range(1, N + 1))
+            if j:
+                terms = [t * lg for t, lg in zip(terms, logs)]
+            head = mpmath.fsum(terms)
             head -= logN ** (j + 1) / (j + 1)
             head -= (logN**j / N) / 2
             polys = _log_power_derivative_polys(j, 2 * R - 1)

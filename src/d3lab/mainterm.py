@@ -83,31 +83,57 @@ def _local_numerator(k: int, d: int) -> list[int]:
     return coeffs
 
 
+def _p_minus_s(p: int, n: int) -> LaurentExpansion:
+    """p^{-s} = (1/p) exp(-log p * (s-1)) to degree n."""
+    return LaurentExpansion.from_exp(-math.log(p), n).scale(1.0 / p)
+
+
+@lru_cache(maxsize=4096)
+def _one_minus_p_s_k(p: int, k: int, n: int) -> LaurentExpansion:
+    """(1 - p^{-s})^k to degree n, the factor every p | q contributes."""
+    t = _p_minus_s(p, n)
+    base = LaurentExpansion.constant(1.0, t.hi) - t
+    out = base
+    for _ in range(k - 1):
+        out = out * base
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _top_class_factor(p: int, e: int, k: int, n: int) -> tuple[LaurentExpansion, LaurentExpansion]:
+    """Numerator of sum_j d_k(p^{e+j}) p^{-js} over (1 - p^{-s})^k, and the
+    inverse of (1 - p^{-s})^k: the extra factors of p when p^e || q and
+    p^e | delta."""
+    numer = _p_minus_s(p, n).poly_apply(_local_numerator(k, e))
+    return numer, _one_minus_p_s_k(p, k, n).inverse()
+
+
 @lru_cache(maxsize=4096)
 def restricted_series_laurent(
     q: int, delta: int, k: int = 3, hi: int = LAURENT_ORDER
 ) -> LaurentExpansion:
-    """Laurent expansion of D_{q,delta}(s) around s = 1 (pole order <= k)."""
+    """Laurent expansion of D_{q,delta}(s) around s = 1 (pole order <= k).
+
+    The local factors of each prime are cached across moduli; they are
+    multiplied into the zeta power in the same order for every (q, delta).
+    """
     if q < 1 or delta < 1 or q % delta != 0:
         raise ValueError(f"delta = {delta} must divide q = {q}")
+    n = hi + k + 1
     out = zeta_power_laurent(k, hi + 1)
-    out = out * LaurentExpansion.from_exp(-math.log(delta), hi + k + 1).scale(1.0 / delta)
+    out = out * LaurentExpansion.from_exp(-math.log(delta), n).scale(1.0 / delta)
     for p, e_q in factorize(q).factors:
         e_d = 0
         dd = delta
         while dd % p == 0:
             dd //= p
             e_d += 1
-        t = LaurentExpansion.from_exp(-math.log(p), hi + k + 1).scale(1.0 / p)
-        one_minus_t_k = LaurentExpansion.constant(1.0, t.hi) - t
-        for _ in range(k - 1):
-            one_minus_t_k = one_minus_t_k * (LaurentExpansion.constant(1.0, t.hi) - t)
-        out = out * one_minus_t_k
+        out = out * _one_minus_p_s_k(p, k, n)
         if e_d < e_q:
             out = out.scale(float(_dk_prime_power(k, e_d)))
         else:
-            numer = t.poly_apply(_local_numerator(k, e_d))
-            out = out * numer * one_minus_t_k.inverse()
+            numer, inverse = _top_class_factor(p, e_d, k, n)
+            out = out * numer * inverse
     if out.hi < hi:
         raise AssertionError("truncation bookkeeping lost required orders")
     return LaurentExpansion(out.lo, out.coeffs[: hi - out.lo + 1])
@@ -140,6 +166,7 @@ def restricted_series_eval(q: int, delta: int, s: complex, k: int = 3) -> comple
     return val
 
 
+@lru_cache(maxsize=1024)
 def x_power_over_s(x: float, hi: int) -> LaurentExpansion:
     """Expansion of x^{s-1}/s around s = 1."""
     return LaurentExpansion.from_exp(math.log(x), hi) * LaurentExpansion.geometric_one_over_s(hi)
@@ -149,7 +176,7 @@ def x_power_over_s(x: float, hi: int) -> LaurentExpansion:
 def class_main_term(q: int, delta: int, x: float, k: int = 3) -> float:
     """(x/phi(q/delta)) * Res_{s=1} D_{q,delta}(s) x^{s-1}/s."""
     D = restricted_series_laurent(q, delta, k)
-    res = (D * x_power_over_s(x, LAURENT_ORDER + k)).residue()
+    res = D.product_coeff(x_power_over_s(x, LAURENT_ORDER + k), -1)
     return x * res / euler_phi(q // delta)
 
 
@@ -190,10 +217,13 @@ def mainterm_expsum(point: ReducedFraction, x: float, k: int = 3) -> float:
 
     f = sum_{delta | q} c_{q/delta}(h) * M-class(q, delta); reduced h
     gives c_{q/delta}(h) = mu(q/delta), so the value depends only on q.
+    Classes with mu(q/delta) = 0 add an exact zero and are skipped.
     """
     q = point.q
     return math.fsum(
-        mobius(q // delta) * class_main_term(q, delta, float(x), k) for delta in divisors(q)
+        mu * class_main_term(q, delta, float(x), k)
+        for delta in divisors(q)
+        if (mu := mobius(q // delta))
     )
 
 

@@ -121,10 +121,10 @@ def delta_all(
     """
     S = progression_sums(q, x, table) if sums is None else sums
     D = q * np.fft.ifft(S.astype(np.float64))
-    a = np.arange(q)
-    g = np.gcd(a, q)
-    f = np.array([_expsum_main_term(int(q // gv), float(x), k) for gv in g])
-    return D - f
+    f_at = np.zeros(q + 1)  # f_d at index d, for each d | q
+    for d in divisors(q):
+        f_at[d] = _expsum_main_term(d, float(x), k)
+    return D - f_at[q // np.gcd(np.arange(q), q)]
 
 
 def progression_error(q: int, a: int, x: float, table: DivisorTable, k: int = 3) -> float:

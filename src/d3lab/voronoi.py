@@ -530,8 +530,10 @@ def smoothed_delta_direct(
 
     main = 0.0
     for delta in divisors(q):
-        D = restricted_series_laurent(q, delta, 3)
-        main += mobius(q // delta) / euler_phi(q // delta) * (D * mellin_exp).residue()
+        mu = mobius(q // delta)
+        if mu:  # a class with mu = 0 adds an exact zero
+            D = restricted_series_laurent(q, delta, 3)
+            main += mu / euler_phi(q // delta) * (D * mellin_exp).residue()
     return sum_part - main
 
 

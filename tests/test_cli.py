@@ -86,6 +86,13 @@ class TestCatalogReference:
         assert out.read_bytes() == ref
 
 
+class TestScanReference:
+    def test_default_scan_byte_identical(self, tmp_path):
+        out = tmp_path / "scan.out"
+        assert main(["--threads", "1", "scan", "--out", str(out)]) == 0
+        assert out.read_bytes() == gzip.decompress((REFERENCE / "scan.out.gz").read_bytes())
+
+
 class TestSieveCache:
     def test_roundtrip_bit_exact(self, tmp_path):
         table = sieve_dk(3, 10**4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d3lab.arith import divisors, euler_phi, ReducedFraction
+from d3lab.arith import divisors, euler_phi, mobius, ReducedFraction
 from d3lab.laurent import (
     LaurentExpansion,
     bernoulli_numbers,
@@ -15,6 +15,7 @@ from d3lab.laurent import (
     zeta_power_laurent,
 )
 from d3lab.mainterm import (
+    LAURENT_ORDER,
     class_main_term,
     mainterm_expsum,
     mainterm_poly,
@@ -217,6 +218,22 @@ class TestMainTerms:
                 for d in divisors(q)
             )
             assert total == pytest.approx(q * mainterm_progression(q, q, x), rel=1e-9)
+
+    @given(st.integers(1, 400), st.floats(3.0, 7.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_shared_factor_paths_against_oracles(self, q, log10_x):
+        x = 10.0**log10_x
+        point = ReducedFraction(0, 1) if q == 1 else ReducedFraction(1, q)
+        # every class, the mu(q/delta) = 0 ones included, bit for bit
+        unskipped = math.fsum(mobius(q // d) * class_main_term(q, d, x) for d in divisors(q))
+        assert mainterm_expsum(point, x).hex() == unskipped.hex()
+        for d in divisors(q):
+            D = restricted_series_laurent(q, d)
+            full = (D * x_power_over_s(x, LAURENT_ORDER + 3)).residue()
+            cmt = class_main_term(q, d, x)
+            assert cmt.hex() == (x * full / euler_phi(q // d)).hex(), (q, d)
+            con = residue_by_contour(q, d, x)
+            assert cmt * euler_phi(q // d) == pytest.approx(con, rel=1e-8), (q, d)
 
     def test_x_power_over_s(self):
         e = x_power_over_s(math.e**2, 4)
