@@ -17,6 +17,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +421,10 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The d3lab parser, built once per process: parsing leaves it unchanged
+    and every default it hands out is immutable."""
     ap = argparse.ArgumentParser(
         prog="d3lab",
         allow_abbrev=False,
@@ -494,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
             "measured deviation of the coprime correlation identity "
             "sum_h A(n) conj(A(m)) = q^3 c_q(n-m) d_3(n) d_3(m)")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--q-list", type=int, nargs="+", default=[3, 5, 7])
+    p.add_argument("--q-list", type=int, nargs="+", default=(3, 5, 7))
 
     p = add("mainterm", _cmd_mainterm, "progression main term and its log-polynomial")
     p.add_argument("--q", type=int, required=True)

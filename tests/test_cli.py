@@ -9,6 +9,7 @@ import pytest
 from d3lab.arith import sieve_dk
 from d3lab.cli import (
     RunConfig,
+    build_parser,
     cache_path,
     load_or_build_table,
     main,
@@ -73,6 +74,25 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_reused_parser_matches_fresh(self, tmp_path):
+        # main builds its parser once per process; a seed or format given to
+        # one call must not reach the next
+        runs = [
+            ("--seed", "7", "lemma2-check", "--q1", "4", "--q2", "9", "--samples", "3"),
+            ("lemma2-check", "--q1", "4", "--q2", "9", "--samples", "3"),
+            ("--format", "json", "kernel", "--x-max", "10", "--points", "3"),
+            ("kernel", "--x-max", "10", "--points", "3"),
+        ]
+        for i, argv in enumerate(runs):
+            assert main([*argv, "--out", str(tmp_path / f"reused{i}")]) == 0
+        for i, argv in enumerate(runs):
+            build_parser.cache_clear()
+            assert main([*argv, "--out", str(tmp_path / f"fresh{i}")]) == 0
+        outs = [[(tmp_path / f"{kind}{i}").read_bytes() for i in range(len(runs))]
+                for kind in ("reused", "fresh")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] != outs[0][1] and outs[0][2] != outs[0][3]
 
 
 class TestCatalogReference:

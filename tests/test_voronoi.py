@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from d3lab import voronoi
 from d3lab.arith import ReducedFraction
 from d3lab.expsum import dk_exact
 from d3lab.voronoi import (
@@ -70,6 +71,18 @@ class TestKernel:
         vals = [abs(kernel_U(float(X))) * X ** (1 / 3)
                 for X in np.geomspace(1e3, 1e6, 16)]
         assert max(vals) < 5.0
+
+    def test_meijer_g_oracle(self):
+        # U(X) = 2 G^{3,0}_{0,6}(X^2 | -; 0,0,0,1/2,1/2,1/2): substitute s = 2w
+        # in the Mellin-Barnes integral; an independent closed form, unlike
+        # contour invariance, which a consistently wrong quadrature passes
+        import mpmath
+
+        for X in np.geomspace(0.05, 1e6, 25):
+            with mpmath.workdps(30):
+                ref = float(2 * mpmath.meijerg([[], []], [[0, 0, 0], [0.5, 0.5, 0.5]],
+                                               mpmath.mpf(float(X)) ** 2))
+            assert abs(kernel_U(float(X)) - ref) <= 1e-10 * abs(ref)
 
     def test_rejects_bad_abscissa(self):
         with pytest.raises(ValueError):
@@ -250,6 +263,52 @@ class TestTransform:
         for n in (50, 200, 1000, 5000):
             v = abs(w_transform(10, n, w, quad))
             assert v * n ** (2 / 3) / (1e4 ** (1 / 3) * 100) < 0.1
+
+
+class TestContourConvergence:
+    """With the contour graded at the s = 0 pole, every U and w-hat
+    quadrature of the benchmark meets rtol at its first refinement."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Record (contour builds, value, error estimate) per quadrature."""
+        log = []
+        build_nodes, integrate = voronoi._contour_nodes, voronoi._upper_half_integral
+
+        def counting_nodes(*args):
+            log[-1][0] += 1
+            return build_nodes(*args)
+
+        def recording(*args):
+            log.append([0])
+            value, err = integrate(*args)
+            log[-1] += [value, err]
+            return value, err
+
+        monkeypatch.setattr(voronoi, "_contour_nodes", counting_nodes)
+        monkeypatch.setattr(voronoi, "_upper_half_integral", recording)
+        return log
+
+    def _check(self, log, count):
+        rtol = KernelQuadrature().rtol
+        assert len(log) == count
+        for builds, value, err in log:
+            assert builds == 2 and err <= rtol * abs(value)
+
+    def test_kernel_stops_at_second_pass(self, passes):
+        for X in np.geomspace(0.05, 1e6, 25):
+            kernel_U(float(X))
+        self._check(passes, 25)
+
+    def test_transform_stops_at_second_pass(self, passes):
+        # the voronoi workload's points; the closest is (5, 11), whose
+        # pass-1 change of 8.2e-10 is rounding in a sum that cancels 5e5-fold
+        # against the pole (deeper cancellation, as at q = 2, needs more passes)
+        points = [(10, n, SmoothWindow(1e4, 1e2)) for n in (1, 32, 17783)]
+        points += [(5, n, SmoothWindow(1e4, 1e3)) for n in range(1, 18)]
+        for q, n, w in points:
+            w_transform.__wrapped__(q, n, w)
+        self._check(passes, len(points))
 
 
 class TestSmoothedDelta:
