@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lemma3-check", _cmd_lemma3_check,
             "prime-power closed form of the Ramanujan-twisted pair sum vs "
-            "exact brute force; emits the match catalog")
+            "its exact value; emits the match catalog")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 

@@ -46,6 +46,7 @@ __all__ = [
     "correlation_multiplicativity_check",
     "correlation_sum",
     "cq_pair_sum",
+    "cq_pair_sum_bruteforce",
     "cq_pair_sum_prime_power",
     "cq_table",
     "dk_exact",
@@ -238,6 +239,14 @@ def reduced_residues(q: int) -> list[int]:
     return [h for h in range(1, q + 1) if math.gcd(h, q) == 1]
 
 
+@lru_cache(maxsize=512)
+def _units(q: int) -> np.ndarray:
+    """The reduced residues mod q as a read-only int64 array (0 for q = 1)."""
+    units = np.array(reduced_residues(q), dtype=np.int64) % q
+    units.flags.writeable = False
+    return units
+
+
 def _twist_column(q: int, b: int, c: int) -> np.ndarray:
     """u -> R_{u,b,c}(1/q) for u = 0..q-1: r_sum_fast at h = 1 for every a.
 
@@ -268,11 +277,12 @@ def _unit_rows(q: int, triples: list[tuple[int, int, int]]) -> np.ndarray:
     the units so does hbar, so column t is read at a*units.  Rows are
     therefore not in h order, which sums over h do not see.
     """
-    units = _pair_tables(q)[0]
+    units = _units(q)
     t = np.asarray(triples, dtype=np.int64).reshape(-1, 3) % q
-    keys, which = np.unique(t[:, 1:], axis=0, return_inverse=True)
-    columns = np.stack([_twist_column(q, int(b), int(c)) for b, c in keys])
-    return columns[which.ravel()[:, None], t[:, 0, None] * units % q].T
+    slot: dict[tuple[int, int], int] = {}  # (b, c) -> column, in first-seen order
+    which = np.array([slot.setdefault((b, c), len(slot)) for b, c in t[:, 1:].tolist()])
+    columns = np.stack([_twist_column(q, b, c) for b, c in slot])
+    return columns[which[:, None], t[:, 0, None] * units % q].T
 
 
 def correlation_sum(args: CorrelationArgs, *, q_guard: int = 60) -> complex:
@@ -351,14 +361,14 @@ def cq_table(q: int) -> np.ndarray:
     return out
 
 
-# moduli whose pair-sum tables stay cached: a catalog reads one modulus and
-# a multiplicativity check three; the tables cost about 2 MB at q = 500
+# moduli whose brute-force pair-sum tables stay cached: a catalog check
+# reads one modulus; the tables cost about 2 MB at q = 500
 PAIR_TABLE_CACHE = 4
 
 
 @lru_cache(maxsize=PAIR_TABLE_CACHE)
 def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only lookup tables mod q shared by every pair sum at q.
+    """Read-only lookup tables mod q shared by every cq_pair_sum_bruteforce at q.
 
     Returns the units mod q (int64), the multiplication table r*X mod q
     (q x phi(q), rows r, columns the units), the difference table
@@ -374,7 +384,9 @@ def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return units, mul, diff, phases
 
 
-def cq_pair_sum(a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500) -> int:
+def cq_pair_sum_bruteforce(
+    a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500
+) -> int:
     """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X'), exact integer.
 
     Pairs are tallied by joint phase/twist residue class in integers,
@@ -393,6 +405,38 @@ def cq_pair_sum(a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500)
     joint = np.bincount(t.ravel(), minlength=q * q).reshape(q, q)
     weights = joint @ cq_table(q)  # integer W_t per phase class
     return round_to_integer(complex(weights @ phases))
+
+
+# elements gathered per chunk of rows in cq_pair_sum: bounds its scratch
+# memory whatever the number of rows
+_PAIR_CHUNK = 1 << 15
+
+
+def cq_pair_sum(a, a2, b, b2, q: int, *, q_guard: int = 500):
+    """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X') by the Ramanujan expansion.
+
+    Writing c_q(m) = sum'_{r mod q} e(rm/q) and summing over X and X' first,
+
+        S = sum'_{r mod q} c_q(a + r*b) * c_q(a2 + r*b2)     (c_q(-m) = c_q(m)),
+
+    phi(q) int64 products read from cq_table(q), with no float step;
+    |S| <= phi(q) * q^2.  The arguments broadcast against each other:
+    ints give a Python int, arrays an int64 array of the broadcast shape,
+    evaluated in row chunks of at most _PAIR_CHUNK gathered elements.
+    cq_pair_sum_bruteforce evaluates the definition and is the oracle.
+    """
+    _require(q <= q_guard, f"q={q} exceeds pair-sum guard {q_guard}")
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) % q for v in (a, a2, b, b2)))
+    a, a2, b, b2 = (v.ravel() for v in args)
+    units, cq = _units(q), cq_table(q)
+    out = np.empty(a.size, dtype=np.int64)
+    step = max(1, _PAIR_CHUNK // units.size)
+    for i in range(0, a.size, step):
+        rows = slice(i, i + step)
+        left = cq[(a[rows, None] + units * b[rows, None]) % q]
+        right = cq[(a2[rows, None] + units * b2[rows, None]) % q]
+        out[rows] = (left * right).sum(axis=1)
+    return int(out[0]) if args[0].ndim == 0 else out.reshape(args[0].shape)
 
 
 class PrimePowerCase(Enum):
@@ -426,8 +470,10 @@ def cq_pair_sum_prime_power(
         applies; there bX - b2X' is 0 mod q identically and its formula
         is exact.
     The cross-argument a*b2 - a2*b follows the derivation of the case
-    formulas; the brute-force sum is the authoritative contract and the
-    catalog records any residual mismatch.
+    formulas.  It is checked, not trusted: prime_power_catalog compares it
+    with cq_pair_sum (the Ramanujan expansion) and records any mismatch,
+    and the tests hold that expansion to cq_pair_sum_bruteforce, which
+    evaluates the definition.
     """
     _check_prime_power(p, k)
     q = p**k
@@ -496,12 +542,14 @@ def prime_power_catalog(
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> list[dict]:
-    """Closed form vs brute force over (a, a2, b, b2) mod p^k.
+    """Closed form vs the exact pair sum over (a, a2, b, b2) mod p^k.
 
     Exhaustive when q^4 <= n_samples, otherwise a seeded deterministic
     sample of n_samples tuples.  Each row records both values, the case
-    label, and whether they match exactly.  The brute force evaluates
-    the definition for every tuple; the closed form is one batch.
+    label, and whether they match exactly.  The "brute" value is
+    cq_pair_sum, the Ramanujan expansion of the definition (held to the
+    definition by cq_pair_sum_bruteforce in the tests); both it and the
+    closed form are one batch over the catalog.
     """
     q = p**k
     if q**4 <= n_samples:
@@ -509,7 +557,7 @@ def prime_power_catalog(
     else:
         T = np.random.default_rng(seed).integers(0, q, size=(n_samples, 4))
     tuples = T.tolist()
-    brute = [cq_pair_sum(a, a2, b, b2, q) for a, a2, b, b2 in tuples]
+    brute = cq_pair_sum(*T.T, q).tolist()
     cases, closed = _closed_form_batch(T, p, k)
     return [
         {

@@ -18,15 +18,18 @@ from d3lab.expsum import (
     CorrelationArgs,
     GuardError,
     PrimePowerCase,
+    _PAIR_CHUNK,
     _closed_form_batch,
     _pair_tables,
     _unit_rows,
+    _units,
     a_sum,
     corr_identity_deviation,
     correlation_bound_ratio,
     correlation_multiplicativity_check,
     correlation_sum,
     cq_pair_sum,
+    cq_pair_sum_bruteforce,
     cq_pair_sum_prime_power,
     cq_table,
     dk_exact,
@@ -219,28 +222,84 @@ class TestPairSum:
         expect = round(total.real)
         assert abs(total - expect) < 1e-6
         assert cq_pair_sum(a, a2, b, b2, q) == expect, args
+        assert cq_pair_sum_bruteforce(a, a2, b, b2, q) == expect, args
+
+    @given(
+        st.integers(1, 80).flatmap(lambda q: st.tuples(
+            st.just(q),
+            st.lists(st.tuples(*[st.integers(-3 * q, 3 * q)] * 4), min_size=1, max_size=12),
+            st.integers(-2, 2),
+            st.integers(0, 3),
+        ))
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_array_matches_bruteforce(self, args):
+        # the distinct rows tiled to within 2 of the rows per chunk (at
+        # least 420 for q <= 80), so batches end just short of a chunk
+        # boundary or just past it
+        q, rows, offset, scalar_col = args
+        n = _PAIR_CHUNK // euler_phi(q) + offset
+        which = np.arange(n) % len(rows)
+        T = np.array(rows, dtype=np.int64)[which]
+        expect = np.array([cq_pair_sum_bruteforce(*row, q) for row in rows])[which]
+        got = cq_pair_sum(*T.T, q)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert np.array_equal(got, expect), q
+        # one argument a scalar broadcast against the other three columns
+        cols = list(T.T)
+        cols[scalar_col] = int(rows[0][scalar_col])
+        fixed = [row[:scalar_col] + (rows[0][scalar_col],) + row[scalar_col + 1:] for row in rows]
+        expect = np.array([cq_pair_sum_bruteforce(*row, q) for row in fixed])[which]
+        assert np.array_equal(cq_pair_sum(*cols, q), expect), (q, scalar_col)
+        # ints in, a Python int out
+        got = cq_pair_sum(*rows[0], q)
+        assert type(got) is int and got == cq_pair_sum_bruteforce(*rows[0], q)
+        with pytest.raises(GuardError):
+            cq_pair_sum(*T.T, 501)
+
+    def test_catalogs_match_bruteforce(self):
+        # every row of the exhaustive catalogs and a seeded subsample of
+        # the sampled ones: the catalogs' "brute" column is the definition
+        pick = np.random.default_rng(5)
+        for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
+                     (2, 4), (2, 5), (2, 6), (3, 3), (5, 2)):
+            rows = prime_power_catalog(p, k, seed=20250810)
+            if (p**k) ** 4 > 10_000:
+                rows = [rows[i] for i in pick.choice(len(rows), 500, replace=False)]
+            for r in rows:
+                args = (r["a"], r["a2"], r["b"], r["b2"], r["q"])
+                assert r["brute"] == cq_pair_sum_bruteforce(*args), args
 
     def test_integer_valued_at_guard_scale(self):
-        # q = 500 is the brute-force cost-guard limit; the counting path
-        # must still round exactly.  (1, 1, 0, 0) at a prime near 500
-        # leaves the largest rounding residual measured at q <= 500
-        # (1.6e-8 at q = 479 and 499, against the 1e-6 tolerance).
+        # q = 500 is the cost-guard limit of both kernels; the brute
+        # force's counting path must still round exactly there.
+        # (1, 1, 0, 0) at a prime near 500 leaves the largest rounding
+        # residual measured at q <= 500 (1.6e-8 at q = 479 and 499,
+        # against the 1e-6 tolerance).
         rng = np.random.default_rng(2)
         for _ in range(3):
             a, a2, b, b2 = (int(v) for v in rng.integers(0, 500, 4))
             assert isinstance(cq_pair_sum(a, a2, b, b2, 500), int)
         for q in (499, 500):
-            assert cq_pair_sum(1, 1, 0, 0, q) == (498 if q == 499 else 0)
-            assert cq_pair_sum(0, 0, 0, 0, q) == euler_phi(q) ** 3
+            for kernel in (cq_pair_sum, cq_pair_sum_bruteforce):
+                assert kernel(1, 1, 0, 0, q) == (498 if q == 499 else 0)
+                assert kernel(0, 0, 0, 0, q) == euler_phi(q) ** 3
         for args in ((1, 1, 0, 0), (0, 0, 0, 0)):
             assert cq_pair_sum(*args, 499) == cq_pair_sum_prime_power(*args, 499, 1)[1]
-        with pytest.raises(GuardError):
-            cq_pair_sum(1, 2, 3, 4, 501)
+        for kernel in (cq_pair_sum, cq_pair_sum_bruteforce):
+            with pytest.raises(GuardError):
+                kernel(1, 2, 3, 4, 501)
 
     def test_pair_tables_read_only(self):
         for table in _pair_tables(12):
             with pytest.raises(ValueError):
                 table[0] = 1
+
+    def test_units_read_only(self):
+        assert _units(12).tolist() == [1, 5, 7, 11]
+        assert _units(1).tolist() == [0]
+        with pytest.raises(ValueError):
+            _units(12)[0] = 1
 
     def test_cq_table(self):
         for q in (1, 2, 12, 30):
