@@ -56,7 +56,6 @@ __all__ = [
     "r_sum_bruteforce",
     "r_sum_bruteforce_table",
     "r_sum_fast",
-    "r_sum_fast_table",
 ]
 
 
@@ -165,57 +164,32 @@ def r_sum_bruteforce_table(point: ReducedFraction, *, q_guard: int = 64) -> np.n
     return q**3 * np.fft.ifftn(F)
 
 
-def _kloosterman_value(n: int, m: int, q: int) -> complex:
-    if q == 1:
-        return 1 + 0j
-    return complex(kloosterman_table(q)[n % q, m % q])
+def _closed_form(q: int, g: int) -> int:
+    """q * sum_{d | g} d * phi(q/d): R_{a,b,c}(h/q) for every h when q | b, c and g = (q, a)."""
+    return q * sum(d * euler_phi(q // d) for d in divisors(g))
 
 
 def r_sum_fast(a: int, b: int, c: int, point: ReducedFraction) -> complex:
     """R_{a,b,c}(h/q) via the divisor reduction to Kloosterman sums.
 
     R = q * sum_{delta | (q,b,c)} delta * S_{a, (b/delta)(c/delta)*hbar}(q/delta),
-    cost O(sum_{delta} q/delta).  When q | b and q | c the sum collapses to
-    the closed form q * sum_{d | (q,a)} d * phi(q/d).
+    read from real Kloosterman columns, so the imaginary part is exactly 0;
+    _closed_form when q | b and q | c.  _twist_column sums the same columns
+    in the same order for every a.
     """
     h, q = point.h, point.q
     if q == 1:
         return 1 + 0j
     a, b, c = a % q, b % q, c % q
     if b == 0 and c == 0:
-        total = sum(d * euler_phi(q // d) for d in divisors(math.gcd(q, a)))
-        return complex(q * total, 0.0)
+        return complex(_closed_form(q, math.gcd(q, a)), 0.0)
     hbar = mod_inverse(h, q)
-    g = math.gcd(math.gcd(b, c), q)
-    total = 0j
-    for delta in divisors(g):
+    total = 0.0
+    for delta in divisors(math.gcd(math.gcd(b, c), q)):
         qd = q // delta
         m = ((b // delta) * (c // delta) * hbar) % qd
-        total += delta * _kloosterman_value(a % qd, m, qd)
-    return q * total
-
-
-def r_sum_fast_table(point: ReducedFraction) -> np.ndarray:
-    """r_sum_fast for every residue triple (a,b,c), vectorized.
-
-    Returns a (q, q, q) complex array indexed [a, b, c].
-    """
-    h, q = point.h, point.q
-    if q == 1:
-        return np.ones((1, 1, 1), dtype=np.complex128)
-    hbar = mod_inverse(h, q)
-    res = np.arange(q, dtype=np.int64)
-    out = np.zeros((q, q, q), dtype=np.complex128)
-    for delta in divisors(q):
-        qd = q // delta
-        mask_b = res % delta == 0
-        mask = np.outer(mask_b, mask_b)  # delta | b and delta | c
-        m = ((res[:, None] // delta) * (res[None, :] // delta) * hbar) % qd
-        K = kloosterman_table(qd) if qd > 1 else np.ones((1, 1), dtype=np.complex128)
-        # K indexed at [a % qd, m[b, c]] broadcast over the full grid
-        block = K[(res % qd)[:, None, None], m[None, :, :]]
-        out += delta * np.where(mask[None, :, :], block, 0.0)
-    return q * out
+        total += delta * kloosterman_table(qd, m)[a % qd]
+    return complex(q * total)
 
 
 def a_sum(point: ReducedFraction, n: int) -> complex:
@@ -248,23 +222,24 @@ def _units(q: int) -> np.ndarray:
 
 
 def _twist_column(q: int, b: int, c: int) -> np.ndarray:
-    """u -> R_{u,b,c}(1/q) for u = 0..q-1: r_sum_fast at h = 1 for every a.
+    """u -> R_{u,b,c}(1/q) for u = 0..q-1, float64: r_sum_fast at h = 1 for every a.
 
     The same divisor reduction as r_sum_fast, one gather per
-    delta | (q, b, c) from the Kloosterman table mod q/delta, summed in
-    the same order, and the same closed form when q | b and q | c.
+    delta | (q, b, c) from the Kloosterman column kloosterman_table(q/delta, m),
+    summed in the same order, and the same _closed_form when q | b and
+    q | c, so every entry equals r_sum_fast(u, b, c, 1/q) exactly.
     """
     b, c = b % q, c % q
     u = np.arange(q)
     if b == 0 and c == 0:
         by_gcd = np.zeros(q + 1)
         for g in divisors(q):
-            by_gcd[g] = q * sum(d * euler_phi(q // d) for d in divisors(g))
-        return by_gcd[np.gcd(u, q)].astype(np.complex128)
-    col = np.zeros(q, dtype=np.complex128)
+            by_gcd[g] = _closed_form(q, g)
+        return by_gcd[np.gcd(u, q)]
+    col = np.zeros(q)
     for delta in divisors(math.gcd(math.gcd(b, c), q)):
         qd = q // delta
-        col += delta * kloosterman_table(qd)[u % qd, (b // delta) * (c // delta) % qd]
+        col += delta * kloosterman_table(qd, (b // delta) * (c // delta) % qd)[u % qd]
     return q * col
 
 
@@ -354,10 +329,11 @@ def correlation_multiplicativity_check(
 
 @lru_cache(maxsize=512)
 def cq_table(q: int) -> np.ndarray:
-    """c_q(r) for r = 0..q-1, exact int64, by the divisor formula."""
+    """c_q(r) for r = 0..q-1, exact read-only int64, by the divisor formula."""
     out = np.zeros(q, dtype=np.int64)
     for hdiv in divisors(q):
         out[::hdiv] += mobius(q // hdiv) * hdiv
+    out.flags.writeable = False
     return out
 
 
@@ -367,21 +343,20 @@ PAIR_TABLE_CACHE = 4
 
 
 @lru_cache(maxsize=PAIR_TABLE_CACHE)
-def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only lookup tables mod q shared by every cq_pair_sum_bruteforce at q.
 
-    Returns the units mod q (int64), the multiplication table r*X mod q
-    (q x phi(q), rows r, columns the units), the difference table
-    (x - y) mod q (q x q, int32) and the phases e(r/q).
+    Returns the multiplication table r*X mod q (q x phi(q), rows r,
+    columns the units), the difference table (x - y) mod q (q x q,
+    int32) and the phases e(r/q).
     """
-    units = np.array(reduced_residues(q), dtype=np.int64) % q
     r = np.arange(q, dtype=np.int64)
-    mul = (r[:, None] * units[None, :] % q).astype(np.int32)
+    mul = (r[:, None] * _units(q)[None, :] % q).astype(np.int32)
     diff = ((r[:, None] - r[None, :]) % q).astype(np.int32)
     phases = np.exp(2j * np.pi * r / q)
-    for table in (units, mul, diff, phases):
+    for table in (mul, diff, phases):
         table.flags.writeable = False
-    return units, mul, diff, phases
+    return mul, diff, phases
 
 
 def cq_pair_sum_bruteforce(
@@ -397,7 +372,7 @@ def cq_pair_sum_bruteforce(
     _require(q <= q_guard, f"q={q} exceeds pair-sum guard {q_guard}")
     if q == 1:
         return 1
-    _, mul, diff, phases = _pair_tables(q)
+    mul, diff, phases = _pair_tables(q)
     t = diff.take(mul[a % q], axis=0).take(mul[a2 % q], axis=1)  # (aX - a2X') mod q
     s = diff.take(mul[b % q], axis=0).take(mul[b2 % q], axis=1)  # (bX - b2X') mod q
     t *= q
@@ -615,7 +590,7 @@ def correlation_bound_scan(
     best = {"ratio": 0.0}
     for q in q_values:
         M = _unit_rows(q, triples)
-        G = np.abs(M.conj().T @ M)
+        G = np.abs(M.T @ M)
         logfac = (1.0 + math.log(q)) ** log_power
         gcd_qn = np.gcd(q, prods)
         # sigma(gcd(q, n - n')) depends only on (n - n') mod q

@@ -190,11 +190,16 @@ class TestKloosterman:
                 assert abs(kloosterman_sum(n, m, q)) <= bound + 1e-9
 
     def test_table_matches_direct(self):
-        for q in (2, 7, 12, 30):
-            K = kloosterman_table(q)
-            for n in range(q):
-                for m in range(q):
-                    assert K[n, m] == pytest.approx(kloosterman_sum(n, m, q), abs=1e-9 * q)
+        for q in (1, 2, 7, 12, 30):
+            for m in range(q):
+                column = kloosterman_table(q, m)
+                assert column.shape == (q,) and column.dtype == np.float64
+                for n in range(q):
+                    assert column[n] == pytest.approx(kloosterman_sum(n, m, q), abs=1e-9 * q)
+
+    def test_table_read_only(self):
+        with pytest.raises(ValueError):
+            kloosterman_table(7, 1)[0] = 1
 
     def test_real_valued(self):
         for q in (7, 16, 45):

@@ -21,6 +21,7 @@ from d3lab.expsum import (
     _PAIR_CHUNK,
     _closed_form_batch,
     _pair_tables,
+    _twist_column,
     _unit_rows,
     _units,
     a_sum,
@@ -40,7 +41,6 @@ from d3lab.expsum import (
     r_sum_bruteforce,
     r_sum_bruteforce_table,
     r_sum_fast,
-    r_sum_fast_table,
 )
 
 
@@ -61,18 +61,27 @@ class TestRSum:
             r_sum_bruteforce(1, 1, 1, ReducedFraction(1, 211))
 
     def test_fast_equals_bruteforce_exhaustive(self):
+        # every (a, b, c) mod q through the twisted rows and the scalar path;
+        # row i of _unit_rows is the point h = units[i]^{-1}
         for q in range(1, 13):
-            for h in reduced(q):
-                pt = ReducedFraction.reduce(h, q)
-                bt = r_sum_bruteforce_table(pt)
-                ft = r_sum_fast_table(pt)
-                assert np.max(np.abs(bt - ft)) < 1e-6, (q, h)
+            triples = np.indices((q,) * 3).reshape(3, -1).T  # the ravel order of [a, b, c]
+            M = _unit_rows(q, triples)
+            for i, u in enumerate(_units(q).tolist()):
+                pt = ReducedFraction.reduce(pow(u, -1, q), q)
+                bt = r_sum_bruteforce_table(pt).ravel()
+                assert np.max(np.abs(bt - M[i])) < 1e-6, (q, u)
+                scalar = np.array([r_sum_fast(*t, pt) for t in triples.tolist()])
+                assert np.max(np.abs(bt - scalar)) < 1e-6, (q, u)
 
     def test_scalar_matches_table(self):
-        pt = ReducedFraction(5, 12)
-        ft = r_sum_fast_table(pt)
-        for a, b, c in ((0, 0, 0), (1, 2, 3), (11, 6, 4), (7, 0, 9)):
-            assert r_sum_fast(a, b, c, pt) == pytest.approx(complex(ft[a, b, c]), abs=1e-9)
+        # the same Kloosterman columns summed in the same order: equal exactly
+        for q in (5, 12, 30):
+            pt = ReducedFraction.reduce(1, q)
+            for b in range(q):
+                for c in range(q):
+                    column = _twist_column(q, b, c)
+                    for a in range(q):
+                        assert r_sum_fast(a, b, c, pt) == column[a], (q, a, b, c)
 
     def test_degenerate_branch(self):
         # q | b and q | c collapses to q * sum_{d | (q,a)} d phi(q/d)
@@ -100,10 +109,11 @@ class TestRSum:
                 cpt = ReducedFraction.reduce(q - h, q)
                 for a, b, c in ((1, 2, 3), (0, 4, 1)):
                     val = r_sum_fast(a, b, c, pt)
-                    assert abs(val.imag) < 1e-9
+                    assert val.imag == 0
                     assert r_sum_fast(*((-a) % q, (-b) % q, (-c) % q), pt) == pytest.approx(
                         r_sum_fast(a, b, c, cpt), abs=1e-9
                     )
+        assert r_sum_fast(2, 4, 8, ReducedFraction(7, 60)).imag == 0
 
     def test_kloosterman_identity_coprime(self):
         # gcd(abc, q) = 1 gives R = q * S_{1, hbar * abc}(q)
@@ -304,6 +314,8 @@ class TestPairSum:
     def test_cq_table(self):
         for q in (1, 2, 12, 30):
             assert [int(v) for v in cq_table(q)] == [ramanujan_sum(q, r) for r in range(q)]
+        with pytest.raises(ValueError):
+            cq_table(12)[0] = 1
 
     def test_closed_form_examples(self):
         case, val = cq_pair_sum_prime_power(0, 0, 1, 1, 3, 1)
