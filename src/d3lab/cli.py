@@ -169,24 +169,69 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv(meta: dict, columns: list[str], rows: list[list]) -> str:
+def _column(values) -> tuple[np.ndarray | list, bool]:
+    """One report column, and whether it is printed as floats.
+
+    A numpy array of kind "f" is a float column, any other non-object
+    array is not; a list (or object array) is a float column when every
+    value is a float.  A column that mixes floats with other values has
+    no single format and raises TypeError.  Arrays are returned as they
+    are, everything else as a list.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        return values, values.dtype.kind == "f"
+    values = list(values)
+    floats = [issubclass(t, float) for t in set(map(type, values))]
+    if any(floats) and not all(floats):
+        raise TypeError("a report column mixes floats with other values")
+    return values, any(floats)
+
+
+def _columns(names: list[str], columns) -> list[tuple[np.ndarray | list, bool]]:
+    cols = [_column(c) for c in columns]
+    if len(cols) != len(names) or len({len(v) for v, _ in cols}) > 1:
+        raise ValueError(f"a table of {len(names)} names needs as many columns of one length")
+    return cols
+
+
+def _as_list(values: np.ndarray | list) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _transpose(rows: list, width: int) -> list:
+    """The columns of a list of rows (width empty columns when there are none)."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _cells(values: np.ndarray | list, is_float: bool):
+    """One column's CSV cells: fmt12 for floats, str for everything else."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        # catalog columns repeat a few values: format each distinct one once
+        distinct, where = np.unique(values, return_inverse=True)
+        return np.array([str(v) for v in distinct.tolist()], dtype=object)[where].tolist()
+    # "{:.12g}".format is fmt12 without a Python-level call per cell
+    return map("{:.12g}".format if is_float else str, _as_list(values))
+
+
+def _csv(meta: dict, names: list[str], columns) -> str:
+    """Meta lines, the header, then one line per row."""
+    cells = [_cells(values, is_float) for values, is_float in _columns(names, columns)]
     lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt12(v) if isinstance(v, float) else str(v) for v in row))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(meta: dict, columns: list[str], rows: list[list]) -> str:
-    def norm(v):
-        return float(fmt12(v)) if isinstance(v, float) else v
-
-    doc = {"meta": meta, "rows": [dict(zip(columns, map(norm, r))) for r in rows]}
+def _rows_json(meta: dict, names: list[str], columns) -> str:
+    """{"meta", "rows"}, floats rounded through fmt12 as in the CSV."""
+    cols = [[float(fmt12(v)) for v in _as_list(values)] if is_float else _as_list(values)
+            for values, is_float in _columns(names, columns)]
+    doc = {"meta": meta, "rows": [dict(zip(names, r)) for r in zip(*cols)]}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _table_out(fmt: str, meta: dict, columns: list[str], rows: list[list], out) -> None:
-    text = _csv(meta, columns, rows) if fmt == "csv" else _rows_json(meta, columns, rows)
+def _table_out(fmt: str, meta: dict, names: list[str], columns, out) -> None:
+    text = _csv(meta, names, columns) if fmt == "csv" else _rows_json(meta, names, columns)
     _emit(text, out)
 
 
@@ -263,24 +308,23 @@ def _cmd_lemma2_check(args, cfg: RunConfig) -> int:
     meta = {"q1": args.q1, "q2": args.q2, "seed": cfg.seed, "failures": failures}
     cols = ["q1", "q2", "a", "b", "c", "a2", "b2", "c2", "s12", "s1", "s2",
             "abs_dev", "split_dev", "passed"]
-    _table_out(cfg.fmt, meta, cols, rows, args.out)
+    _table_out(cfg.fmt, meta, cols, _transpose(rows, len(cols)), args.out)
     return 0 if failures == 0 else 1
 
 
 def _cmd_lemma3_check(args, cfg: RunConfig) -> int:
-    rows = expsum.prime_power_catalog(args.p, args.k, seed=cfg.seed)
-    mismatches = sum(1 for r in rows if not r["match"])
-    meta = {"p": args.p, "k": args.k, "tuples": len(rows), "mismatches": mismatches,
+    cat = expsum.prime_power_catalog(args.p, args.k, seed=cfg.seed)
+    n = len(cat.brute)
+    abs_dev = np.abs(cat.brute - cat.closed)
+    mismatches = int(np.count_nonzero(abs_dev))
+    meta = {"p": args.p, "k": args.k, "tuples": n, "mismatches": mismatches,
             "seed": cfg.seed}
     cols = ["q", "a", "a2", "b", "b2", "case",
             "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_dev", "rel_dev", "match"]
-    out_rows = [
-        [r["q"], r["a"], r["a2"], r["b"], r["b2"], r["case"],
-         r["brute"], 0, r["closed"], 0, abs(r["brute"] - r["closed"]),
-         float(abs(r["brute"] - r["closed"])) / (1 + abs(r["brute"])), int(r["match"])]
-        for r in rows
-    ]
-    _table_out(cfg.fmt, meta, cols, out_rows, args.out)
+    zero = np.zeros(n, dtype=np.int64)
+    columns = [np.full(n, cat.q), *cat.tuples.T, cat.case, cat.brute, zero, cat.closed, zero,
+               abs_dev, abs_dev / (1 + np.abs(cat.brute)), (abs_dev == 0).astype(np.int64)]
+    _table_out(cfg.fmt, meta, cols, columns, args.out)
     return 0 if mismatches == 0 else 1
 
 
@@ -305,7 +349,7 @@ def _cmd_corr_identity(args, cfg: RunConfig) -> int:
                              abs(lhs - rhs), abs(lhs - rhs) / q**3])
     meta = {"n_max": args.n_max, "rel_dev_is": "abs_dev/q^3"}
     cols = ["q", "n", "m", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_dev", "rel_dev"]
-    _table_out(cfg.fmt, meta, cols, rows, args.out)
+    _table_out(cfg.fmt, meta, cols, _transpose(rows, len(cols)), args.out)
     return 0
 
 
@@ -322,9 +366,9 @@ def _cmd_mainterm(args, cfg: RunConfig) -> int:
 def _cmd_kernel(args, cfg: RunConfig) -> int:
     quad = voronoi.KernelQuadrature(c=args.c_abscissa)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
-    rows = [[float(X), voronoi.kernel_U(float(X), quad)] for X in xs]
+    U = [voronoi.kernel_U(float(X), quad) for X in xs]
     meta = {"c": args.c_abscissa, "points": args.points}
-    _table_out(cfg.fmt, meta, ["X", "U"], rows, args.out)
+    _table_out(cfg.fmt, meta, ["X", "U"], [xs, U], args.out)
     return 0
 
 
@@ -332,10 +376,10 @@ def _cmd_wtransform(args, cfg: RunConfig) -> int:
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
     quad = voronoi.KernelQuadrature(c=args.c_abscissa)
     n_values = range(1, args.n_max + 1) if args.n_max else [args.n]
-    rows = [[n, voronoi.w_transform(args.q, n, window, quad)] for n in n_values]
+    w_hat = [voronoi.w_transform(args.q, n, window, quad) for n in n_values]
     meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": args.c_abscissa,
             "T": f"2e*(N*x)^(1/3)"}
-    _table_out(cfg.fmt, meta, ["n", "w_hat"], rows, args.out)
+    _table_out(cfg.fmt, meta, ["n", "w_hat"], [n_values, w_hat], args.out)
     return 0
 
 
@@ -353,16 +397,16 @@ def _cmd_voronoi_compare(args, cfg: RunConfig) -> int:
         worst = max(worst, max(ratio, 1.0 / ratio))
         rows.append([args.q, h, abs(direct), abs(dual), ratio, tail])
     meta = {"x": args.x, "Y": args.Y, "q": args.q}
-    _table_out(cfg.fmt, meta, ["q", "h", "abs_direct", "abs_dual", "ratio", "tail_est"],
-               rows, args.out)
+    cols = ["q", "h", "abs_direct", "abs_dual", "ratio", "tail_est"]
+    _table_out(cfg.fmt, meta, cols, _transpose(rows, len(cols)), args.out)
     return 0 if worst <= 10.0 else 1
 
 
 def _cmd_delta(args, cfg: RunConfig) -> int:
     table = load_or_build_table(cfg, args.k, max(int(args.x), 1))
     d = variance.delta_all(args.q, args.x, table, args.k)
-    rows = [[a, float(d[a].real), float(d[a].imag)] for a in range(args.q)]
-    _table_out(cfg.fmt, {"x": args.x, "q": args.q}, ["a", "re", "im"], rows, args.out)
+    _table_out(cfg.fmt, {"x": args.x, "q": args.q}, ["a", "re", "im"],
+               [range(args.q), d.real, d.imag], args.out)
     return 0
 
 

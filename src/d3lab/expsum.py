@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "CorrelationArgs",
     "GuardError",
     "PrimePowerCase",
+    "PrimePowerCatalog",
     "a_sum",
     "corr_identity_deviation",
     "correlation_bound_ratio",
@@ -445,10 +447,10 @@ def cq_pair_sum_prime_power(
         applies; there bX - b2X' is 0 mod q identically and its formula
         is exact.
     The cross-argument a*b2 - a2*b follows the derivation of the case
-    formulas.  It is checked, not trusted: prime_power_catalog compares it
-    with cq_pair_sum (the Ramanujan expansion) and records any mismatch,
-    and the tests hold that expansion to cq_pair_sum_bruteforce, which
-    evaluates the definition.
+    formulas.  It is checked, not trusted: prime_power_catalog sets it
+    beside cq_pair_sum (the Ramanujan expansion), lemma3-check counts any
+    mismatch, and the tests hold that expansion to cq_pair_sum_bruteforce,
+    which evaluates the definition.
     """
     _check_prime_power(p, k)
     q = p**k
@@ -510,44 +512,47 @@ def _closed_form_batch(T: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.nd
     return cases, values
 
 
+class PrimePowerCatalog(NamedTuple):
+    """One catalog at q = p^k as read-only columns, one entry per tuple.
+
+    ``tuples`` is the n x 4 int64 array of (a, a2, b, b2); ``case`` holds
+    the PrimePowerCase value of each row; ``brute`` (the exact pair sum)
+    and ``closed`` (the closed form) are int64.  A row matches when
+    brute == closed.
+    """
+
+    q: int
+    tuples: np.ndarray
+    case: np.ndarray
+    brute: np.ndarray
+    closed: np.ndarray
+
+
 def prime_power_catalog(
     p: int,
     k: int,
     *,
     n_samples: int = 10_000,
     seed: int = 0,
-) -> list[dict]:
+) -> PrimePowerCatalog:
     """Closed form vs the exact pair sum over (a, a2, b, b2) mod p^k.
 
     Exhaustive when q^4 <= n_samples, otherwise a seeded deterministic
-    sample of n_samples tuples.  Each row records both values, the case
-    label, and whether they match exactly.  The "brute" value is
-    cq_pair_sum, the Ramanujan expansion of the definition (held to the
-    definition by cq_pair_sum_bruteforce in the tests); both it and the
-    closed form are one batch over the catalog.
+    sample of n_samples tuples.  The "brute" value is cq_pair_sum, the
+    Ramanujan expansion of the definition (held to the definition by
+    cq_pair_sum_bruteforce in the tests); both it and the closed form are
+    one batch over the catalog.
     """
     q = p**k
     if q**4 <= n_samples:
         T = np.indices((q,) * 4).reshape(4, -1).T  # a slowest, b2 fastest
     else:
         T = np.random.default_rng(seed).integers(0, q, size=(n_samples, 4))
-    tuples = T.tolist()
-    brute = cq_pair_sum(*T.T, q).tolist()
+    brute = cq_pair_sum(*T.T, q)
     cases, closed = _closed_form_batch(T, p, k)
-    return [
-        {
-            "q": q,
-            "a": a,
-            "a2": a2,
-            "b": b,
-            "b2": b2,
-            "case": case,
-            "brute": s,
-            "closed": c,
-            "match": s == c,
-        }
-        for (a, a2, b, b2), s, case, c in zip(tuples, brute, cases.tolist(), closed.tolist())
-    ]
+    for column in (T, cases, brute, closed):
+        column.setflags(write=False)
+    return PrimePowerCatalog(q, T, cases, brute, closed)
 
 
 # ---------------------------------------------------------------------------

@@ -149,20 +149,23 @@ class TestCriterion04PrimePowerCatalog:
         total, matches, rows_out = 0, 0, []
         mismatch_rows = []
         for p, k in moduli:
-            rows = prime_power_catalog(p, k, seed=20250810)
-            n_match = sum(r["match"] for r in rows)
-            total += len(rows)
+            cat = prime_power_catalog(p, k, seed=20250810)
+            match = cat.brute == cat.closed
+            n_match = int(match.sum())
+            total += match.size
             matches += n_match
-            rows_out.append((p**k, len(rows), n_match))
-            mismatch_rows.extend(r for r in rows if not r["match"])
+            rows_out.append((p**k, match.size, n_match))
+            miss = ~match
+            mismatch_rows.extend(
+                (cat.q, *t, case, s, c)
+                for t, case, s, c in zip(cat.tuples[miss].tolist(), cat.case[miss],
+                                         cat.brute[miss].tolist(), cat.closed[miss].tolist())
+            )
         rate = matches / total
         lines = ["q,tuples,matching"]
         lines += [f"{q},{n},{m}" for q, n, m in rows_out]
         lines.append("# mismatches (expected none):")
-        lines += [
-            f"# {r['q']},{r['a']},{r['a2']},{r['b']},{r['b2']},{r['case']},{r['brute']},{r['closed']}"
-            for r in mismatch_rows
-        ]
+        lines += ["# " + ",".join(map(str, r)) for r in mismatch_rows]
         summary = tmp_path / "lemma3_catalog_summary.csv"
         summary.write_text("\n".join(lines) + "\n")
         gate(4, "prime-power closed form vs exact brute force",

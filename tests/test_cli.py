@@ -1,14 +1,21 @@
 import gzip
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from d3lab import expsum
 from d3lab.arith import sieve_dk
 from d3lab.cli import (
     RunConfig,
+    _csv,
+    _rows_json,
     build_parser,
     cache_path,
     load_or_build_table,
@@ -16,6 +23,7 @@ from d3lab.cli import (
     read_cache,
     write_cache,
 )
+from d3lab.variance import fmt12
 
 # the benchmark's reference outputs, captured at its default seed
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -95,15 +103,133 @@ class TestDeterminism:
         assert outs[0][0] != outs[0][1] and outs[0][2] != outs[0][3]
 
 
+# the cell rule of the row-at-a-time writer the column writer replaced: the oracle
+def _oracle_csv(meta, names, rows):
+    lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
+    lines.append(",".join(names))
+    for row in rows:
+        lines.append(",".join(fmt12(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_json(meta, names, rows):
+    def norm(v):
+        return float(fmt12(v)) if isinstance(v, float) else v
+
+    doc = {"meta": meta, "rows": [dict(zip(names, map(norm, r))) for r in rows]}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+_CELLS = {
+    "int": st.integers(-(2**63), 2**63 - 1) | st.sampled_from([10**12, 10**15 + 1, -1, -(10**12)]),
+    "float": st.floats() | st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf]),
+    "str": st.text(alphabet="abc_XYZ-09 ", max_size=6),
+}
+_DTYPES = {"int": np.int64, "float": np.float64}
+
+
+@st.composite
+def _tables(draw):
+    """(meta, names, Python columns, the writer's columns): int and float
+    columns are handed over as lists or as int64/float64 arrays."""
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    values, columns = [], []
+    for kind in kinds:
+        col = draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+        values.append(col)
+        as_array = kind in _DTYPES and draw(st.booleans())
+        columns.append(np.array(col, dtype=_DTYPES[kind]) if as_array else col)
+    names = [f"c{i}" for i in range(len(kinds))]
+    meta = {"rows": n, "seed": draw(_CELLS["int"])}
+    return meta, names, values, columns
+
+
+class TestTableWriter:
+    @given(_tables())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_cell_rule(self, table):
+        meta, names, values, columns = table
+        rows = list(zip(*values))
+        assert _csv(meta, names, columns) == _oracle_csv(meta, names, rows)
+        assert _rows_json(meta, names, columns) == _oracle_json(meta, names, rows)
+
+    def test_empty_table(self):
+        columns = [[], np.array([], dtype=np.float64), np.array([], dtype=np.int64)]
+        assert _csv({"k": 1}, ["a", "b", "c"], columns) == "# k=1\na,b,c\n"
+        assert json.loads(_rows_json({"k": 1}, ["a", "b", "c"], columns)) == {
+            "meta": {"k": 1}, "rows": []}
+
+    def test_mixed_or_ragged_columns_rejected(self):
+        for writer in (_csv, _rows_json):
+            with pytest.raises(TypeError):
+                writer({}, ["x"], [[1, 2.0]])
+            with pytest.raises(TypeError):
+                writer({}, ["x", "y"], [[1, 2], np.array([0.5, "a"], dtype=object)])
+            with pytest.raises(ValueError):
+                writer({}, ["x", "y"], [[1, 2]])
+            with pytest.raises(ValueError):
+                writer({}, ["x", "y"], [[1, 2], [3]])
+
+
+# the 11 lemma3-check catalogs of the benchmark, p^k <= 64
+_CATALOGS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3),
+             (5, 1), (5, 2)]
+
+
+def _lemma3(tmp_path, p, k, *flags):
+    out = tmp_path / "catalog.out"
+    argv = ["--seed", "20250810", *flags, "lemma3-check", "--p", str(p), "--k", str(k),
+            "--out", str(out)]
+    return main(argv), out
+
+
+def _reference(p, k):
+    return gzip.decompress((REFERENCE / f"lemma3-check-p{p}-k{k}.out.gz").read_bytes())
+
+
 class TestCatalogReference:
-    @pytest.mark.parametrize("p,k", [(3, 2), (2, 5)])  # exhaustive, sampled
+    @pytest.mark.parametrize("p,k", _CATALOGS)
     def test_lemma3_catalog_byte_identical(self, p, k, tmp_path):
-        out = tmp_path / "catalog.out"
-        argv = ["--seed", "20250810", "lemma3-check", "--p", str(p), "--k", str(k),
-                "--out", str(out)]
-        assert main(argv) == 0
-        ref = gzip.decompress((REFERENCE / f"lemma3-check-p{p}-k{k}.out.gz").read_bytes())
-        assert out.read_bytes() == ref
+        code, out = _lemma3(tmp_path, p, k)
+        assert code == 0
+        assert out.read_bytes() == _reference(p, k)
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (2, 5)])  # exhaustive, sampled
+    def test_lemma3_catalog_json_matches_reference(self, p, k, tmp_path):
+        code, out = _lemma3(tmp_path, p, k, "--format", "json")
+        assert code == 0
+        doc = json.loads(out.read_text())
+        lines = _reference(p, k).decode().splitlines()
+        meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
+        assert {key: str(v) for key, v in doc["meta"].items()} == meta
+        assert len(doc["rows"]) == len(body) == int(meta["tuples"])
+        for row, cells in zip(doc["rows"], body):
+            values = [row[name] for name in header]
+            assert [type(v)(c) for v, c in zip(values, cells)] == values
+
+    def test_mismatch_is_counted(self, tmp_path, monkeypatch):
+        closed_form_batch = expsum._closed_form_batch
+
+        def off_by_one(T, p, k):
+            cases, closed = closed_form_batch(T, p, k)
+            closed = closed.copy()
+            closed[5] += 1
+            return cases, closed
+
+        monkeypatch.setattr(expsum, "_closed_form_batch", off_by_one)
+        code, out = _lemma3(tmp_path, 2, 2)
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert "# mismatches=1" in lines
+        header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
+        rows = [dict(zip(header, cells)) for cells in body]
+        assert [i for i, r in enumerate(rows) if r["match"] == "0"] == [5]
+        bad = rows[5]
+        assert bad["abs_dev"] == "1" and int(bad["rhs_re"]) == int(bad["lhs_re"]) + 1
+        assert bad["rel_dev"] == fmt12(1 / (1 + abs(int(bad["lhs_re"]))))
+        assert all(r["abs_dev"] == "0" and r["rel_dev"] == "0" for r in rows[:5] + rows[6:])
 
 
 class TestScanReference:

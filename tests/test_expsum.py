@@ -273,12 +273,13 @@ class TestPairSum:
         pick = np.random.default_rng(5)
         for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
                      (2, 4), (2, 5), (2, 6), (3, 3), (5, 2)):
-            rows = prime_power_catalog(p, k, seed=20250810)
+            cat = prime_power_catalog(p, k, seed=20250810)
+            rows = range(len(cat.brute))
             if (p**k) ** 4 > 10_000:
-                rows = [rows[i] for i in pick.choice(len(rows), 500, replace=False)]
-            for r in rows:
-                args = (r["a"], r["a2"], r["b"], r["b2"], r["q"])
-                assert r["brute"] == cq_pair_sum_bruteforce(*args), args
+                rows = pick.choice(len(cat.brute), 500, replace=False)
+            for i in rows:
+                args = (*cat.tuples[i].tolist(), cat.q)
+                assert cat.brute[i] == cq_pair_sum_bruteforce(*args), args
 
     def test_integer_valued_at_guard_scale(self):
         # q = 500 is the cost-guard limit of both kernels; the brute
@@ -325,8 +326,27 @@ class TestPairSum:
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
     def test_closed_form_exhaustive(self, p, k):
-        rows = prime_power_catalog(p, k)
-        assert all(r["match"] for r in rows)
+        cat = prime_power_catalog(p, k)
+        assert cat.brute.shape == ((p**k) ** 4,)
+        assert np.array_equal(cat.brute, cat.closed)
+
+    def test_catalog_columns(self):
+        # exhaustive order (a slowest, b2 fastest), int64, read-only
+        cat = prime_power_catalog(2, 2)
+        assert cat.q == 4 and cat.tuples.shape == (256, 4)
+        assert cat.tuples[:3].tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2]]
+        for column in (cat.tuples, cat.brute, cat.closed):
+            assert column.dtype == np.int64
+        for column in cat[1:]:
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert set(cat.case) <= {case.value for case in PrimePowerCase}
+        # sampled: the seed decides the tuples
+        assert np.array_equal(prime_power_catalog(2, 5, seed=1).tuples,
+                              prime_power_catalog(2, 5, seed=1).tuples)
+        assert not np.array_equal(prime_power_catalog(2, 5, seed=1).tuples,
+                                  prime_power_catalog(2, 5, seed=2).tuples)
+        assert prime_power_catalog(2, 5, n_samples=7).tuples.shape == (7, 4)
 
     def test_second_case_formula(self):
         # p^2 | Q requires k >= 2 with small gcd(q, b, b2)
@@ -392,14 +412,15 @@ class TestBounds:
         for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
             q = p**k
             logfac = (1.0 + math.log(q)) ** 3
-            for r in prime_power_catalog(p, k, n_samples=2000, seed=3):
+            cat = prime_power_catalog(p, k, n_samples=2000, seed=3)
+            for (a, a2, b, b2), s in zip(cat.tuples.tolist(), cat.brute.tolist()):
                 denom = (
                     q
-                    * math.gcd(q, math.gcd(r["b"], r["b2"]))
-                    * sigma(math.gcd(q, r["a"] * r["b"] - r["a2"] * r["b2"]))
+                    * math.gcd(q, math.gcd(b, b2))
+                    * sigma(math.gcd(q, a * b - a2 * b2))
                     * logfac
                 )
-                worst = max(worst, abs(r["brute"]) / denom)
+                worst = max(worst, abs(s) / denom)
         assert math.isfinite(worst) and worst < 0.5
 
     def test_corr_identity(self):
