@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure (an asserted identity or bound
 violated), 2 usage error.  All floating output is printed with 12
-significant digits so reports are byte-stable regression fixtures.
+significant digits so reports are byte-stable regression fixtures; in
+JSON a NaN is null and an infinity the string "inf" or "-inf".
 Identical argv + config + seed produce byte-identical outputs at any
 worker count.
 """
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import arith, expsum, mainterm, variance, voronoi
 from .arith import DivisorTable, ReducedFraction
-from .variance import fmt12
 
 CACHE_MAGIC = b"D3PL"
 CACHE_VERSION = 1
@@ -162,6 +162,11 @@ def load_or_build_table(cfg: RunConfig, k: int, limit: int) -> DivisorTable:
 # ---------------------------------------------------------------------------
 
 
+def fmt12(v: float) -> str:
+    """Stable 12-significant-digit rendering for regression fixtures."""
+    return f"{v:.12g}"
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -222,9 +227,17 @@ def _csv(meta: dict, names: list[str], columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(v: float) -> float | str | None:
+    """A float cell of the JSON mirror: rounded through fmt12 as in the CSV,
+    NaN as null and an infinity as its fmt12 string, so the text is JSON."""
+    if math.isfinite(v):
+        return float(fmt12(v))
+    return None if math.isnan(v) else fmt12(v)
+
+
 def _rows_json(meta: dict, names: list[str], columns) -> str:
-    """{"meta", "rows"}, floats rounded through fmt12 as in the CSV."""
-    cols = [[float(fmt12(v)) for v in _as_list(values)] if is_float else _as_list(values)
+    """{"meta", "rows"}, float cells through _json_float."""
+    cols = [list(map(_json_float, _as_list(values))) if is_float else _as_list(values)
             for values, is_float in _columns(names, columns)]
     doc = {"meta": meta, "rows": [dict(zip(names, r)) for r in zip(*cols)]}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
@@ -410,12 +423,23 @@ def _cmd_delta(args, cfg: RunConfig) -> int:
     return 0
 
 
+# variance report columns in CSV order, each the VarianceReport field name.lower()
+_VARIANCE_COLUMNS = ["x", "q", "V2_all", "V2_prim", "V2_E", "V1_prim", "bound_thm1",
+                     "bound_thm2", "bound_nguyen", "ratio2", "ratio1", "parseval_dev",
+                     "decomp_dev"]
+
+
+def _variance_table(reports: list, fmt: str) -> tuple[list[str], list[list]]:
+    """The names and columns of a variance report table; the JSON mirror adds
+    V1_all, k and Y_param."""
+    names = _VARIANCE_COLUMNS + (["V1_all", "k", "Y_param"] if fmt == "json" else [])
+    return names, [[getattr(r, name.lower()) for r in reports] for name in names]
+
+
 def _cmd_variance(args, cfg: RunConfig) -> int:
     table = load_or_build_table(cfg, args.k, int(args.x))
     rep = variance.variance_report(args.q, args.x, table, args.k, with_decomposition=True)
-    text = (variance.reports_to_csv([rep], {"k": args.k})
-            if cfg.fmt == "csv" else variance.reports_to_json([rep], {"k": args.k}))
-    _emit(text, args.out)
+    _table_out(cfg.fmt, {"k": args.k}, *_variance_table([rep], cfg.fmt), args.out)
     thr = cfg.identity_tolerance()
     return 0 if rep.parseval_dev <= thr and rep.decomp_dev <= thr else 1
 
@@ -427,14 +451,25 @@ def _cmd_decomp_check(args, cfg: RunConfig) -> int:
     return 0 if dev <= cfg.identity_tolerance() else 1
 
 
+def _parse_grid(text: str) -> list[tuple[int, int]]:
+    """--grid "x:q,x:q,...": (x, q) points with x, q >= 1; x may be written 1e4."""
+    grid = []
+    for part in text.split(","):
+        fields = part.split(":")
+        if len(fields) != 2:
+            raise argparse.ArgumentTypeError(f"grid point {part!r} is not x:q")
+        try:
+            x, q = int(float(fields[0])), int(fields[1])
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"grid point {part!r} is not two numbers") from None
+        if x < 1 or q < 1:
+            raise argparse.ArgumentTypeError(f"grid point {part!r} needs x >= 1 and q >= 1")
+        grid.append((x, q))
+    return grid
+
+
 def _cmd_scan(args, cfg: RunConfig) -> int:
-    if args.grid:
-        grid = []
-        for part in args.grid.split(","):
-            xs, qs = part.split(":")
-            grid.append((int(float(xs)), int(qs)))
-    else:
-        grid = variance.default_grid()
+    grid = args.grid or variance.default_grid()
     xmax = max(x for x, _ in grid)
     if xmax > cfg.sieve_limit:
         print(f"error: grid needs x up to {xmax} but sieve_limit is {cfg.sieve_limit}",
@@ -450,9 +485,7 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
         "slope2_x": fmt12(slopes["ratio2"]["slope_x"]),
         "slope2_q": fmt12(slopes["ratio2"]["slope_q"]),
     }
-    text = (variance.reports_to_csv(reports, meta)
-            if cfg.fmt == "csv" else variance.reports_to_json(reports, meta))
-    _emit(text, args.out)
+    _table_out(cfg.fmt, meta, *_variance_table(reports, cfg.fmt), args.out)
     thr = cfg.identity_tolerance()
     ok = all(r.parseval_dev <= thr for r in reports) and all(
         math.isnan(r.decomp_dev) or r.decomp_dev <= thr for r in reports
@@ -590,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
 
     p = add("scan", _cmd_scan, "variance scan over an (x, q) grid with fitted slopes")
-    p.add_argument("--grid", help="comma list x:q, e.g. 1e4:22,1e4:100")
+    p.add_argument("--grid", type=_parse_grid, help="comma list x:q, e.g. 1e4:22,1e4:100")
     p.add_argument("--k", type=int, default=3)
 
     return ap

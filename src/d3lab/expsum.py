@@ -166,32 +166,17 @@ def r_sum_bruteforce_table(point: ReducedFraction, *, q_guard: int = 64) -> np.n
     return q**3 * np.fft.ifftn(F)
 
 
-def _closed_form(q: int, g: int) -> int:
-    """q * sum_{d | g} d * phi(q/d): R_{a,b,c}(h/q) for every h when q | b, c and g = (q, a)."""
-    return q * sum(d * euler_phi(q // d) for d in divisors(g))
-
-
 def r_sum_fast(a: int, b: int, c: int, point: ReducedFraction) -> complex:
     """R_{a,b,c}(h/q) via the divisor reduction to Kloosterman sums.
 
-    R = q * sum_{delta | (q,b,c)} delta * S_{a, (b/delta)(c/delta)*hbar}(q/delta),
-    read from real Kloosterman columns, so the imaginary part is exactly 0;
-    _closed_form when q | b and q | c.  _twist_column sums the same columns
-    in the same order for every a.
+    The twist y -> hbar*y gives R_{a,b,c}(h/q) = R_{a,b*hbar,c}(1/q), entry
+    a mod q of _twist_column(q, b*hbar, c): real Kloosterman columns, so the
+    imaginary part is exactly 0.
     """
     h, q = point.h, point.q
     if q == 1:
         return 1 + 0j
-    a, b, c = a % q, b % q, c % q
-    if b == 0 and c == 0:
-        return complex(_closed_form(q, math.gcd(q, a)), 0.0)
-    hbar = mod_inverse(h, q)
-    total = 0.0
-    for delta in divisors(math.gcd(math.gcd(b, c), q)):
-        qd = q // delta
-        m = ((b // delta) * (c // delta) * hbar) % qd
-        total += delta * kloosterman_table(qd, m)[a % qd]
-    return complex(q * total)
+    return complex(_twist_column(q, b * mod_inverse(h, q) % q, c % q)[a % q])
 
 
 def a_sum(point: ReducedFraction, n: int) -> complex:
@@ -223,26 +208,32 @@ def _units(q: int) -> np.ndarray:
     return units
 
 
+# (q, b, c) columns kept by _twist_column.  A column costs 8*q bytes, so the
+# cache holds at most 4096 * 8 * q_max bytes: 3.9 MB while q <= 120
+@lru_cache(maxsize=4096)
 def _twist_column(q: int, b: int, c: int) -> np.ndarray:
-    """u -> R_{u,b,c}(1/q) for u = 0..q-1, float64: r_sum_fast at h = 1 for every a.
+    """u -> R_{u,b,c}(1/q) for u = 0..q-1, float64, read-only.
 
-    The same divisor reduction as r_sum_fast, one gather per
-    delta | (q, b, c) from the Kloosterman column kloosterman_table(q/delta, m),
-    summed in the same order, and the same _closed_form when q | b and
-    q | c, so every entry equals r_sum_fast(u, b, c, 1/q) exactly.
+    R = q * sum_{delta | (q,b,c)} delta * S_{u, (b/delta)(c/delta)}(q/delta):
+    the Kloosterman column kloosterman_table(q/delta, m) is added to each of
+    the delta blocks of length q/delta, as S is periodic in u mod q/delta.
+    When q | b and q | c, R = q * sum_{d | (q,u)} d * phi(q/d) for every h.
     """
     b, c = b % q, c % q
-    u = np.arange(q)
     if b == 0 and c == 0:
         by_gcd = np.zeros(q + 1)
         for g in divisors(q):
-            by_gcd[g] = _closed_form(q, g)
-        return by_gcd[np.gcd(u, q)]
-    col = np.zeros(q)
-    for delta in divisors(math.gcd(math.gcd(b, c), q)):
-        qd = q // delta
-        col += delta * kloosterman_table(qd, (b // delta) * (c // delta) % qd)[u % qd]
-    return q * col
+            by_gcd[g] = q * sum(d * euler_phi(q // d) for d in divisors(g))
+        col = by_gcd[np.gcd(np.arange(q), q)]
+    else:
+        col = np.zeros(q)
+        for delta in divisors(math.gcd(math.gcd(b, c), q)):
+            qd = q // delta
+            m = (b // delta) * (c // delta) % qd
+            col.reshape(delta, qd)[:] += delta * kloosterman_table(qd, m)
+        col *= q
+    col.flags.writeable = False
+    return col
 
 
 def _unit_rows(q: int, triples: list[tuple[int, int, int]]) -> np.ndarray:

@@ -20,13 +20,15 @@ decomposition sum_a |Delta(a/q)|^2 = sum_{d|q} sum'_h |Delta(h/d)|^2
 holds because the f_d values are shared between levels.  The agreement
 of M_x(q,r) with the standalone residue formula mainterm_progression is
 a measured invariant, not an assumption.
+
+The module computes and never formats: VarianceReport holds the numbers,
+and cli.py writes them as CSV or JSON with every other table.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,20 +48,11 @@ __all__ = [
     "divisor_decomposition_check",
     "exponent_scan",
     "fit_log_slopes",
-    "fmt12",
     "fold_progression_sums",
     "progression_error",
     "progression_sums",
-    "reports_to_csv",
-    "reports_to_json",
     "variance_report",
-    "CSV_COLUMNS",
 ]
-
-
-def fmt12(v: float) -> str:
-    """Stable 12-significant-digit rendering for regression fixtures."""
-    return f"{v:.12g}"
 
 
 def progression_sums(q: int, x: float, table: DivisorTable) -> np.ndarray:
@@ -196,22 +189,6 @@ def bound_first_moment(x: float, q: int, k: int) -> float:
 # reports
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "x",
-    "q",
-    "V2_all",
-    "V2_prim",
-    "V2_E",
-    "V1_prim",
-    "bound_thm1",
-    "bound_thm2",
-    "bound_nguyen",
-    "ratio2",
-    "ratio1",
-    "parseval_dev",
-    "decomp_dev",
-]
-
 
 @dataclass(frozen=True)
 class VarianceReport:
@@ -232,46 +209,7 @@ class VarianceReport:
     ratio1: float
     parseval_dev: float
     decomp_dev: float = math.nan
-    y_param: float = field(default=math.nan)
-
-    def csv_row(self) -> list[str]:
-        vals = [
-            self.x,
-            self.q,
-            self.v2_all,
-            self.v2_prim,
-            self.v2_e,
-            self.v1_prim,
-            self.bound_thm1,
-            self.bound_thm2,
-            self.bound_nguyen,
-            self.ratio2,
-            self.ratio1,
-            self.parseval_dev,
-            self.decomp_dev,
-        ]
-        return [fmt12(v) if isinstance(v, float) else str(v) for v in vals]
-
-    def json_record(self) -> dict:
-        rec = {c: _round12(v) for c, v in zip(CSV_COLUMNS, [
-            self.x, self.q, self.v2_all, self.v2_prim, self.v2_e, self.v1_prim,
-            self.bound_thm1, self.bound_thm2, self.bound_nguyen,
-            self.ratio2, self.ratio1, self.parseval_dev, self.decomp_dev,
-        ])}
-        rec["V1_all"] = _round12(self.v1_all)
-        rec["k"] = self.k
-        rec["Y_param"] = _round12(self.y_param)
-        return rec
-
-
-def _round12(v) -> float:
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if math.isnan(v):
-        return None
-    if math.isinf(v):
-        return "inf"
-    return float(fmt12(float(v)))
+    y_param: float = math.nan
 
 
 def variance_report(
@@ -426,18 +364,3 @@ def fit_log_slopes(reports: list[VarianceReport]) -> dict:
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         out[name] = {"intercept": float(beta[0]), "slope_x": float(beta[1]), "slope_q": float(beta[2])}
     return out
-
-
-def reports_to_csv(reports: list[VarianceReport], meta: dict | None = None) -> str:
-    lines = []
-    for key in sorted((meta or {}).keys()):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(CSV_COLUMNS))
-    for r in reports:
-        lines.append(",".join(r.csv_row()))
-    return "\n".join(lines) + "\n"
-
-
-def reports_to_json(reports: list[VarianceReport], meta: dict | None = None) -> str:
-    doc = {"meta": meta or {}, "rows": [r.json_record() for r in reports]}
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

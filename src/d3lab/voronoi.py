@@ -466,10 +466,6 @@ class SmoothWindow:
         return out
 
 
-def smooth_window(x: float, Y: float) -> SmoothWindow:
-    return SmoothWindow(x=float(x), Y=float(Y))
-
-
 # ---------------------------------------------------------------------------
 # the transform w_hat_q(n) and the dual sum
 # ---------------------------------------------------------------------------

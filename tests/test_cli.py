@@ -18,12 +18,12 @@ from d3lab.cli import (
     _rows_json,
     build_parser,
     cache_path,
+    fmt12,
     load_or_build_table,
     main,
     read_cache,
     write_cache,
 )
-from d3lab.variance import fmt12
 
 # the benchmark's reference outputs, captured at its default seed
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -114,10 +114,20 @@ def _oracle_csv(meta, names, rows):
 
 def _oracle_json(meta, names, rows):
     def norm(v):
-        return float(fmt12(v)) if isinstance(v, float) else v
+        if not isinstance(v, float):
+            return v
+        return None if math.isnan(v) else float(fmt12(v)) if math.isfinite(v) else fmt12(v)
 
     doc = {"meta": meta, "rows": [dict(zip(names, map(norm, r))) for r in rows]}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _strict_json(text):
+    """json.loads that refuses the bare NaN/Infinity tokens, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 _CELLS = {
@@ -153,6 +163,14 @@ class TestTableWriter:
         rows = list(zip(*values))
         assert _csv(meta, names, columns) == _oracle_csv(meta, names, rows)
         assert _rows_json(meta, names, columns) == _oracle_json(meta, names, rows)
+
+    def test_non_finite_floats_are_strict_json(self):
+        cells = [math.nan, math.inf, -math.inf]
+        columns = [cells + [0.5], np.array(cells + [2.0])]
+        assert _csv({}, ["a", "b"], columns) == "a,b\nnan,nan\ninf,inf\n-inf,-inf\n0.5,2\n"
+        rows = _strict_json(_rows_json({}, ["a", "b"], columns))["rows"]
+        assert rows == [{"a": None, "b": None}, {"a": "inf", "b": "inf"},
+                        {"a": "-inf", "b": "-inf"}, {"a": 0.5, "b": 2.0}]
 
     def test_empty_table(self):
         columns = [[], np.array([], dtype=np.float64), np.array([], dtype=np.int64)]
@@ -237,6 +255,40 @@ class TestScanReference:
         out = tmp_path / "scan.out"
         assert main(["--threads", "1", "scan", "--out", str(out)]) == 0
         assert out.read_bytes() == gzip.decompress((REFERENCE / "scan.out.gz").read_bytes())
+
+    @pytest.mark.parametrize("grid", ["1e4", "abc:5", "1e4:0"])
+    def test_bad_grid_is_usage_error(self, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--grid", grid])
+        assert exc.value.code == 2
+        assert f"grid point {grid!r}" in capsys.readouterr().err
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("argv", [
+        ["variance", "--q", "30", "--x", "1e4"],
+        ["scan", "--grid", "1e4:465"],
+        ["kernel", "--x-max", "10", "--points", "3"],
+        ["delta", "--q", "30", "--x", "1e4"],
+        ["lemma3-check", "--p", "2", "--k", "2"],
+    ])
+    def test_json_is_strict(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["--format", "json", *argv, "--out", str(out)]) == 0
+        assert _strict_json(out.read_text())["rows"]
+
+    def test_variance_json_mirrors_csv(self, tmp_path):
+        argv = ["variance", "--q", "30", "--x", "1e4"]
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"variance.{fmt}"
+            assert main(["--format", fmt, *argv, "--out", str(out)]) == 0
+            texts[fmt] = out.read_text()
+        header, cells = [line.split(",") for line in texts["csv"].splitlines()[1:]]
+        assert len(header) == 13
+        (row,) = _strict_json(texts["json"])["rows"]
+        assert set(row) == {*header, "V1_all", "k", "Y_param"}
+        assert [row[name] for name in header] == [float(c) for c in cells]
 
 
 class TestSieveCache:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d3lab.arith import DivisorTable, divisors
+from d3lab.cli import fmt12
 from d3lab.variance import (
     bound_bhs,
     bound_first_moment,
@@ -16,12 +17,9 @@ from d3lab.variance import (
     divisor_decomposition_check,
     exponent_scan,
     fit_log_slopes,
-    fmt12,
     fold_progression_sums,
     progression_error,
     progression_sums,
-    reports_to_csv,
-    reports_to_json,
     variance_report,
 )
 
@@ -178,20 +176,6 @@ class TestReports:
         assert r.bound_thm1 == 1e4
         assert r.bound_thm2 == pytest.approx(math.sqrt(1e4 * 12))
 
-    def test_csv_json_shapes(self, d3_table_1e4):
-        reports = [variance_report(q, 1e3, d3_table_1e4) for q in (2, 3)]
-        csv_text = reports_to_csv(reports, {"k": 3})
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == "# k=3"
-        assert lines[1].startswith("x,q,V2_all")
-        assert len(lines) == 4
-        import json
-
-        doc = json.loads(reports_to_json(reports, {"k": 3}))
-        assert doc["meta"]["k"] == 3
-        assert len(doc["rows"]) == 2
-        assert "V1_all" in doc["rows"][0]
-
 
 class TestBoundsAndScan:
     def test_nguyen_branches(self):
@@ -251,10 +235,10 @@ class TestBoundsAndScan:
         grid = [(10**3, 5), (2000, 12)]
         serial = exponent_scan(grid, table, with_decomposition=True, workers=1)
         parallel = exponent_scan(grid, table, with_decomposition=True, workers=2)
-        assert reports_to_csv(serial) == reports_to_csv(parallel)
+        assert serial == parallel
 
     def test_scan_workers_match_serial(self, d3_table_1e4):
         grid = [(10**3, 5), (10**3, 12), (10**4, 30)]
         serial = exponent_scan(grid, d3_table_1e4, with_decomposition=True, workers=1)
         parallel = exponent_scan(grid, d3_table_1e4, with_decomposition=True, workers=3)
-        assert reports_to_csv(serial) == reports_to_csv(parallel)
+        assert serial == parallel
