@@ -1,5 +1,17 @@
 """Command-line surface: one subcommand per operation family.
 
+Each subcommand is declared once, beside its handler, by ``_command``
+(its name, help text and flags), and ``build_parser`` loops over that
+table.  A handler returns its exit code and its report text; ``main``
+alone writes the text, to ``--out`` when it is given and to stdout
+otherwise.  Nothing is written on a usage error (exit 2) or when a run
+stops with an ``error:`` message; a failed check (exit 1) still writes
+its report.
+
+Global flags go before the subcommand.  A ``--config`` file holds flat
+``key=value`` lines with the keys sieve_limit, cache_dir, threads,
+format and seed; the global flags override it.
+
 Exit codes: 0 success, 1 check failure (an asserted identity or bound
 violated), 2 usage error.  All floating output is printed with 12
 significant digits so reports are byte-stable regression fixtures; in
@@ -28,6 +40,8 @@ from .arith import DivisorTable, ReducedFraction
 
 CACHE_MAGIC = b"D3PL"
 CACHE_VERSION = 1
+# the Parseval and divisor-decomposition identities hold to this: an invariant, not a knob
+IDENTITY_TOL = 1e-9
 
 
 # config-file key -> (RunConfig field, value parser)
@@ -35,7 +49,6 @@ _CONFIG_KEYS = {
     "sieve_limit": ("sieve_limit", int),
     "cache_dir": ("cache_dir", str),
     "threads": ("threads", int),
-    "tolerance": ("tolerance", float),
     "format": ("fmt", str),
     "seed": ("seed", int),
 }
@@ -48,7 +61,6 @@ class RunConfig:
     sieve_limit: int = 10**7
     cache_dir: str = ""
     threads: int = 0
-    tolerance: float = 0.0
     fmt: str = "csv"
     seed: int = 0
 
@@ -76,10 +88,6 @@ class RunConfig:
     def workers(self) -> int:
         """Scan worker processes: threads, or one per CPU when it is 0."""
         return self.threads or os.cpu_count() or 1
-
-    def identity_tolerance(self) -> float:
-        """Threshold for the Parseval/decomposition identity checks."""
-        return self.tolerance if self.tolerance > 0 else 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -243,51 +251,82 @@ def _rows_json(meta: dict, names: list[str], columns) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _table_out(fmt: str, meta: dict, names: list[str], columns, out) -> None:
-    text = _csv(meta, names, columns) if fmt == "csv" else _rows_json(meta, names, columns)
-    _emit(text, out)
+def _table(fmt: str, meta: dict, names: list[str], columns) -> str:
+    return _csv(meta, names, columns) if fmt == "csv" else _rows_json(meta, names, columns)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+# subcommand name -> (handler, help text, flags), in the order of the parser's help
+_COMMANDS: dict[str, tuple] = {}
 
-def _cmd_sieve(args, cfg: RunConfig) -> int:
+
+def _command(name: str, help_text: str, *flags):
+    """Register the decorated handler as subcommand ``name`` with these
+    flags.  A handler takes (args, cfg) and returns (exit code, report text)."""
+    def register(fn):
+        _COMMANDS[name] = (fn, help_text, flags)
+        return fn
+    return register
+
+
+def _flag(name: str, type=int, default=None, **kw) -> tuple[str, dict]:
+    """One flag: its option string and its add_argument keywords.  A flag
+    with no default is required unless ``required=False`` is given."""
+    kw.setdefault("required", default is None)
+    return f"--{name}", {"type": type, "default": default, **kw}
+
+
+Q = _flag("q")
+X = _flag("x", float)
+Y = _flag("Y", float)
+K = _flag("k", default=3)
+N_MAX = _flag("n-max", default=0)
+FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
+C_ABSCISSA = _flag("c-abscissa", float, voronoi.KernelQuadrature.c)
+
+
+@_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", float))
+def _cmd_sieve(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.n))
-    print(f"d_{args.k} sieved to {table.limit}; sum = {table.prefix_sum(table.limit)}")
-    return 0
+    return 0, f"d_{args.k} sieved to {table.limit}; sum = {table.prefix_sum(table.limit)}\n"
 
 
-def _cmd_csum(args, cfg: RunConfig) -> int:
-    print(arith.ramanujan_sum(args.q, args.n))
-    return 0
+@_command("csum", "Ramanujan sum c_q(n), exact divisor formula", Q, _flag("n"))
+def _cmd_csum(args, cfg: RunConfig) -> tuple[int, str]:
+    return 0, f"{arith.ramanujan_sum(args.q, args.n)}\n"
 
 
-def _cmd_kloosterman(args, cfg: RunConfig) -> int:
+@_command("kloosterman", "Kloosterman sum S_{n,m}(q), direct evaluation",
+          _flag("n"), _flag("m"), Q)
+def _cmd_kloosterman(args, cfg: RunConfig) -> tuple[int, str]:
     v = arith.kloosterman_sum(args.n, args.m, args.q)
-    print(f"{fmt12(v.real)} {fmt12(v.imag)}")
-    return 0
+    return 0, f"{fmt12(v.real)} {fmt12(v.imag)}\n"
 
 
-def _cmd_rsum(args, cfg: RunConfig) -> int:
+@_command("rsum", "triple exponential sum R_{a,b,c}(h/q): fast divisor reduction, "
+          "checked against the brute-force oracle when feasible",
+          *map(_flag, "abch"), Q, FORCE)
+def _cmd_rsum(args, cfg: RunConfig) -> tuple[int, str]:
     pt = ReducedFraction.reduce(args.h, args.q)
     fast = expsum.r_sum_fast(args.a, args.b, args.c, pt)
-    print(f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}")
+    text = f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}\n"
     q_guard = 10**9 if args.force else 200
-    if args.q <= q_guard:
-        brute = expsum.r_sum_bruteforce(args.a, args.b, args.c, pt, q_guard=q_guard)
-        dev = abs(fast - brute)
-        print(f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}")
-        if dev > 1e-6:
-            return 1
-    return 0
+    if args.q > q_guard:
+        return 0, text
+    brute = expsum.r_sum_bruteforce(args.a, args.b, args.c, pt, q_guard=q_guard)
+    dev = abs(fast - brute)
+    text += f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}\n"
+    return (1 if dev > 1e-6 else 0), text
 
 
-def _cmd_asum(args, cfg: RunConfig) -> int:
+@_command("asum", "divisor-weighted sum A_{h/q}(n) over ordered triples",
+          _flag("h"), Q, _flag("n"))
+def _cmd_asum(args, cfg: RunConfig) -> tuple[int, str]:
     v = expsum.a_sum(ReducedFraction.reduce(args.h, args.q), args.n)
-    print(f"{fmt12(v.real)} {fmt12(v.imag)}")
-    return 0
+    return 0, f"{fmt12(v.real)} {fmt12(v.imag)}\n"
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
@@ -297,16 +336,19 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
-def _cmd_corr(args, cfg: RunConfig) -> int:
+@_command("corr", "correlation of two triple sums over reduced residues",
+          _flag("triple", _parse_triple), _flag("triple2", _parse_triple), Q, FORCE)
+def _cmd_corr(args, cfg: RunConfig) -> tuple[int, str]:
     v = expsum.correlation_sum(
         expsum.CorrelationArgs(args.triple, args.triple2, args.q),
         q_guard=10**9 if args.force else 60,
     )
-    print(fmt12(v.real))
-    return 0
+    return 0, fmt12(v.real) + "\n"
 
 
-def _cmd_lemma2_check(args, cfg: RunConfig) -> int:
+@_command("lemma2-check", "multiplicativity of the correlation sum in the modulus, with the "
+          "splitting identity sampled", _flag("q1"), _flag("q2"), _flag("samples", default=8))
+def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
     rng = np.random.default_rng(cfg.seed)
     rows, failures = [], 0
     for _ in range(args.samples):
@@ -321,11 +363,12 @@ def _cmd_lemma2_check(args, cfg: RunConfig) -> int:
     meta = {"q1": args.q1, "q2": args.q2, "seed": cfg.seed, "failures": failures}
     cols = ["q1", "q2", "a", "b", "c", "a2", "b2", "c2", "s12", "s1", "s2",
             "abs_dev", "split_dev", "passed"]
-    _table_out(cfg.fmt, meta, cols, _transpose(rows, len(cols)), args.out)
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
 
 
-def _cmd_lemma3_check(args, cfg: RunConfig) -> int:
+@_command("lemma3-check", "prime-power closed form of the Ramanujan-twisted pair sum vs "
+          "its exact value; emits the match catalog", _flag("p"), _flag("k"))
+def _cmd_lemma3_check(args, cfg: RunConfig) -> tuple[int, str]:
     cat = expsum.prime_power_catalog(args.p, args.k, seed=cfg.seed)
     n = len(cat.brute)
     abs_dev = np.abs(cat.brute - cat.closed)
@@ -337,18 +380,21 @@ def _cmd_lemma3_check(args, cfg: RunConfig) -> int:
     zero = np.zeros(n, dtype=np.int64)
     columns = [np.full(n, cat.q), *cat.tuples.T, cat.case, cat.brute, zero, cat.closed, zero,
                abs_dev, abs_dev / (1 + np.abs(cat.brute)), (abs_dev == 0).astype(np.int64)]
-    _table_out(cfg.fmt, meta, cols, columns, args.out)
-    return 0 if mismatches == 0 else 1
+    return (0 if mismatches == 0 else 1), _table(cfg.fmt, meta, cols, columns)
 
 
-def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> int:
+@_command("lemma4-scan", "max correlation ratio against the divisor-sum bound over a family",
+          _flag("q-max", default=24), _flag("entry-max", default=4))
+def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> tuple[int, str]:
     best = expsum.correlation_bound_scan(list(range(1, args.q_max + 1)), args.entry_max)
-    print(f"max ratio (log power 3): {fmt12(best['ratio'])} at q={best.get('q')}, "
-          f"triples {best.get('triple')} x {best.get('triple2')}")
-    return 0
+    return 0, (f"max ratio (log power 3): {fmt12(best['ratio'])} at q={best.get('q')}, "
+               f"triples {best.get('triple')} x {best.get('triple2')}\n")
 
 
-def _cmd_corr_identity(args, cfg: RunConfig) -> int:
+@_command("corr-identity", "measured deviation of the coprime correlation identity "
+          "sum_h A(n) conj(A(m)) = q^3 c_q(n-m) d_3(n) d_3(m)",
+          _flag("n-max", default=6), _flag("q-list", default=(3, 5, 7), nargs="+"))
+def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
     rows = []
     for q in args.q_list:
         for n in range(1, args.n_max + 1):
@@ -362,41 +408,45 @@ def _cmd_corr_identity(args, cfg: RunConfig) -> int:
                              abs(lhs - rhs), abs(lhs - rhs) / q**3])
     meta = {"n_max": args.n_max, "rel_dev_is": "abs_dev/q^3"}
     cols = ["q", "n", "m", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_dev", "rel_dev"]
-    _table_out(cfg.fmt, meta, cols, _transpose(rows, len(cols)), args.out)
-    return 0
+    return 0, _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
 
 
-def _cmd_mainterm(args, cfg: RunConfig) -> int:
-    val = mainterm.mainterm_progression(args.q, args.a, args.x, args.k)
-    print(fmt12(val))
+@_command("mainterm", "progression main term and its log-polynomial", Q, _flag("a"), X, K)
+def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
+    text = fmt12(mainterm.mainterm_progression(args.q, args.a, args.x, args.k)) + "\n"
     if args.k == 3:
         rec = mainterm.mainterm_poly(args.q, args.a).as_record()
         rec = {k: (fmt12(v) if isinstance(v, float) else v) for k, v in rec.items()}
-        print(json.dumps(rec, sort_keys=True))
-    return 0
+        text += json.dumps(rec, sort_keys=True) + "\n"
+    return 0, text
 
 
-def _cmd_kernel(args, cfg: RunConfig) -> int:
+@_command("kernel", "oscillatory kernel U(X) on a geometric grid",
+          _flag("x-min", float, 1.0), _flag("x-max", float, 1e3), _flag("points", default=25),
+          C_ABSCISSA)
+def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
     quad = voronoi.KernelQuadrature(c=args.c_abscissa)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     U = [voronoi.kernel_U(float(X), quad) for X in xs]
     meta = {"c": args.c_abscissa, "points": args.points}
-    _table_out(cfg.fmt, meta, ["X", "U"], [xs, U], args.out)
-    return 0
+    return 0, _table(cfg.fmt, meta, ["X", "U"], [xs, U])
 
 
-def _cmd_wtransform(args, cfg: RunConfig) -> int:
+@_command("wtransform", "window transform w_hat_q(n)",
+          Q, _flag("n", default=1), N_MAX, X, Y, C_ABSCISSA)
+def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
     quad = voronoi.KernelQuadrature(c=args.c_abscissa)
     n_values = range(1, args.n_max + 1) if args.n_max else [args.n]
     w_hat = [voronoi.w_transform(args.q, n, window, quad) for n in n_values]
     meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": args.c_abscissa,
             "T": f"2e*(N*x)^(1/3)"}
-    _table_out(cfg.fmt, meta, ["n", "w_hat"], [n_values, w_hat], args.out)
-    return 0
+    return 0, _table(cfg.fmt, meta, ["n", "w_hat"], [n_values, w_hat])
 
 
-def _cmd_voronoi_compare(args, cfg: RunConfig) -> int:
+@_command("voronoi-compare", "magnitude comparison: leading dual-sum term vs the smoothed "
+          "exponential-sum error", Q, X, Y, N_MAX)
+def _cmd_voronoi_compare(args, cfg: RunConfig) -> tuple[int, str]:
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
     table = load_or_build_table(cfg, 3, int(args.x))
     rows, worst = [], 0.0
@@ -411,16 +461,15 @@ def _cmd_voronoi_compare(args, cfg: RunConfig) -> int:
         rows.append([args.q, h, abs(direct), abs(dual), ratio, tail])
     meta = {"x": args.x, "Y": args.Y, "q": args.q}
     cols = ["q", "h", "abs_direct", "abs_dual", "ratio", "tail_est"]
-    _table_out(cfg.fmt, meta, cols, _transpose(rows, len(cols)), args.out)
-    return 0 if worst <= 10.0 else 1
+    return (0 if worst <= 10.0 else 1), _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
 
 
-def _cmd_delta(args, cfg: RunConfig) -> int:
+@_command("delta", "Delta(a/q) for all a via the chirp-length DFT", Q, X, K)
+def _cmd_delta(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, max(int(args.x), 1))
     d = variance.delta_all(args.q, args.x, table, args.k)
-    _table_out(cfg.fmt, {"x": args.x, "q": args.q}, ["a", "re", "im"],
-               [range(args.q), d.real, d.imag], args.out)
-    return 0
+    return 0, _table(cfg.fmt, {"x": args.x, "q": args.q}, ["a", "re", "im"],
+                     [range(args.q), d.real, d.imag])
 
 
 # variance report columns in CSV order, each the VarianceReport field name.lower()
@@ -436,19 +485,21 @@ def _variance_table(reports: list, fmt: str) -> tuple[list[str], list[list]]:
     return names, [[getattr(r, name.lower()) for r in reports] for name in names]
 
 
-def _cmd_variance(args, cfg: RunConfig) -> int:
+@_command("variance", "one variance report row with Parseval and decomposition checks",
+          Q, X, K)
+def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
     rep = variance.variance_report(args.q, args.x, table, args.k, with_decomposition=True)
-    _table_out(cfg.fmt, {"k": args.k}, *_variance_table([rep], cfg.fmt), args.out)
-    thr = cfg.identity_tolerance()
-    return 0 if rep.parseval_dev <= thr and rep.decomp_dev <= thr else 1
+    ok = rep.parseval_dev <= IDENTITY_TOL and rep.decomp_dev <= IDENTITY_TOL
+    return (0 if ok else 1), _table(cfg.fmt, {"k": args.k}, *_variance_table([rep], cfg.fmt))
 
 
-def _cmd_decomp_check(args, cfg: RunConfig) -> int:
+@_command("decomp-check", "divisor decomposition of the full variance into reduced levels",
+          Q, X, K)
+def _cmd_decomp_check(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
     dev = variance.divisor_decomposition_check(args.q, args.x, table, args.k)
-    print(fmt12(dev))
-    return 0 if dev <= cfg.identity_tolerance() else 1
+    return (0 if dev <= IDENTITY_TOL else 1), fmt12(dev) + "\n"
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -468,13 +519,16 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return grid
 
 
-def _cmd_scan(args, cfg: RunConfig) -> int:
+@_command("scan", "variance scan over an (x, q) grid with fitted slopes",
+          _flag("grid", _parse_grid, required=False,
+                help="comma list x:q, e.g. 1e4:22,1e4:100"), K)
+def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
     grid = args.grid or variance.default_grid()
     xmax = max(x for x, _ in grid)
     if xmax > cfg.sieve_limit:
         print(f"error: grid needs x up to {xmax} but sieve_limit is {cfg.sieve_limit}",
               file=sys.stderr)
-        return 2
+        return 2, ""
     table = load_or_build_table(cfg, args.k, xmax)
     reports = variance.exponent_scan(grid, table, args.k, workers=cfg.workers())
     slopes = variance.fit_log_slopes(reports)
@@ -485,12 +539,10 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
         "slope2_x": fmt12(slopes["ratio2"]["slope_x"]),
         "slope2_q": fmt12(slopes["ratio2"]["slope_q"]),
     }
-    _table_out(cfg.fmt, meta, *_variance_table(reports, cfg.fmt), args.out)
-    thr = cfg.identity_tolerance()
-    ok = all(r.parseval_dev <= thr for r in reports) and all(
-        math.isnan(r.decomp_dev) or r.decomp_dev <= thr for r in reports
+    ok = all(r.parseval_dev <= IDENTITY_TOL for r in reports) and all(
+        math.isnan(r.decomp_dev) or r.decomp_dev <= IDENTITY_TOL for r in reports
     )
-    return 0 if ok else 1
+    return (0 if ok else 1), _table(cfg.fmt, meta, *_variance_table(reports, cfg.fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +552,8 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The d3lab parser, built once per process: parsing leaves it unchanged
-    and every default it hands out is immutable."""
+    """The d3lab parser, built once per process from ``_COMMANDS``: parsing
+    leaves it unchanged and every default it hands out is immutable."""
     ap = argparse.ArgumentParser(
         prog="d3lab",
         allow_abbrev=False,
@@ -515,123 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("csv", "json"), help="report format")
     ap.add_argument("--seed", type=int, help="seed for sampled scans")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, (fn, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the report to this file")
-        return p
-
-    p = add("sieve", _cmd_sieve, "build (and cache) the exact d_k table")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--n", type=float, required=True)
-
-    p = add("csum", _cmd_csum, "Ramanujan sum c_q(n), exact divisor formula")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("kloosterman", _cmd_kloosterman, "Kloosterman sum S_{n,m}(q), direct evaluation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add("rsum", _cmd_rsum,
-            "triple exponential sum R_{a,b,c}(h/q): fast divisor reduction, "
-            "checked against the brute-force oracle when feasible")
-    for flag in ("a", "b", "c", "h", "q"):
-        p.add_argument(f"--{flag}", type=int, required=True)
-    p.add_argument("--force", action="store_true", help="override cost guards")
-
-    p = add("asum", _cmd_asum, "divisor-weighted sum A_{h/q}(n) over ordered triples")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("corr", _cmd_corr, "correlation of two triple sums over reduced residues")
-    p.add_argument("--triple", type=_parse_triple, required=True)
-    p.add_argument("--triple2", type=_parse_triple, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--force", action="store_true")
-
-    p = add("lemma2-check", _cmd_lemma2_check,
-            "multiplicativity of the correlation sum in the modulus, with the "
-            "splitting identity sampled")
-    p.add_argument("--q1", type=int, required=True)
-    p.add_argument("--q2", type=int, required=True)
-    p.add_argument("--samples", type=int, default=8)
-
-    p = add("lemma3-check", _cmd_lemma3_check,
-            "prime-power closed form of the Ramanujan-twisted pair sum vs "
-            "its exact value; emits the match catalog")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("lemma4-scan", _cmd_correlation_bound_scan,
-            "max correlation ratio against the divisor-sum bound over a family")
-    p.add_argument("--q-max", type=int, default=24)
-    p.add_argument("--entry-max", type=int, default=4)
-
-    p = add("corr-identity", _cmd_corr_identity,
-            "measured deviation of the coprime correlation identity "
-            "sum_h A(n) conj(A(m)) = q^3 c_q(n-m) d_3(n) d_3(m)")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--q-list", type=int, nargs="+", default=(3, 5, 7))
-
-    p = add("mainterm", _cmd_mainterm, "progression main term and its log-polynomial")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--k", type=int, default=3)
-
-    p = add("kernel", _cmd_kernel, "oscillatory kernel U(X) on a geometric grid")
-    p.add_argument("--x-min", type=float, default=1.0)
-    p.add_argument("--x-max", type=float, default=1e3)
-    p.add_argument("--points", type=int, default=25)
-    p.add_argument("--c-abscissa", type=float, default=0.10)
-
-    p = add("wtransform", _cmd_wtransform, "window transform w_hat_q(n)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=0)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--Y", type=float, required=True)
-    p.add_argument("--c-abscissa", type=float, default=0.10)
-
-    p = add("voronoi-compare", _cmd_voronoi_compare,
-            "magnitude comparison: leading dual-sum term vs the smoothed "
-            "exponential-sum error")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--Y", type=float, required=True)
-    p.add_argument("--n-max", type=int, default=0)
-
-    p = add("delta", _cmd_delta, "Delta(a/q) for all a via the chirp-length DFT")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--k", type=int, default=3)
-
-    p = add("variance", _cmd_variance,
-            "one variance report row with Parseval and decomposition checks")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--k", type=int, default=3)
-
-    p = add("decomp-check", _cmd_decomp_check,
-            "divisor decomposition of the full variance into reduced levels")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--k", type=int, default=3)
-
-    p = add("scan", _cmd_scan, "variance scan over an (x, q) grid with fitted slopes")
-    p.add_argument("--grid", type=_parse_grid, help="comma list x:q, e.g. 1e4:22,1e4:100")
-    p.add_argument("--k", type=int, default=3)
-
+        for option, kw in flags:
+            p.add_argument(option, **kw)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     flags = {"cache_dir": args.cache_dir, "threads": args.threads, "fmt": args.format,
              "seed": args.seed}
     try:
@@ -641,7 +587,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args, cfg)
+        code, text = args.fn(args, cfg)
+        if code != 2:
+            _emit(text, args.out)
+        return code
     except (expsum.GuardError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 import gzip
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from d3lab import expsum
 from d3lab.arith import sieve_dk
 from d3lab.cli import (
+    _COMMANDS,
     RunConfig,
     _csv,
     _rows_json,
@@ -27,6 +29,7 @@ from d3lab.cli import (
 
 # the benchmark's reference outputs, captured at its default seed
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -62,6 +65,73 @@ class TestExitCodes:
         code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")
         assert code == 0
         assert "parseval" in out.splitlines()[1]
+
+
+# a quick argv for every subcommand
+_SMALL_ARGV = {
+    "sieve": ["sieve", "--n", "1000"],
+    "csum": ["csum", "--q", "12", "--n", "4"],
+    "kloosterman": ["kloosterman", "--n", "1", "--m", "2", "--q", "7"],
+    "rsum": ["rsum", "--a", "1", "--b", "1", "--c", "1", "--h", "1", "--q", "6"],
+    "asum": ["asum", "--h", "1", "--q", "5", "--n", "6"],
+    "corr": ["corr", "--triple", "1,1,1", "--triple2", "1,2,1", "--q", "5"],
+    "lemma2-check": ["lemma2-check", "--q1", "4", "--q2", "9", "--samples", "2"],
+    "lemma3-check": ["lemma3-check", "--p", "2", "--k", "1"],
+    "lemma4-scan": ["lemma4-scan", "--q-max", "6", "--entry-max", "2"],
+    "corr-identity": ["corr-identity", "--n-max", "2", "--q-list", "3"],
+    "mainterm": ["mainterm", "--q", "6", "--a", "1", "--x", "1e4"],
+    "kernel": ["kernel", "--x-max", "10", "--points", "3"],
+    "wtransform": ["wtransform", "--q", "3", "--x", "1e3", "--Y", "1e2", "--n", "1"],
+    "voronoi-compare": ["voronoi-compare", "--q", "3", "--x", "1e3", "--Y", "1e2",
+                        "--n-max", "3"],
+    "delta": ["delta", "--q", "5", "--x", "1000"],
+    "variance": ["variance", "--q", "5", "--x", "1000"],
+    "decomp-check": ["decomp-check", "--q", "5", "--x", "1000"],
+    "scan": ["scan", "--grid", "1000:5"],
+}
+
+
+class TestOut:
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_out_writes_what_stdout_prints(self, name, tmp_path, capsys):
+        argv = ["--seed", "7", *_SMALL_ARGV[name]]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        assert printed
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
+    def test_error_exit_writes_no_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("sieve_limit = 100\n")
+        out = tmp_path / "report"
+        for code, argv, err in (
+            (2, ["--config", str(cfg_file), "scan", "--grid", "1000:5"], "sieve_limit is 100"),
+            (1, ["corr", "--triple", "1,1,1", "--triple2", "1,1,1", "--q", "99"], "guard"),
+        ):
+            assert main([*argv, "--out", str(out)]) == code
+            assert not out.exists()
+            assert err in capsys.readouterr().err
+
+
+def _readme_cli_examples():
+    """The d3lab lines of README's CLI block, as argv lists."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("d3lab ")]
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        examples = _readme_cli_examples()
+        assert len(examples) >= 8
+        for argv in examples:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 class TestDeterminism:
