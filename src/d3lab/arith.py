@@ -340,7 +340,8 @@ def kloosterman_sum(n: int, m: int, q: int) -> complex:
 
 @lru_cache(maxsize=512)
 def _unit_roots(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The units a mod q (0 for q = 1), their inverses mod q, and e(k/q) for k < q.
+    """The units a mod q in increasing order (0 for q = 1), their inverses mod
+    q, and e(k/q) for k < q; read-only int64, int64 and complex128 arrays.
 
     e(k/q) is the FFT of a unit impulse: rounded like the transform that sums
     them, they put Kloosterman columns within 7.1e-15 of 30-digit values for
@@ -350,7 +351,11 @@ def _unit_roots(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     impulse = np.zeros(q)
     impulse[1 % q] = 1.0
     roots = np.fft.ifft(impulse, norm="forward")
-    return np.array(units), np.array([pow(a, -1, q) for a in units]), roots
+    tables = (np.array(units, dtype=np.int64),
+              np.array([pow(a, -1, q) for a in units], dtype=np.int64), roots)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 # (q, m) columns kept by kloosterman_table.  A column costs 8*q bytes, so

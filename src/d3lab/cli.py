@@ -339,31 +339,28 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
 @_command("corr", "correlation of two triple sums over reduced residues",
           _flag("triple", _parse_triple), _flag("triple2", _parse_triple), Q, FORCE)
 def _cmd_corr(args, cfg: RunConfig) -> tuple[int, str]:
-    v = expsum.correlation_sum(
-        expsum.CorrelationArgs(args.triple, args.triple2, args.q),
-        q_guard=10**9 if args.force else 60,
-    )
-    return 0, fmt12(v.real) + "\n"
+    v = expsum.correlation_sums(args.q, args.triple, args.triple2,
+                                q_guard=10**9 if args.force else 60)
+    return 0, fmt12(v[0]) + "\n"
 
 
 @_command("lemma2-check", "multiplicativity of the correlation sum in the modulus, with the "
           "splitting identity sampled", _flag("q1"), _flag("q2"), _flag("samples", default=8))
 def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
-    rng = np.random.default_rng(cfg.seed)
-    rows, failures = [], 0
-    for _ in range(args.samples):
-        t1 = tuple(int(v) for v in rng.integers(0, args.q1 * args.q2, size=3))
-        t2 = tuple(int(v) for v in rng.integers(0, args.q1 * args.q2, size=3))
-        rep = expsum.correlation_multiplicativity_check(args.q1, args.q2, t1, t2)
-        failures += 0 if rep["passed"] else 1
-        rows.append(
-            [args.q1, args.q2, *t1, *t2, rep["s12"], rep["s1"], rep["s2"], rep["deviation"],
-             rep["splitting_deviation"], int(rep["passed"])]
-        )
-    meta = {"q1": args.q1, "q2": args.q2, "seed": cfg.seed, "failures": failures}
+    q1, q2 = args.q1, args.q2
+    # sample i is t1 then t2, the stream of drawing each triple in turn
+    draws = np.random.default_rng(cfg.seed).integers(0, q1 * q2, size=(args.samples, 2, 3))
+    t1, t2 = draws[:, 0], draws[:, 1]
+    rep = expsum.correlation_multiplicativity_check(q1, q2, t1, t2)
+    failures = int(np.count_nonzero(~rep["passed"]))
+    meta = {"q1": q1, "q2": q2, "seed": cfg.seed, "failures": failures}
     cols = ["q1", "q2", "a", "b", "c", "a2", "b2", "c2", "s12", "s1", "s2",
             "abs_dev", "split_dev", "passed"]
-    return (0 if failures == 0 else 1), _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
+    n = args.samples
+    columns = [np.full(n, q1), np.full(n, q2), *t1.T, *t2.T,
+               *(rep[key] for key in ("s12", "s1", "s2", "deviation", "splitting_deviation")),
+               rep["passed"].astype(np.int64)]
+    return (0 if failures == 0 else 1), _table(cfg.fmt, meta, cols, columns)
 
 
 @_command("lemma3-check", "prime-power closed form of the Ramanujan-twisted pair sum vs "

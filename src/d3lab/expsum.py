@@ -18,7 +18,6 @@ sum) and act as oracles for the fast reductions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -27,6 +26,7 @@ import numpy as np
 
 from .arith import (
     ReducedFraction,
+    _unit_roots,
     divisors,
     euler_phi,
     factorize,
@@ -38,15 +38,13 @@ from .arith import (
 )
 
 __all__ = [
-    "CorrelationArgs",
     "GuardError",
     "PrimePowerCase",
     "PrimePowerCatalog",
     "a_sum",
-    "corr_identity_deviation",
-    "correlation_bound_ratio",
+    "corr_identity_values",
     "correlation_multiplicativity_check",
-    "correlation_sum",
+    "correlation_sums",
     "cq_pair_sum",
     "cq_pair_sum_bruteforce",
     "cq_pair_sum_prime_power",
@@ -106,15 +104,6 @@ def ordered_triples(n: int) -> list[tuple[int, int, int]]:
         for d2 in divisors(m):
             out.append((d1, d2, m // d2))
     return out
-
-
-@dataclass(frozen=True)
-class CorrelationArgs:
-    """Two integer triples correlated over reduced residues mod q."""
-
-    triple: tuple[int, int, int]
-    triple2: tuple[int, int, int]
-    q: int
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +183,9 @@ def a_sum(point: ReducedFraction, n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def reduced_residues(q: int) -> list[int]:
-    if q == 1:
-        return [1]
-    return [h for h in range(1, q + 1) if math.gcd(h, q) == 1]
-
-
-@lru_cache(maxsize=512)
 def _units(q: int) -> np.ndarray:
-    """The reduced residues mod q as a read-only int64 array (0 for q = 1)."""
-    units = np.array(reduced_residues(q), dtype=np.int64) % q
-    units.flags.writeable = False
-    return units
+    """The reduced residues mod q in increasing order, read-only int64 (0 for q = 1)."""
+    return _unit_roots(q)[0]
 
 
 # (q, b, c) columns kept by _twist_column.  A column costs 8*q bytes, so the
@@ -247,70 +227,93 @@ def _unit_rows(q: int, triples: list[tuple[int, int, int]]) -> np.ndarray:
     """
     units = _units(q)
     t = np.asarray(triples, dtype=np.int64).reshape(-1, 3) % q
+    if not len(t):
+        return np.zeros((units.size, 0))
     slot: dict[tuple[int, int], int] = {}  # (b, c) -> column, in first-seen order
     which = np.array([slot.setdefault((b, c), len(slot)) for b, c in t[:, 1:].tolist()])
     columns = np.stack([_twist_column(q, b, c) for b, c in slot])
     return columns[which[:, None], t[:, 0, None] * units % q].T
 
 
-def correlation_sum(args: CorrelationArgs, *, q_guard: int = 60) -> complex:
-    """sum'_{h mod q} R_t(h/q) * conj(R_t'(h/q)); real and integer-valued.
+def _unit_row(q: int, h: np.ndarray) -> np.ndarray:
+    """The rows of _unit_rows(q, ...) at the points h/q, h coprime to q:
+    the row of h/q is the index of hbar among the units mod q."""
+    units, inverses, _ = _unit_roots(q)
+    return np.searchsorted(units, inverses[np.searchsorted(units, h % q)])
 
-    Rounded to the nearest integer within 1e-6 * (1 + |value|).
+
+def _paired_unit_rows(q: int, triples, triples2) -> np.ndarray:
+    """_unit_rows(q, ...) of the n rows of triples followed by the n rows of triples2."""
+    t, t2 = (np.asarray(v, dtype=np.int64).reshape(-1, 3) for v in (triples, triples2))
+    if len(t) != len(t2):
+        raise ValueError(f"{len(t)} triples against {len(t2)}")
+    return _unit_rows(q, np.concatenate([t, t2]))
+
+
+def _integer_correlations(q: int, M: np.ndarray) -> np.ndarray:
+    """Column j against column n + j of a _paired_unit_rows table, summed
+    over h and rounded to the nearest integer within 1e-6 * (1 + |value|),
+    else ArithmeticError."""
+    n = M.shape[1] // 2
+    total = np.einsum("ij,ij->j", M[:, :n], M[:, n:])
+    exact = np.rint(total) + 0.0  # + 0.0 makes -0.0 a 0.0, which prints as 0
+    off = np.abs(total - exact) > 1e-6 * (1.0 + np.abs(total))
+    if off.any():
+        raise ArithmeticError(f"correlation {total[off][0]} at q={q} is not an integer")
+    return exact
+
+
+def correlation_sums(q: int, triples, triples2, *, q_guard: int = 60) -> np.ndarray:
+    """sum'_{h mod q} R_t(h/q) * R_t'(h/q) for each row t, t' of the n x 3
+    arrays triples and triples2 (R is real), from one _unit_rows table.
+
+    The sums are integers held as float64, not int64: phi(q) * R_{0,0,0}^2
+    passes 2^63 at q = 2700, which corr --force reaches.
     """
-    q = args.q
     _require(q <= q_guard, f"q={q} exceeds correlation guard {q_guard}")
-    M = _unit_rows(q, [args.triple, args.triple2])
-    total = complex(np.vdot(M[:, 1], M[:, 0]))
-    val = round_to_integer(total, scale=1.0 + abs(total))
-    return complex(val, 0.0)
+    return _integer_correlations(q, _paired_unit_rows(q, triples, triples2))
 
 
 def correlation_multiplicativity_check(
-    q1: int,
-    q2: int,
-    triple: tuple[int, int, int],
-    triple2: tuple[int, int, int],
-    *,
-    splitting_samples: int = 4,
-) -> dict:
-    """Check S(q1*q2) = S(q1) * S(q2) for coprime moduli.
+    q1: int, q2: int, triples, triples2, *, splitting_samples: int = 4
+) -> dict[str, np.ndarray]:
+    """Check S(q1*q2) = S(q1) * S(q2) for coprime moduli, one row per pair
+    of rows of the n x 3 arrays triples and triples2.
 
     Also verifies the underlying splitting identity
     R((h*q2 + h2*q1)/(q1*q2)) = R(h*q2^3 / q1) * R(h2*q1^3 / q2)
-    on the first few reduced pairs (h, h2).  Returns a report dict.
+    for each triple on the first few reduced pairs (h, h2): the right side
+    from the tables at q1 and q2, the left side from r_sum_fast, which
+    reads another twist column, so the two R routes are held to each other.
+    Returns one column per field: the sums s12, s1, s2, their deviation
+    |s12 - s1*s2| and its tolerance, the splitting deviation and whether
+    the row passed.
     """
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
     _require(q1 * q2 <= 60, f"q1*q2={q1*q2} exceeds guard 60")
-    s12 = correlation_sum(CorrelationArgs(triple, triple2, q1 * q2))
-    s1 = correlation_sum(CorrelationArgs(triple, triple2, q1))
-    s2 = correlation_sum(CorrelationArgs(triple, triple2, q2))
-    dev = abs(s12 - s1 * s2)
-    tol = 1e-6 * (1 + abs(s12))
+    moduli = (q1 * q2, q1, q2)
+    tables = [_paired_unit_rows(q, triples, triples2) for q in moduli]
+    s12, s1, s2 = (_integer_correlations(q, M) for q, M in zip(moduli, tables))
+    dev = np.abs(s12 - s1 * s2)
+    tol = 1e-6 * (1 + np.abs(s12))
 
-    split_dev = 0.0
-    a, b, c = triple
-    pairs = [
-        (h, h2)
-        for h in reduced_residues(q1)
-        for h2 in reduced_residues(q2)
-    ][:splitting_samples]
-    for h, h2 in pairs:
-        lhs = r_sum_fast(a, b, c, ReducedFraction.reduce(h * q2 + h2 * q1, q1 * q2))
-        rhs = r_sum_fast(a, b, c, ReducedFraction.reduce(h * q2**3, q1)) * r_sum_fast(
-            a, b, c, ReducedFraction.reduce(h2 * q1**3, q2)
-        )
-        split_dev = max(split_dev, abs(lhs - rhs) / (1 + abs(lhs)))
+    n = len(s12)
+    pairs = [(u, u2) for u in _units(q1).tolist() for u2 in _units(q2).tolist()]
+    h, h2 = np.array(pairs[:splitting_samples], dtype=np.int64).reshape(-1, 2).T
+    points = [ReducedFraction.reduce(v, q1 * q2) for v in (h * q2 + h2 * q1).tolist()]
+    t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist()
+    lhs = np.array([[r_sum_fast(a, b, c, pt).real for a, b, c in t] for pt in points],
+                   dtype=float).reshape(len(points), n)
+    rhs = tables[1][_unit_row(q1, h * q2**3), :n] * tables[2][_unit_row(q2, h2 * q1**3), :n]
+    split_dev = (np.abs(lhs - rhs) / (1 + np.abs(lhs))).max(axis=0, initial=0.0)
     return {
-        "q1": q1,
-        "q2": q2,
-        "s12": s12.real,
-        "s1": s1.real,
-        "s2": s2.real,
+        "s12": s12,
+        "s1": s1,
+        "s2": s2,
         "deviation": dev,
         "tolerance": tol,
-        "passed": dev <= tol and split_dev <= 1e-6,
+        "passed": (dev <= tol) & (split_dev <= 1e-6),
         "splitting_deviation": split_dev,
     }
 
@@ -551,21 +554,6 @@ def prime_power_catalog(
 # ---------------------------------------------------------------------------
 
 
-def correlation_bound_ratio(
-    triple: tuple[int, int, int], triple2: tuple[int, int, int], q: int
-) -> float:
-    """|correlation| / (q^3 * gcd(q,n,n') * sum_{f | (q, n-n')} f).
-
-    n, n' are the integer products of the triples; for n = n' the divisor
-    sum runs over all f | q.
-    """
-    n = triple[0] * triple[1] * triple[2]
-    n2 = triple2[0] * triple2[1] * triple2[2]
-    corr = correlation_sum(CorrelationArgs(triple, triple2, q))
-    denom = q**3 * math.gcd(q, math.gcd(n, n2)) * sigma(math.gcd(q, n - n2))
-    return abs(corr) / denom
-
-
 def correlation_bound_scan(
     q_values: list[int], entry_max: int, *, log_power: int = 3
 ) -> dict:
@@ -621,9 +609,3 @@ def corr_identity_values(n: int, m: int, q: int, *, q_guard: int = 40) -> tuple[
     lhs = complex(np.vdot(M[:, len(tn):].sum(axis=1), M[:, : len(tn)].sum(axis=1)))
     rhs = q**3 * ramanujan_sum(q, n - m) * dk_exact(3, n) * dk_exact(3, m)
     return lhs, complex(rhs)
-
-
-def corr_identity_deviation(n: int, m: int, q: int, *, q_guard: int = 40) -> float:
-    """|LHS - RHS| / q^3; a measurement, not an assertion (small cases deviate)."""
-    lhs, rhs = corr_identity_values(n, m, q, q_guard=q_guard)
-    return abs(lhs - rhs) / q**3

@@ -98,10 +98,12 @@ _DENSE_RULE_MAX = 64
 
 
 @lru_cache(maxsize=64)
-def _leggauss(n: int):
-    if n <= _DENSE_RULE_MAX:
-        return np.polynomial.legendre.leggauss(n)
-    return roots_legendre(n)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    rule = np.polynomial.legendre.leggauss(n) if n <= _DENSE_RULE_MAX else roots_legendre(n)
+    for table in rule:
+        table.flags.writeable = False
+    return rule
 
 
 def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:

@@ -129,16 +129,22 @@ class TestCriterion03Multiplicativity:
             for q2 in range(q1 + 1, 61)
             if math.gcd(q1, q2) == 1 and q1 * q2 <= 60
         ]
-        count, failures = 0, 0
+        # the tuples drawn in turn, then one batched check per pair of moduli
+        drawn = {}
+        count = 0
         while count < 500:
             for q1, q2 in pairs:
                 t1 = tuple(int(v) for v in rng.integers(0, q1 * q2, 3))
                 t2 = tuple(int(v) for v in rng.integers(0, q1 * q2, 3))
-                rep = correlation_multiplicativity_check(q1, q2, t1, t2)
-                failures += 0 if rep["passed"] else 1
+                drawn.setdefault((q1, q2), []).append((t1, t2))
                 count += 1
                 if count >= 500:
                     break
+        failures = 0
+        for (q1, q2), tuples in drawn.items():
+            t1, t2 = zip(*tuples)
+            rep = correlation_multiplicativity_check(q1, q2, t1, t2)
+            failures += int(np.count_nonzero(~rep["passed"]))
         gate(3, "correlation multiplicativity across coprime moduli",
              failures == 0, f"{count} tuples, {failures} failures")
 

@@ -20,8 +20,10 @@ from d3lab.arith import (
     sieve_dk,
     sieve_dk_convolution,
     sigma,
+    _unit_roots,
     unit_phase,
 )
+from d3lab.voronoi import _leggauss
 
 
 def dk_by_enumeration(k, n):
@@ -200,6 +202,12 @@ class TestKloosterman:
     def test_table_read_only(self):
         with pytest.raises(ValueError):
             kloosterman_table(7, 1)[0] = 1
+        # the cached units, inverses and roots the tables are built from
+        # (a write to them would move every later table at that q), and
+        # the cached quadrature rules of the contour integrals
+        for table in (*_unit_roots(12), *_leggauss(16), *_leggauss(100)):
+            with pytest.raises(ValueError):
+                table[1] = 7
 
     def test_real_valued(self):
         for q in (7, 16, 45):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d3lab import expsum
-from d3lab.arith import sieve_dk
+from d3lab.arith import divisors, euler_phi, sieve_dk
 from d3lab.cli import (
     _COMMANDS,
     RunConfig,
@@ -57,9 +57,29 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[0].startswith("fast: 2")
 
+    def test_lemma2_without_samples(self, tmp_path):
+        # no samples: the header alone, and nothing failed
+        out = tmp_path / "lemma2.out"
+        argv = ["lemma2-check", "--q1", "4", "--q2", "9", "--samples", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == ("# failures=0\n# q1=4\n# q2=9\n# seed=0\n"
+                                   "q1,q2,a,b,c,a2,b2,c2,s12,s1,s2,abs_dev,split_dev,passed\n")
+        assert main(["--format", "json", *argv]) == 0
+        assert json.loads(out.read_text()) == {
+            "meta": {"failures": 0, "q1": 4, "q2": 9, "seed": 0}, "rows": []}
+
     def test_guard_failure_is_1(self):
         code, _, err = run_cli("corr", "--triple", "1,1,1", "--triple2", "1,1,1", "--q", "99")
         assert code == 1 and "guard" in err
+
+    def test_corr_force_beyond_int64(self):
+        # phi(q) * R_{0,0,0}^2 with R_{0,0,0}(h/q) = q * sum_{d | q} d * phi(q/d)
+        q = 2700
+        r = q * sum(d * euler_phi(q // d) for d in divisors(q))
+        assert euler_phi(q) * r * r > 2**63
+        code, out, _ = run_cli("corr", "--triple", "0,0,0", "--triple2", "0,0,0",
+                               "--q", str(q), "--force")
+        assert code == 0 and out == fmt12(float(euler_phi(q) * r * r)) + "\n"
 
     def test_variance_passes(self):
         code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")
@@ -296,6 +316,22 @@ class TestCatalogReference:
         for row, cells in zip(doc["rows"], body):
             values = [row[name] for name in header]
             assert [type(v)(c) for v, c in zip(values, cells)] == values
+
+    def test_lemma2_matches_reference(self, tmp_path):
+        # the benchmark's sampled check: every cell of the reference but the
+        # splitting deviations, which are rounding (below 1e-12) on both sides
+        out = tmp_path / "lemma2.out"
+        assert main(["--seed", "20250810", "lemma2-check", "--q1", "4", "--q2", "15",
+                     "--samples", "500", "--out", str(out)]) == 0
+        ref = gzip.decompress((REFERENCE / "lemma2-check.out.gz").read_bytes()).decode()
+        got, want = ([line.split(",") for line in text.splitlines()]
+                     for text in (out.read_text(), ref))
+        assert len(got) == len(want) == 505
+        split = want[4].index("split_dev")
+        for row, ref_row in zip(got, want):
+            assert row[:split] + row[split + 1:] == ref_row[:split] + ref_row[split + 1:]
+        for row, ref_row in zip(got[5:], want[5:]):
+            assert float(row[split]) <= 1e-12 and float(ref_row[split]) <= 1e-12
 
     def test_mismatch_is_counted(self, tmp_path, monkeypatch):
         closed_form_batch = expsum._closed_form_batch

@@ -14,8 +14,8 @@ from d3lab.arith import (
     ramanujan_sum,
     sigma,
 )
+from d3lab import expsum
 from d3lab.expsum import (
-    CorrelationArgs,
     GuardError,
     PrimePowerCase,
     _PAIR_CHUNK,
@@ -25,10 +25,9 @@ from d3lab.expsum import (
     _unit_rows,
     _units,
     a_sum,
-    corr_identity_deviation,
-    correlation_bound_ratio,
+    corr_identity_values,
     correlation_multiplicativity_check,
-    correlation_sum,
+    correlation_sums,
     cq_pair_sum,
     cq_pair_sum_bruteforce,
     cq_pair_sum_prime_power,
@@ -170,8 +169,10 @@ class TestCorrelation:
                     assert abs(M[i, j] - brute) <= 1e-9 * (1 + abs(brute)), (q, t, u)
 
     def test_sum_equals_definition(self):
-        # sum'_h R_t(h/q) conj(R_t'(h/q)) from the brute-force oracle
+        # sum'_h R_t(h/q) conj(R_t'(h/q)) from the brute-force oracle, all
+        # the pairs drawn for one q in one batch
         rng = np.random.default_rng(7)
+        by_q = {}
         for _ in range(24):
             q = int(rng.integers(1, 61))
             t1, t2 = (tuple(int(v) for v in rng.integers(0, 2 * q, 3)) for _ in range(2))
@@ -180,35 +181,81 @@ class TestCorrelation:
                 pt = ReducedFraction.reduce(h, q)
                 direct += r_sum_bruteforce(*t1, pt) * np.conj(r_sum_bruteforce(*t2, pt))
             expect = round_to_integer(direct, scale=1.0 + abs(direct))
-            assert correlation_sum(CorrelationArgs(t1, t2, q)) == complex(expect, 0.0), (q, t1, t2)
+            by_q.setdefault(q, []).append((t1, t2, expect))
+        for q, cases in by_q.items():
+            t1, t2, expect = zip(*cases)
+            got = correlation_sums(q, t1, t2)
+            assert got.tolist() == list(expect), q
 
     def test_examples(self):
-        assert correlation_sum(CorrelationArgs((1, 1, 1), (1, 1, 1), 2)).real == 4
-        assert correlation_sum(CorrelationArgs((3, 1, 4), (1, 5, 9), 1)).real == 1
+        assert correlation_sums(2, [(1, 1, 1)], [(1, 1, 1)]).tolist() == [4]
+        assert correlation_sums(1, [(3, 1, 4)], [(1, 5, 9)]).tolist() == [1]
+        assert correlation_sums(5, [], []).shape == (0,)
+        assert _unit_rows(5, []).shape == (4, 0)
 
     def test_swap_conjugates(self):
-        args = CorrelationArgs((1, 2, 3), (2, 0, 5), 12)
-        swapped = CorrelationArgs((2, 0, 5), (1, 2, 3), 12)
-        assert correlation_sum(args) == pytest.approx(np.conj(correlation_sum(swapped)))
+        # R is real, so swapping the triples leaves the sum unchanged
+        s = correlation_sums(12, [(1, 2, 3), (2, 0, 5)], [(2, 0, 5), (1, 2, 3)])
+        assert s[0] == s[1]
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            correlation_sum(CorrelationArgs((1, 1, 1), (1, 1, 1), 61))
+            correlation_sums(61, [(1, 1, 1)], [(1, 1, 1)])
+        assert correlation_sums(61, [(1, 1, 1)], [(1, 1, 1)], q_guard=61).shape == (1,)
+        with pytest.raises(ValueError):
+            correlation_sums(5, [(1, 1, 1), (1, 2, 3)], [(1, 1, 1)])
 
     def test_multiplicativity_examples(self):
-        rep = correlation_multiplicativity_check(2, 3, (1, 1, 1), (1, 1, 1))
-        assert rep["passed"]
-        rep = correlation_multiplicativity_check(1, 7, (2, 3, 4), (1, 1, 5))
-        assert rep["passed"] and rep["s1"] == 1
+        rep = correlation_multiplicativity_check(2, 3, [(1, 1, 1)], [(1, 1, 1)])
+        assert rep["passed"].tolist() == [True]
+        rep = correlation_multiplicativity_check(1, 7, [(2, 3, 4)], [(1, 1, 5)])
+        assert rep["passed"].tolist() == [True] and rep["s1"].tolist() == [1]
         rng = np.random.default_rng(11)
+        t1, t2 = [], []
         for _ in range(4):
-            t1 = tuple(int(v) for v in rng.integers(0, 36, 3))
-            t2 = tuple(int(v) for v in rng.integers(0, 36, 3))
-            assert correlation_multiplicativity_check(4, 9, t1, t2)["passed"]
+            t1.append(tuple(int(v) for v in rng.integers(0, 36, 3)))
+            t2.append(tuple(int(v) for v in rng.integers(0, 36, 3)))
+        assert correlation_multiplicativity_check(4, 9, t1, t2)["passed"].all()
+
+    def test_batch_rows_match_single_calls(self):
+        rng = np.random.default_rng(3)
+        for q1, q2 in ((1, 7), (4, 15), (5, 12), (7, 8)):
+            t1, t2 = rng.integers(-q1 * q2, 2 * q1 * q2, size=(2, 40, 3))
+            batch = correlation_multiplicativity_check(q1, q2, t1, t2)
+            assert all(len(col) == 40 for col in batch.values())
+            for i in range(40):
+                one = correlation_multiplicativity_check(q1, q2, t1[i:i + 1], t2[i:i + 1])
+                for key in ("s12", "s1", "s2", "passed"):
+                    assert batch[key][i] == one[key][0], (q1, q2, i, key)
+                split = one["splitting_deviation"][0]
+                assert abs(batch["splitting_deviation"][i] - split) <= 1e-12, (q1, q2, i)
+
+    def test_splitting_identity_matches_scalar_sums(self):
+        # the splitting rows read from the tables against r_sum_fast
+        q1, q2, t = 4, 15, (3, 7, 11)
+        lhs_rhs = [
+            (r_sum_fast(*t, ReducedFraction.reduce(h * q2 + h2 * q1, q1 * q2)),
+             r_sum_fast(*t, ReducedFraction.reduce(h * q2**3, q1))
+             * r_sum_fast(*t, ReducedFraction.reduce(h2 * q1**3, q2)))
+            for h in reduced(q1) for h2 in reduced(q2)
+        ]
+        for samples in (1, 4, len(lhs_rhs)):
+            expect = max(abs(l - r) / (1 + abs(l)) for l, r in lhs_rhs[:samples])
+            rep = correlation_multiplicativity_check(q1, q2, [t], [t], splitting_samples=samples)
+            assert abs(rep["splitting_deviation"][0] - expect) <= 1e-12, samples
+
+    def test_splitting_identity_reads_scalar_route(self, monkeypatch):
+        # the left side comes from r_sum_fast, so an error there fails every row
+        rng = np.random.default_rng(5)
+        t1, t2 = rng.integers(0, 60, size=(2, 6, 3))
+        assert correlation_multiplicativity_check(4, 15, t1, t2)["passed"].all()
+        r_sum_fast = expsum.r_sum_fast
+        monkeypatch.setattr(expsum, "r_sum_fast", lambda *args: r_sum_fast(*args) + 1)
+        assert not correlation_multiplicativity_check(4, 15, t1, t2)["passed"].any()
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            correlation_multiplicativity_check(4, 6, (1, 1, 1), (1, 1, 1))
+            correlation_multiplicativity_check(4, 6, [(1, 1, 1)], [(1, 1, 1)])
 
 
 class TestPairSum:
@@ -309,6 +356,9 @@ class TestPairSum:
     def test_units_read_only(self):
         assert _units(12).tolist() == [1, 5, 7, 11]
         assert _units(1).tolist() == [0]
+        for q in range(1, 300):
+            assert _units(q).dtype == np.int64
+            assert _units(q).tolist() == [h % q for h in reduced(q)], q
         with pytest.raises(ValueError):
             _units(12)[0] = 1
 
@@ -386,8 +436,9 @@ class TestPairSum:
 
 class TestBounds:
     def test_ratio_examples(self):
-        assert correlation_bound_ratio((1, 1, 1), (1, 1, 1), 2) == pytest.approx(1 / 6)
-        assert correlation_bound_ratio((1, 1, 1), (1, 1, 1), 1) == pytest.approx(1)
+        # entries 1..1 leave the one pair (1, 1, 1) x (1, 1, 1)
+        assert correlation_bound_scan([2], 1, log_power=0)["ratio"] == pytest.approx(1 / 6)
+        assert correlation_bound_scan([1], 1, log_power=0)["ratio"] == pytest.approx(1)
 
     def test_small_scan_golden(self):
         best = correlation_bound_scan(list(range(1, 25)), 4, log_power=0)
@@ -424,9 +475,13 @@ class TestBounds:
         assert math.isfinite(worst) and worst < 0.5
 
     def test_corr_identity(self):
-        assert corr_identity_deviation(1, 1, 2) == pytest.approx(0.5, abs=1e-9)
-        assert corr_identity_deviation(2, 3, 1) == pytest.approx(0.0, abs=1e-9)
+        def deviation(n, m, q):
+            lhs, rhs = corr_identity_values(n, m, q)
+            return abs(lhs - rhs) / q**3
+
+        assert deviation(1, 1, 2) == pytest.approx(0.5, abs=1e-9)
+        assert deviation(2, 3, 1) == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(ValueError):
-            corr_identity_deviation(2, 1, 4)
+            corr_identity_values(2, 1, 4)
         with pytest.raises(GuardError):
-            corr_identity_deviation(1, 1, 41)
+            corr_identity_values(1, 1, 41)
