@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it on first use: load it here, at import
 
 __all__ = [
     "CapacityError",

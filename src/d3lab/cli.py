@@ -34,6 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use: load it here, at import
 
 from . import arith, expsum, mainterm, variance, voronoi
 from .arith import DivisorTable, ReducedFraction

@@ -23,6 +23,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it on first use: load it here, at import
+import numpy.random  # numpy 2 loads it on first use: load it here, at import
 
 from .arith import (
     ReducedFraction,

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it on first use: load it here, at import
 
 from .arith import DivisorTable, ReducedFraction, divisors
 from .expsum import cq_table

@@ -27,13 +27,18 @@ contour after exchanging the absolutely convergent integrals:
     W(s) = int w(t) t^{-s} dt,
 
 where W(s) splits into an exact plateau term and two short smooth ramp
-integrals.  Each ramp integral is a Gauss-Legendre sum over nodes L_k =
-log t_k that every contour node s shares; it is evaluated from Taylor
-moments of the nodes about the centres of square cells of s-nodes, one
-matrix product per ramp, with a truncation error below float64 rounding
-(see ``_ramp_sum_moments``).  The dense (s, t) exponential matrix is
-retained as the oracle ``SmoothWindow.mellin_dense``, and a direct t-space
-quadrature of w(t) U(Nt) as an oracle for moderate N.
+integrals.  Each ramp integral is a composite Gauss-Legendre sum, equal
+panels of the 32-point rule, over nodes L_k = log t_k that every contour
+node s shares; it is evaluated from Taylor moments of the nodes about the
+centres of square cells of s-nodes, one matrix product per ramp, with a
+truncation error below float64 rounding (see ``_ramp_sum_moments``).  The
+dense (s, t) exponential matrix is retained as the oracle
+``SmoothWindow.mellin_dense``, and a direct t-space quadrature of w(t) U(Nt)
+as an oracle for moderate N.
+
+G(s) is exp(3 (ln Gamma(s/2) - ln Gamma((1-s)/2))) with ln Gamma from
+Stirling's series after the recurrence has stepped Re z up to 6 (see
+``_log_gamma``), so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -43,10 +48,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma, roots_legendre
+import numpy.polynomial  # numpy 2 loads it on first use: load it here, at import
 
 from .arith import ReducedFraction
-from .laurent import LaurentExpansion
+from .laurent import LaurentExpansion, bernoulli_numbers
 from .mainterm import mainterm_expsum, restricted_series_laurent
 
 __all__ = [
@@ -88,26 +93,65 @@ class KernelQuadrature:
         return last_magnitude / 3.0
 
 
-# Up to this many nodes numpy's dense eigensolver costs under a millisecond,
-# and its 16-point weights are the closer to 40-digit values (7e-15 against
-# roots_legendre's 8.7e-14 relative), which counts where a contour sum
-# cancels by 1e5 or more.  Past it roots_legendre is as accurate and the
-# faster: 0.018 s against 0.041 s at 1075 nodes, 0.53 s against 4.9 s at
-# 6000, 3.8 s at the 16384-node cap of the ramp rules.
-_DENSE_RULE_MAX = 64
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    rule = np.polynomial.legendre.leggauss(n) if n <= _DENSE_RULE_MAX else roots_legendre(n)
+    rule = np.polynomial.legendre.leggauss(n)
     for table in rule:
         table.flags.writeable = False
     return rule
 
 
+def _composite_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on every
+    panel between consecutive edges."""
+    xg, wg = _leggauss(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    return nodes, (half[:, None] * wg[None, :]).ravel()
+
+
+# ln Gamma(z) is stepped up by ln Gamma(z) = ln Gamma(z + m) - ln(z (z+1) ... (z+m-1))
+# until Re z >= _STIRLING_SHIFT, then summed by Stirling's series
+#
+#   (z - 1/2) ln z - z + ln(2 pi)/2 + sum_{k=1}^{K} B_2k / (2k (2k-1) z^{2k-1}).
+#
+# Its terms fall until k is about pi |z|; the first one left out is 1e-17 at
+# |z| = 6 and smaller beyond, so rounding is the error: G(s) agrees with
+# 30-digit values as closely as scipy's loggamma does.  The shift product
+# (at most 13 factors on the contour) overflows only where G(s) itself
+# leaves the float range, or where |Im s| passes 1e51.
+_STIRLING_SHIFT = 6.0
+_STIRLING_TERMS = 22
+
+
+@lru_cache(maxsize=1)
+def _stirling_coefficients() -> np.ndarray:
+    """B_2k / (2k (2k-1)) for k = 1..K, from the exact Bernoulli numbers."""
+    B = bernoulli_numbers(2 * _STIRLING_TERMS)
+    return np.array([float(B[2 * k] / (2 * k * (2 * k - 1)))
+                     for k in range(1, _STIRLING_TERMS + 1)])
+
+
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) up to a multiple of 2 pi i, which exp(3 ln Gamma) ignores."""
+    steps = np.ceil(np.maximum(_STIRLING_SHIFT - z.real, 0.0))
+    prod = np.ones_like(z)
+    for j in range(int(steps.max(initial=0.0))):
+        np.multiply(prod, z + j, out=prod, where=steps > j)
+    z = z + steps
+    inv_sq = 1.0 / (z * z)
+    coef = _stirling_coefficients()
+    series = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        series *= inv_sq
+        series += c
+    return (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series / z - np.log(prod)
+
+
 def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
-    """(Gamma(s/2) / Gamma((1-s)/2))^3 via complex log-gamma.
+    """(Gamma(s/2) / Gamma((1-s)/2))^3 from Stirling's series for ln Gamma.
 
     Scalar calls closer than 1e-8 to a pole s in {0, -2, -4, ...} are
     rejected.
@@ -117,8 +161,9 @@ def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
         nearest = -2.0 * max(0, round(-sc.real / 2.0))
         if abs(sc - nearest) < 1e-8:
             raise ValueError(f"s = {sc} is within 1e-8 of a pole of Gamma(s/2)")
-        return complex(np.exp(3.0 * (loggamma(sc / 2.0) - loggamma((1.0 - sc) / 2.0))))
-    return np.exp(3.0 * (loggamma(s / 2.0) - loggamma((1.0 - s) / 2.0)))
+        return complex(gamma_ratio_cubed(np.array([sc]))[0])
+    s = np.asarray(s, dtype=np.complex128)
+    return np.exp(3.0 * (_log_gamma(s / 2.0) - _log_gamma((1.0 - s) / 2.0)))
 
 
 # The integrand's nearest singularity is the triple pole of G(s) at s = 0,
@@ -157,22 +202,13 @@ def _contour_nodes(c: float, T: float, rate_fn, quad: KernelQuadrature, density:
     Diagonal part: s = c + iT + (-1 + i)u, u in [0, u_max], ds = (-1+i) du.
     """
     order = 16
-    xg, wg = _leggauss(order)
     npo = quad.nodes_per_osc * density
-    edges = _vertical_panels(c, T, rate_fn, npo)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t_nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    t_weights = (half[:, None] * wg[None, :]).ravel()
+    t_nodes, t_weights = _composite_rule(_vertical_panels(c, T, rate_fn, npo), order)
     s_vert = c + 1j * t_nodes
     w_vert = 1j * t_weights
 
     n_diag = math.ceil(_RAY_PANELS * quad.u_max * density)
-    xe = np.linspace(0.0, quad.u_max, n_diag + 1)
-    midu = 0.5 * (xe[1:] + xe[:-1])
-    halfu = 0.5 * (xe[1:] - xe[:-1])
-    u_nodes = (midu[:, None] + halfu[:, None] * xg[None, :]).ravel()
-    u_weights = (halfu[:, None] * wg[None, :]).ravel()
+    u_nodes, u_weights = _composite_rule(np.linspace(0.0, quad.u_max, n_diag + 1), order)
     s_diag = c + 1j * T + (-1.0 + 1j) * u_nodes
     w_diag = (-1.0 + 1j) * u_weights
     return np.concatenate([s_vert, s_diag]), np.concatenate([w_vert, w_diag])
@@ -314,6 +350,11 @@ def _ramp_derivative_bound(j: int, samples: int = 8001) -> float:
 _MOMENT_RADIUS = 2.0
 _MOMENT_TERMS = 26
 _BLOCK = 1 << 22  # complex exponentials per block of an (s, t) matrix
+# Ramp rules are composite: equal panels of this many Gauss nodes.  With
+# 16-point panels the 48-node floor of the short upper ramp is 3 panels,
+# and W(s) at the contour nodes of w_hat_5(17) errs by up to 4e-8
+# relative; with 32 by 9e-12, which is rounding.
+_RAMP_ORDER = 32
 
 
 def _ramp_sum_dense(s, logt, wn, log_lo, log_hi) -> np.ndarray:
@@ -405,7 +446,7 @@ class SmoothWindow:
     def mellin(self, s: np.ndarray, nodes_hint: float = 0.0) -> np.ndarray:
         """W(s) = int w(t) t^{-s} dt, vectorized over s.
 
-        Exact plateau antiderivative plus Gauss-Legendre ramps; the ramp
+        Exact plateau antiderivative plus composite Gauss-Legendre ramps; the ramp
         node counts resolve oscillation up to |Im s| = nodes_hint.  Each
         ramp sum F(s) = sum_k wn_k e^{-s L_k}, L_k = log t_k, is expanded
         about the centre s0 of a square cell of s-nodes as
@@ -434,14 +475,15 @@ class SmoothWindow:
         return out
 
     def _ramp_rules(self, tmax: float):
-        """(lo, hi, nodes t_k, weights wn_k = w(t_k) dt_k) of the Gauss-Legendre
-        rule on each ramp, resolving t^{-s} up to |Im s| = tmax."""
+        """(lo, hi, nodes t_k, weights wn_k = w(t_k) dt_k) of the composite
+        Gauss-Legendre rule on each ramp, resolving t^{-s} up to |Im s| = tmax:
+        n = max(48, 10 osc) nodes for osc oscillations, laid out as
+        ceil(n / 32) equal panels of the 32-point rule."""
         for lo, hi in ((self.Y, 2.0 * self.Y), (self.x - self.Y, self.x)):
             osc = tmax * abs(math.log(hi / lo)) / (2.0 * math.pi)
-            n = int(min(1 << 14, max(48, 10 * osc)))
-            xg, wg = _leggauss(n)
-            tn = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
-            yield lo, hi, tn, 0.5 * (hi - lo) * wg * self(tn)
+            panels = math.ceil(max(48, 10 * osc) / _RAMP_ORDER)
+            tn, dt = _composite_rule(np.linspace(lo, hi, panels + 1), _RAMP_ORDER)
+            yield lo, hi, tn, dt * self(tn)
 
     def log_moments(self, j_max: int = 3) -> list[float]:
         """m_j = int w(t) log^j t dt for j = 0..j_max.

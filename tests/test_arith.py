@@ -204,8 +204,8 @@ class TestKloosterman:
             kloosterman_table(7, 1)[0] = 1
         # the cached units, inverses and roots the tables are built from
         # (a write to them would move every later table at that q), and
-        # the cached quadrature rules of the contour integrals
-        for table in (*_unit_roots(12), *_leggauss(16), *_leggauss(100)):
+        # the cached quadrature rules of the contour, ramp and moment integrals
+        for table in (*_unit_roots(12), *_leggauss(16), *_leggauss(32), *_leggauss(64)):
             with pytest.raises(ValueError):
                 table[1] = 7
 

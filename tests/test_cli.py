@@ -533,6 +533,23 @@ class TestConfig:
         assert code == 0 and out.startswith("# k=3")
 
 
+class TestImport:
+    def test_cli_loads_no_scipy_and_numpy_submodules_up_front(self):
+        # scipy.special alone would add about 0.3 s to every command's start;
+        # numpy 2 loads these submodules on first use, which would move that
+        # cost into the first command instead of the import
+        script = (
+            "import sys\n"
+            "import d3lab.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+            "print([m for m in ('numpy.fft', 'numpy.random', 'numpy.polynomial')"
+            " if m not in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 class TestHelp:
     def test_subcommands_document_their_check(self):
         for name, needle in (
