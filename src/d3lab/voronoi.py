@@ -182,20 +182,24 @@ _POLE_RATE = 12.0
 _RAY_PANELS = 2.0
 
 
-def _vertical_panels(c: float, T: float, rate_fn, nodes_per_osc: float, order: int = 16):
+def _vertical_panels(c: float, T: float, log_lo: float, log_hi: float, nodes_per_osc: float,
+                     order: int = 16):
     """Panel edges on [0, T] sized so each panel spans a bounded phase,
-    graded geometrically toward the pole at s = 0."""
+    graded geometrically toward the pole at s = 0.  The phase rate of
+    G(s) Z^{-s} is |3 log(t/2) - log Z| + O(1) for every Z in [lo, hi]."""
     edges = [0.0]
     t = 0.0
     max_phase = 2.0 * math.pi * order / nodes_per_osc
     while t < T:
-        rate = rate_fn(t) + _POLE_RATE / math.hypot(c, t)
+        g = 3.0 * math.log(max(t, 2.0) / 2.0)
+        rate = max(abs(g - log_lo), abs(g - log_hi)) + 1.0 + _POLE_RATE / math.hypot(c, t)
         t = min(T, t + max(max_phase / rate, T * 1e-6))
         edges.append(t)
     return np.array(edges)
 
 
-def _contour_nodes(c: float, T: float, rate_fn, quad: KernelQuadrature, density: float):
+def _contour_nodes(c: float, T: float, log_lo: float, log_hi: float, quad: KernelQuadrature,
+                   density: float):
     """Gauss-Legendre nodes and complex ds-weights for the contour.
 
     Vertical part: s = c + it, t in [0, T], ds = i dt.
@@ -203,7 +207,7 @@ def _contour_nodes(c: float, T: float, rate_fn, quad: KernelQuadrature, density:
     """
     order = 16
     npo = quad.nodes_per_osc * density
-    t_nodes, t_weights = _composite_rule(_vertical_panels(c, T, rate_fn, npo), order)
+    t_nodes, t_weights = _composite_rule(_vertical_panels(c, T, log_lo, log_hi, npo), order)
     s_vert = c + 1j * t_nodes
     w_vert = 1j * t_weights
 
@@ -214,20 +218,30 @@ def _contour_nodes(c: float, T: float, rate_fn, quad: KernelQuadrature, density:
     return np.concatenate([s_vert, s_diag]), np.concatenate([w_vert, w_diag])
 
 
-def _upper_half_integral(c, T, rate_fn, integrand_fn, quad: KernelQuadrature):
-    """Im(int_upper F ds)/pi with refinement-based error control.
+def _contour_integral(scale: float, lo: float, hi: float, quad: KernelQuadrature,
+                      weight=None) -> tuple[float, float]:
+    """(1/2 pi i) int G(s) scale^{-s} weight(s) ds and its error estimate.
 
+    The weight is 1 or W(s) for a window supported on [lo, hi] in units of
+    scale^{-1}; ``weight(s, nodes_hint)`` is called once per pass.  The
+    turn height T = 2e hi^{1/3} passes the stationary point of every
+    phase, and the panels resolve the phase rates of scales in [lo, hi].
     The full line integral is 2i Im of the upper path by conjugate
-    symmetry of the integrand, so the result is Im(W)/pi; the error
-    estimate is the change under a 1.4x node-density refinement.  The
-    panels are graded at the pole, so the loop converges at pass 2 unless
-    rounding in a sum that cancels against the pole reaches rtol.
+    symmetry of the integrand, so the result is Im(int_upper)/pi; the
+    error estimate is the change under a 1.4x node-density refinement.
+    The panels are graded at the pole, so the loop converges at pass 2
+    unless rounding in a sum that cancels against the pole reaches rtol.
     """
+    log_scale, log_lo, log_hi = math.log(scale), math.log(lo), math.log(hi)
+    T = max(quad.t_floor, 2.0 * math.e * hi ** (1.0 / 3.0))
+    hint = T + quad.u_max * 1.05
     prev = None
     density = 1.0
     for _ in range(quad.max_refinements + 1):
-        s, w = _contour_nodes(c, T, rate_fn, quad, density)
-        vals = integrand_fn(s)
+        s, w = _contour_nodes(quad.c, T, log_lo, log_hi, quad, density)
+        vals = gamma_ratio_cubed(s) * np.exp(-s * log_scale)
+        if weight is not None:
+            vals *= weight(s, hint)
         total = np.sum(w * vals)
         tail = quad.tail_bound(float(np.abs(vals[-16:]).max(initial=0.0)))
         result = total.imag / math.pi
@@ -247,17 +261,7 @@ def kernel_U(X: float, quad: KernelQuadrature = KernelQuadrature()) -> float:
     """U(X) by contour quadrature; real by conjugate symmetry."""
     if X <= 0:
         raise ValueError("X must be positive")
-    logX = math.log(X)
-    T = max(quad.t_floor, 2.0 * math.e * X ** (1.0 / 3.0))
-
-    def rate(t: float) -> float:
-        return abs(3.0 * math.log(max(t, 2.0) / 2.0) - logX) + 1.0
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return gamma_ratio_cubed(s) * np.exp(-s * logX)
-
-    value, _ = _upper_half_integral(quad.c, T, rate, integrand, quad)
-    return value
+    return _contour_integral(X, X, X, quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +534,7 @@ def w_transform(
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
     N = math.pi**3 * n / q**3
-    logN = math.log(N)
-    T = max(quad.t_floor, 2.0 * math.e * (N * window.x) ** (1.0 / 3.0))
-    log_lo, log_hi = math.log(N * window.Y), math.log(N * window.x)
-
-    def rate(t: float) -> float:
-        g = 3.0 * math.log(max(t, 2.0) / 2.0)
-        return max(abs(g - log_lo), abs(g - log_hi)) + 1.0
-
-    hint = T + quad.u_max * 1.05
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return gamma_ratio_cubed(s) * np.exp(-s * logN) * window.mellin(s, nodes_hint=hint)
-
-    value, _ = _upper_half_integral(quad.c, T, rate, integrand, quad)
-    return value
+    return _contour_integral(N, N * window.Y, N * window.x, quad, window.mellin)[0]
 
 
 def w_transform_direct(

@@ -379,7 +379,7 @@ class TestContourConvergence:
     def passes(self, monkeypatch):
         """Record (contour builds, value, error estimate) per quadrature."""
         log = []
-        build_nodes, integrate = voronoi._contour_nodes, voronoi._upper_half_integral
+        build_nodes, integrate = voronoi._contour_nodes, voronoi._contour_integral
 
         def counting_nodes(*args):
             log[-1][0] += 1
@@ -392,7 +392,7 @@ class TestContourConvergence:
             return value, err
 
         monkeypatch.setattr(voronoi, "_contour_nodes", counting_nodes)
-        monkeypatch.setattr(voronoi, "_upper_half_integral", recording)
+        monkeypatch.setattr(voronoi, "_contour_integral", recording)
         return log
 
     def _check(self, log, count):
