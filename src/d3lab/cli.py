@@ -286,7 +286,11 @@ Y = _flag("Y", float)
 K = _flag("k", default=3)
 N_MAX = _flag("n-max", default=0)
 FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
-C_ABSCISSA = _flag("c-abscissa", float, voronoi.KernelQuadrature.c)
+# The "c" meta cell of kernel and wtransform: the abscissa of U's defining
+# integral over Re s = c.  Any 0 < c < 1/6 gives the same U, which the
+# contour quadrature evaluates on a pole-free leg of its own; the cell stays
+# because perfbench's reference outputs hold it.
+U_ABSCISSA = 0.1
 
 
 @_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", float))
@@ -420,24 +424,21 @@ def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("kernel", "oscillatory kernel U(X) on a geometric grid",
-          _flag("x-min", float, 1.0), _flag("x-max", float, 1e3), _flag("points", default=25),
-          C_ABSCISSA)
+          _flag("x-min", float, 1.0), _flag("x-max", float, 1e3), _flag("points", default=25))
 def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
-    quad = voronoi.KernelQuadrature(c=args.c_abscissa)
     xs = np.geomspace(args.x_min, args.x_max, args.points)
-    U = [voronoi.kernel_U(float(X), quad) for X in xs]
-    meta = {"c": args.c_abscissa, "points": args.points}
+    U = [voronoi.kernel_U(float(X)) for X in xs]
+    meta = {"c": U_ABSCISSA, "points": args.points}
     return 0, _table(cfg.fmt, meta, ["X", "U"], [xs, U])
 
 
 @_command("wtransform", "window transform w_hat_q(n)",
-          Q, _flag("n", default=1), N_MAX, X, Y, C_ABSCISSA)
+          Q, _flag("n", default=1), N_MAX, X, Y)
 def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
-    quad = voronoi.KernelQuadrature(c=args.c_abscissa)
     n_values = range(1, args.n_max + 1) if args.n_max else [args.n]
-    w_hat = [voronoi.w_transform(args.q, n, window, quad) for n in n_values]
-    meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": args.c_abscissa,
+    w_hat = [voronoi.w_transform(args.q, n, window) for n in n_values]
+    meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": U_ABSCISSA,
             "T": f"2e*(N*x)^(1/3)"}
     return 0, _table(cfg.fmt, meta, ["n", "w_hat"], [n_values, w_hat])
 

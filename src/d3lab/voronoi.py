@@ -7,23 +7,26 @@ The kernel is
 
 whose integrand decays only like |t|^{3(c-1/2)} on the vertical line but
 oscillates with phase ~ 3t log(t/2) - t log X, stationary at
-t* = 2 X^{1/3} (whence the sin/cos(6 X^{1/3}) behaviour).  The contour
-used here runs up the line Re s = c to height T = 2e X^{1/3} (through
-the stationary point), then turns onto the ray s = c + iT + (-1+i)u.
+t* = 2 X^{1/3} (whence the sin/cos(6 X^{1/3}) behaviour).  The Gamma
+ratio G(s) has no poles in 0 < Re s < 1, so the contour used here runs
+up the line Re s = 1/2, where |G| = 1, to height T = 2e X^{1/3} (through
+the stationary point), then turns onto the ray s = 1/2 + iT + (-1+i)u.
 The integrand is analytic off the real axis, the swept sector is
 pole-free, and on the ray the modulus decays at least like e^{-3u}, so
 truncation is certified by the last evaluated magnitudes.  The vertical
-panels are graded geometrically toward the triple pole of the Gamma
-ratio at s = 0, a distance c from the foot of the contour, so the first
-pass is accurate to rounding and a quadrature converges at its second
-pass, whose error estimate is the change under one 1.4x refinement.
-Only where the sum cancels so deeply against the pole that rounding
-alone reaches rtol (w_hat at q = 2 for x = 1e4) do further passes run.
+panels are graded geometrically toward the triple pole of G at s = 0,
+so the first pass is accurate to rounding and a quadrature converges at
+its second pass.  Its error estimate is the change under one 1.4x
+refinement plus the tail bound and a rounding floor of a few ulps of the
+summed term magnitudes; ``QuadratureError`` is raised when that misses
+the tolerance by more than 100x.  One private driver,
+``_contour_integral``, holds the contour, its panels and the pass loop
+for every kernel.
 
 The window transform int_0^infty w(t) U(Nt) dt is evaluated on the same
 contour after exchanging the absolutely convergent integrals:
 
-    w_hat = (1/2 pi i) int_{(c)} G(s) N^{-s} W(s) ds,
+    w_hat = (1/2 pi i) int_{(1/2)} G(s) N^{-s} W(s) ds,
     W(s) = int w(t) t^{-s} dt,
 
 where W(s) splits into an exact plateau term and two short smooth ramp
@@ -73,24 +76,11 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelQuadrature:
-    """Contour parameters: abscissa c in (0, 1/6), turn height scale, tolerances."""
+    """Contour tolerances: relative target, least turn height, refinement passes."""
 
-    c: float = 0.10
     rtol: float = 1e-9
-    nodes_per_osc: float = 8.0
     t_floor: float = 40.0
-    u_max: float = 14.0
     max_refinements: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0 / 6.0:
-            raise ValueError("abscissa must lie strictly inside (0, 1/6)")
-
-    def tail_bound(self, last_magnitude: float) -> float:
-        """Certified remainder beyond the truncated ray: the integrand
-        decays at least like e^{-3u} there, so the tail is bounded by
-        the last magnitude / 3."""
-        return last_magnitude / 3.0
 
 
 @lru_cache(maxsize=8)
@@ -166,56 +156,61 @@ def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
     return np.exp(3.0 * (_log_gamma(s / 2.0) - _log_gamma((1.0 - s) / 2.0)))
 
 
-# The integrand's nearest singularity is the triple pole of G(s) at s = 0,
-# a distance c from the foot of the contour.  Vertical panels are graded
-# toward it: the pole adds _POLE_RATE / |s| to the phase rate, so a panel
-# spans at most 4 pi / _POLE_RATE = 1.05 times |s| at density 1 and the
-# widths grow geometrically away from the pole.  For the model integrand
-# s^{-3} the first pass then errs by 1.6e-16 of its magnitude 1/c^2
-# (4.5e-8 with the weight 3, 2.4e-16 with 10), whatever c is; the contour
-# sums of w-hat cancel by up to 1e6, so only rounding-level panels let the
-# first refinement confirm rtol.  On the ray the integrand varies like
-# e^{lambda u} with |lambda| about sqrt(2) (rate_fn(T) - 1); 16 nodes on
-# each of _RAY_PANELS panels per unit of u integrate that to rounding for
-# |lambda| up to about 35.
+# The vertical leg runs on Re s = _LEG = 1/2, where |G(s)| = 1; G has no
+# poles in 0 < Re s < 1 and N^{-s}, W(s) are entire, so the integral does
+# not depend on the leg.  The integrand's nearest singularity is still the
+# triple pole of G(s) at s = 0, a distance 1/2 from the foot of the contour,
+# and vertical panels are graded toward it: the pole adds _POLE_RATE / |s|
+# to the phase rate, so a panel spans at most 4 pi / _POLE_RATE = 1.05
+# times |s| at density 1 and the widths grow geometrically away from the
+# pole.  For the model integrand s^{-3} at distance c = 1/2 the first pass
+# then errs by 1.9e-16 of its magnitude 1/c^2 = 4 (4.5e-8 with the weight
+# 3, 2.9e-16 with 10; summed in 30 digits), much as at any other c.
+# The leg at 1/2 still needs the grading: without it, U(1) still changes
+# by 7e-4 at its fourth pass and raises QuadratureError.  On the ray the
+# integrand varies like e^{lambda u} with |lambda| about sqrt(2) (the phase
+# rate at T, less 1); 16 nodes on each of _RAY_PANELS panels per unit of u
+# integrate that to rounding for |lambda| up to about 35.  The ray ends at
+# u = _U_MAX, where the integrand has decayed at least like e^{-3u}, so the
+# last node magnitudes / 3 bound the tail.
+_LEG = 0.5
 _POLE_RATE = 12.0
 _RAY_PANELS = 2.0
+_U_MAX = 14.0
+_NODES_PER_OSC = 8.0
+_ORDER = 16
+# A pass's sum is no closer than a few ulps of its summed term magnitudes:
+# where w-hat cancels 2e3- to 2e6-fold (q = 2, 3 at x = 1e4, Y = 1e3), the
+# changes between passes 2 to 5 are 0.1 to 1.1 times this floor.
+_ROUNDING_ULPS = 4.0
 
 
-def _vertical_panels(c: float, T: float, log_lo: float, log_hi: float, nodes_per_osc: float,
-                     order: int = 16):
+def _vertical_panels(T: float, log_lo: float, log_hi: float, density: float):
     """Panel edges on [0, T] sized so each panel spans a bounded phase,
     graded geometrically toward the pole at s = 0.  The phase rate of
     G(s) Z^{-s} is |3 log(t/2) - log Z| + O(1) for every Z in [lo, hi]."""
     edges = [0.0]
     t = 0.0
-    max_phase = 2.0 * math.pi * order / nodes_per_osc
+    max_phase = 2.0 * math.pi * _ORDER / (_NODES_PER_OSC * density)
     while t < T:
         g = 3.0 * math.log(max(t, 2.0) / 2.0)
-        rate = max(abs(g - log_lo), abs(g - log_hi)) + 1.0 + _POLE_RATE / math.hypot(c, t)
+        rate = max(abs(g - log_lo), abs(g - log_hi)) + 1.0 + _POLE_RATE / math.hypot(_LEG, t)
         t = min(T, t + max(max_phase / rate, T * 1e-6))
         edges.append(t)
     return np.array(edges)
 
 
-def _contour_nodes(c: float, T: float, log_lo: float, log_hi: float, quad: KernelQuadrature,
-                   density: float):
+def _contour_nodes(T: float, log_lo: float, log_hi: float, density: float):
     """Gauss-Legendre nodes and complex ds-weights for the contour.
 
-    Vertical part: s = c + it, t in [0, T], ds = i dt.
-    Diagonal part: s = c + iT + (-1 + i)u, u in [0, u_max], ds = (-1+i) du.
+    Vertical part: s = 1/2 + it, t in [0, T], ds = i dt.
+    Diagonal part: s = 1/2 + iT + (-1 + i)u, u in [0, _U_MAX], ds = (-1+i) du.
     """
-    order = 16
-    npo = quad.nodes_per_osc * density
-    t_nodes, t_weights = _composite_rule(_vertical_panels(c, T, log_lo, log_hi, npo), order)
-    s_vert = c + 1j * t_nodes
-    w_vert = 1j * t_weights
-
-    n_diag = math.ceil(_RAY_PANELS * quad.u_max * density)
-    u_nodes, u_weights = _composite_rule(np.linspace(0.0, quad.u_max, n_diag + 1), order)
-    s_diag = c + 1j * T + (-1.0 + 1j) * u_nodes
-    w_diag = (-1.0 + 1j) * u_weights
-    return np.concatenate([s_vert, s_diag]), np.concatenate([w_vert, w_diag])
+    t_nodes, t_weights = _composite_rule(_vertical_panels(T, log_lo, log_hi, density), _ORDER)
+    n_diag = math.ceil(_RAY_PANELS * _U_MAX * density)
+    u_nodes, u_weights = _composite_rule(np.linspace(0.0, _U_MAX, n_diag + 1), _ORDER)
+    s = np.concatenate([_LEG + 1j * t_nodes, _LEG + 1j * T + (-1.0 + 1j) * u_nodes])
+    return s, np.concatenate([1j * t_weights, (-1.0 + 1j) * u_weights])
 
 
 def _contour_integral(scale: float, lo: float, hi: float, quad: KernelQuadrature,
@@ -227,32 +222,33 @@ def _contour_integral(scale: float, lo: float, hi: float, quad: KernelQuadrature
     turn height T = 2e hi^{1/3} passes the stationary point of every
     phase, and the panels resolve the phase rates of scales in [lo, hi].
     The full line integral is 2i Im of the upper path by conjugate
-    symmetry of the integrand, so the result is Im(int_upper)/pi; the
-    error estimate is the change under a 1.4x node-density refinement.
-    The panels are graded at the pole, so the loop converges at pass 2
-    unless rounding in a sum that cancels against the pole reaches rtol.
+    symmetry of the integrand, so the result is Im(int_upper)/pi.  Its
+    error estimate is the change under a 1.4x node-density refinement,
+    plus the tail bound and a rounding floor of _ROUNDING_ULPS ulps of the
+    summed term magnitudes.  Refinement stops when the error meets the
+    tolerance rtol |value| + 1e-15, or when the change is below the floor
+    and no refinement can help; QuadratureError is raised if the error
+    then exceeds 100x the tolerance.
     """
     log_scale, log_lo, log_hi = math.log(scale), math.log(lo), math.log(hi)
     T = max(quad.t_floor, 2.0 * math.e * hi ** (1.0 / 3.0))
-    hint = T + quad.u_max * 1.05
-    prev = None
-    density = 1.0
+    hint = T + _U_MAX * 1.05
+    err, prev, density = math.inf, None, 1.0
     for _ in range(quad.max_refinements + 1):
-        s, w = _contour_nodes(quad.c, T, log_lo, log_hi, quad, density)
+        s, w = _contour_nodes(T, log_lo, log_hi, density)
         vals = gamma_ratio_cubed(s) * np.exp(-s * log_scale)
         if weight is not None:
             vals *= weight(s, hint)
-        total = np.sum(w * vals)
-        tail = quad.tail_bound(float(np.abs(vals[-16:]).max(initial=0.0)))
-        result = total.imag / math.pi
+        terms = w * vals
+        result = np.sum(terms).imag / math.pi
         if prev is not None:
-            err = abs(result - prev) + tail
-            if err <= quad.rtol * max(abs(result), 1e-300) + 1e-15:
-                return result, err
-        prev = result
-        density *= 1.4
-    err = abs(result - prev) + tail if prev is not None else math.inf
-    if err > 100 * (quad.rtol * max(abs(result), 1e-300) + 1e-15):
+            change = abs(result - prev) + float(np.abs(vals[-_ORDER:]).max()) / 3.0
+            floor = _ROUNDING_ULPS * np.finfo(float).eps * float(np.abs(terms).sum()) / math.pi
+            err = change + floor
+            if err <= quad.rtol * abs(result) + 1e-15 or change <= floor:
+                break
+        prev, density = result, density * 1.4
+    if err > 100 * (quad.rtol * abs(result) + 1e-15):
         raise QuadratureError(f"tolerance {quad.rtol} not reached; estimate {err:g}")
     return result, err
 
