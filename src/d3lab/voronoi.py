@@ -180,8 +180,8 @@ _U_MAX = 14.0
 _NODES_PER_OSC = 8.0
 _ORDER = 16
 # A pass's sum is no closer than a few ulps of its summed term magnitudes:
-# where w-hat cancels 2e3- to 2e6-fold (q = 2, 3 at x = 1e4, Y = 1e3), the
-# changes between passes 2 to 5 are 0.1 to 1.1 times this floor.
+# w_hat_2(5) and w_hat_3(18) at (x, Y) = (1e4, 1e3) cancel 2e3- and 2e6-fold,
+# and their changes between passes 2 to 5 are 0.1 to 1.1 times this floor.
 _ROUNDING_ULPS = 4.0
 
 
