@@ -76,7 +76,12 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelQuadrature:
-    """Contour tolerances: relative target, least turn height, refinement passes."""
+    """Contour tolerances: relative target, least turn height, refinement passes.
+
+    rtol is a target, not a guarantee: where a sum cancels deeply, refinement
+    stops once the change between passes is below its rounding floor, and the
+    value may miss rtol by up to 100x before ``QuadratureError`` is raised.
+    """
 
     rtol: float = 1e-9
     t_floor: float = 40.0
@@ -254,7 +259,9 @@ def _contour_integral(scale: float, lo: float, hi: float, quad: KernelQuadrature
 
 
 def kernel_U(X: float, quad: KernelQuadrature = KernelQuadrature()) -> float:
-    """U(X) by contour quadrature; real by conjugate symmetry."""
+    """U(X) by contour quadrature; real by conjugate symmetry.  Under deep
+    cancellation the value may meet only the rounding floor, within 100x of
+    quad.rtol, without raising (see ``KernelQuadrature``)."""
     if X <= 0:
         raise ValueError("X must be positive")
     return _contour_integral(X, X, X, quad)[0]
@@ -525,6 +532,8 @@ def w_transform(
     quadrature of w(t) U(Nt) sampled at Gauss nodes after the two
     absolutely convergent integrals are exchanged, but every s-node's
     t-integral is the exact plateau term plus short ramp quadratures.
+    Under deep cancellation the value may meet only the rounding floor,
+    within 100x of quad.rtol, without raising (see ``KernelQuadrature``).
     Values are cached per (q, n, window, quad).
     """
     if n < 1 or q < 1:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from d3lab import voronoi
 from d3lab.arith import (
     ReducedFraction,
     euler_phi,
@@ -196,11 +197,15 @@ class TestCriterion05CorrelationBound:
 
 
 class TestCriterion06Kernel:
-    def test_kernel_suite(self):
+    def test_kernel_suite(self, monkeypatch):
         t0 = time.time()
         worst_rel = 0.0
-        for X in (1.0, 10.0, 100.0):  # the contour deformed by its turn height
-            vals = [kernel_U(X, KernelQuadrature(t_floor=t)) for t in (30.0, 40.0, 60.0)]
+        for X in (1.0, 10.0, 100.0):  # the contour deformed by its leg and turn height
+            vals = []
+            for leg in (0.3, 0.5, 0.7):
+                monkeypatch.setattr(voronoi, "_LEG", leg)
+                vals += [kernel_U(X, KernelQuadrature(t_floor=t)) for t in (30.0, 40.0, 60.0)]
+            monkeypatch.undo()
             worst_rel = max(worst_rel, (max(vals) - min(vals)) / max(abs(v) for v in vals))
         amp = [abs(kernel_U(float(X))) * X ** (1 / 3) for X in np.geomspace(1e3, 1e6, 25)]
         elapsed = time.time() - t0

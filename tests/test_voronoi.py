@@ -87,16 +87,33 @@ class TestStirlingGamma:
         ref = np.array([_mp_gamma_ratio(complex(s)) for s in points])
         return np.abs(gamma_ratio_cubed(points) - ref) / np.abs(ref)
 
-    def test_contour_nodes(self, monkeypatch):
+    def _contour_nodes(self, monkeypatch, leg):
+        """The first-pass s-nodes of w_hat_10(17783) with the leg on Re s = leg,
+        split at |s| = 60 into the foot and the far nodes."""
+        monkeypatch.setattr(voronoi, "_LEG", leg)
         gammas, _ = _recorded_nodes(monkeypatch, 10, 17783, SmoothWindow(1e4, 1e2))
         s = gammas[0]
-        foot = s[np.abs(s) < 60]
+        return s[np.abs(s) < 60], s[np.abs(s) >= 60]
+
+    def test_contour_nodes(self, monkeypatch):
+        # the leg on Re s = 0.1, next to the pole at s = 0
+        foot, far = self._contour_nodes(monkeypatch, 0.1)
+        assert len(foot) == 837
+        # scipy.special.loggamma measured rms 2.6e-14, max 1.15e-13 here
+        rel = self._rel_errors(foot)
+        assert np.sqrt(np.mean(rel**2)) <= 3.5e-14 and rel.max() <= 2e-13
+        # scipy: max 3.8e-12 on every 40th far node, as 3 ln Gamma grows like |s| log |s|
+        assert self._rel_errors(far[::40]).max() <= 6e-12
+
+    def test_contour_nodes_on_leg(self, monkeypatch):
+        # the contour's own leg, Re s = 1/2
+        foot, far = self._contour_nodes(monkeypatch, 0.5)
         assert len(foot) == 804
         # scipy.special.loggamma measured rms 2.7e-14, max 1.36e-13 here
         rel = self._rel_errors(foot)
         assert np.sqrt(np.mean(rel**2)) <= 3.5e-14 and rel.max() <= 2e-13
-        # scipy: max 4.5e-12 on every 40th far node, as 3 ln Gamma grows like |s| log |s|
-        assert self._rel_errors(s[np.abs(s) >= 60][::40]).max() <= 7e-12
+        # scipy: max 4.5e-12 on every 40th far node; this G measured 6.2e-12
+        assert self._rel_errors(far[::40]).max() <= 7e-12
 
     def test_sweep(self):
         re, im = np.meshgrid(np.linspace(-14.0, 1.0, 16), np.linspace(0.37, 4000.0, 41))
@@ -106,10 +123,14 @@ class TestStirlingGamma:
 
 
 class TestKernel:
-    def test_contour_invariance(self):
-        # deform the contour by its turn height; U does not depend on it
+    def test_contour_invariance(self, monkeypatch):
+        # deform the contour by its leg and its turn height; G has no poles
+        # in 0 < Re s < 1, so U depends on neither
         for X in (1.0, 10.0, 100.0):
-            vals = [kernel_U(X, KernelQuadrature(t_floor=t)) for t in (30.0, 40.0, 60.0)]
+            vals = []
+            for leg in (0.3, 0.5, 0.7):
+                monkeypatch.setattr(voronoi, "_LEG", leg)
+                vals += [kernel_U(X, KernelQuadrature(t_floor=t)) for t in (30.0, 40.0, 60.0)]
             ref = max(abs(v) for v in vals)
             assert max(vals) - min(vals) <= 1e-4 * ref
 
