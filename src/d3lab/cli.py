@@ -436,8 +436,8 @@ def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
           Q, _flag("n", default=1), N_MAX, X, Y)
 def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
-    n_values = range(1, args.n_max + 1) if args.n_max else [args.n]
-    w_hat = [voronoi.w_transform(args.q, n, window) for n in n_values]
+    n_values = range(1, args.n_max + 1) if args.n_max else range(args.n, args.n + 1)
+    w_hat = voronoi.w_transform(args.q, n_values, window)
     meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": U_ABSCISSA,
             "T": f"2e*(N*x)^(1/3)"}
     return 0, _table(cfg.fmt, meta, ["n", "w_hat"], [n_values, w_hat])

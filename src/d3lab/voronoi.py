@@ -21,7 +21,9 @@ refinement plus the tail bound and a rounding floor of a few ulps of the
 summed term magnitudes; ``QuadratureError`` is raised when that misses
 the tolerance by more than 100x.  One private driver,
 ``_contour_integral``, holds the contour, its panels and the pass loop
-for every kernel.
+for every kernel, and evaluates it for an array of scales X at once:
+only X^{-s} depends on X, so G(s) and the weight are formed once per
+pass, and each scale keeps its own error estimate.
 
 The window transform int_0^infty w(t) U(Nt) dt is evaluated on the same
 contour after exchanging the absolutely convergent integrals:
@@ -37,7 +39,9 @@ centres of square cells of s-nodes, one matrix product per ramp, with a
 truncation error below float64 rounding (see ``_ramp_sum_moments``).  The
 dense (s, t) exponential matrix is retained as the oracle
 ``SmoothWindow.mellin_dense``, and a direct t-space quadrature of w(t) U(Nt)
-as an oracle for moderate N.
+as an oracle for moderate N.  For a range of n, ``w_transform`` shares one
+contour among the n of each block with n_hi < 8 n_lo, so the dual sum
+over n <= n_max costs about log_8(n_max) contours, not n_max of them.
 
 G(s) is exp(3 (ln Gamma(s/2) - ln Gamma((1-s)/2))) with ln Gamma from
 Stirling's series after the recurrence has stepped Re z up to 6 (see
@@ -46,6 +50,7 @@ Stirling's series after the recurrence has stepped Re z up to 6 (see
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -218,44 +223,72 @@ def _contour_nodes(T: float, log_lo: float, log_hi: float, density: float):
     return s, np.concatenate([1j * t_weights, (-1.0 + 1j) * u_weights])
 
 
-def _contour_integral(scale: float, lo: float, hi: float, quad: KernelQuadrature,
-                      weight=None) -> tuple[float, float]:
-    """(1/2 pi i) int G(s) scale^{-s} weight(s) ds and its error estimate.
+def _contour_integral(scales, lo: float, hi: float, quad: KernelQuadrature,
+                      weight=None, label=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1/2 pi i) int G(s) X^{-s} weight(s) ds for every scale X in
+    ``scales``, with error estimates and rounding floors, one array each.
 
     The weight is 1 or W(s) for a window supported on [lo, hi] in units of
-    scale^{-1}; ``weight(s, nodes_hint)`` is called once per pass.  The
-    turn height T = 2e hi^{1/3} passes the stationary point of every
-    phase, and the panels resolve the phase rates of scales in [lo, hi].
-    The full line integral is 2i Im of the upper path by conjugate
-    symmetry of the integrand, so the result is Im(int_upper)/pi.  Its
-    error estimate is the change under a 1.4x node-density refinement,
-    plus the tail bound and a rounding floor of _ROUNDING_ULPS ulps of the
-    summed term magnitudes.  Refinement stops when the error meets the
-    tolerance rtol |value| + 1e-15, or when the change is below the floor
-    and no refinement can help; QuadratureError is raised if the error
-    then exceeds 100x the tolerance.
+    X^{-1}, for every X; ``weight(s, nodes_hint)`` is called once per pass,
+    and so is G(s).  The turn height T = 2e hi^{1/3} passes the stationary
+    point of every phase, and the panels resolve the phase rates of scales
+    in [lo, hi].  The full line integral is 2i Im of the upper path by
+    conjugate symmetry of the integrand, so each value is Im(int_upper)/pi.
+    Each error estimate is the change under a 1.4x node-density
+    refinement, plus the tail bound and a rounding floor of _ROUNDING_ULPS
+    ulps of the summed term magnitudes.  Refinement stops when every scale
+    meets the tolerance rtol |value| + 1e-15 or has a change below its
+    floor, where no refinement can help; QuadratureError is raised, naming
+    ``label(i)`` of the worst scale i (by default X itself), if an error
+    then exceeds 100x its tolerance.
     """
-    log_scale, log_lo, log_hi = math.log(scale), math.log(lo), math.log(hi)
+    log_scales = np.array([math.log(x) for x in scales])
+    log_lo, log_hi = math.log(lo), math.log(hi)
     T = max(quad.t_floor, 2.0 * math.e * hi ** (1.0 / 3.0))
     hint = T + _U_MAX * 1.05
-    err, prev, density = math.inf, None, 1.0
+    err = floor = np.full(len(log_scales), math.inf)
+    prev, density = None, 1.0
     for _ in range(quad.max_refinements + 1):
         s, w = _contour_nodes(T, log_lo, log_hi, density)
-        vals = gamma_ratio_cubed(s) * np.exp(-s * log_scale)
-        if weight is not None:
-            vals *= weight(s, hint)
-        terms = w * vals
-        result = np.sum(terms).imag / math.pi
+        result, mass, tail = _contour_rows(
+            s, w, gamma_ratio_cubed(s), None if weight is None else weight(s, hint), log_scales)
         if prev is not None:
-            change = abs(result - prev) + float(np.abs(vals[-_ORDER:]).max()) / 3.0
-            floor = _ROUNDING_ULPS * np.finfo(float).eps * float(np.abs(terms).sum()) / math.pi
+            change = np.abs(result - prev) + tail / 3.0
+            floor = _ROUNDING_ULPS * np.finfo(float).eps * mass / math.pi
             err = change + floor
-            if err <= quad.rtol * abs(result) + 1e-15 or change <= floor:
+            if np.all((err <= quad.rtol * np.abs(result) + 1e-15) | (change <= floor)):
                 break
         prev, density = result, density * 1.4
-    if err > 100 * (quad.rtol * abs(result) + 1e-15):
-        raise QuadratureError(f"tolerance {quad.rtol} not reached; estimate {err:g}")
-    return result, err
+    excess = err / (100 * (quad.rtol * np.abs(result) + 1e-15))
+    worst = int(np.argmax(excess))
+    if excess[worst] > 1.0:
+        where = label(worst) if label else f"X = {scales[worst]:g}"
+        raise QuadratureError(
+            f"tolerance {quad.rtol} not reached at {where}; estimate {err[worst]:g}")
+    return result, err, floor
+
+
+def _contour_rows(s, w, g, weights, log_scales):
+    """For each scale L = log X, with v_k = g_k e^{-s_k L} weights_k: the
+    value Im(sum_k w_k v_k)/pi, the term mass sum_k |w_k v_k| and the tail
+    magnitude max |v_k| over the last panel.  The rows e^{-s L} are formed
+    in slabs of at most _BLOCK complex entries (whole rows, so a row's sums
+    do not depend on the slab it falls in)."""
+    out = np.empty((3, len(log_scales)))
+    rows = max(1, _BLOCK // len(s))
+    for i in range(0, len(log_scales), rows):
+        vals = np.multiply(-s, log_scales[i : i + rows, None])
+        np.exp(vals, out=vals)
+        # g and w stay the left operands: numpy's complex product (fused
+        # multiply-adds) is not commutative to the last bit
+        np.multiply(g, vals, out=vals)
+        if weights is not None:
+            vals *= weights
+        out[2, i : i + rows] = np.abs(vals[:, -_ORDER:]).max(axis=1)
+        np.multiply(w, vals, out=vals)
+        out[0, i : i + rows] = vals.sum(axis=1).imag / math.pi
+        out[1, i : i + rows] = np.abs(vals).sum(axis=1)
+    return out
 
 
 def kernel_U(X: float, quad: KernelQuadrature = KernelQuadrature()) -> float:
@@ -264,7 +297,7 @@ def kernel_U(X: float, quad: KernelQuadrature = KernelQuadrature()) -> float:
     quad.rtol, without raising (see ``KernelQuadrature``)."""
     if X <= 0:
         raise ValueError("X must be positive")
-    return _contour_integral(X, X, X, quad)[0]
+    return _contour_integral([X], X, X, quad)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +389,7 @@ def _ramp_derivative_bound(j: int, samples: int = 8001) -> float:
 # and rho = 2, J = 26 make the factor 1.8e-19, below float64 rounding.
 _MOMENT_RADIUS = 2.0
 _MOMENT_TERMS = 26
-_BLOCK = 1 << 22  # complex exponentials per block of an (s, t) matrix
+_BLOCK = 1 << 22  # complex entries per slab of an (s, t) or (scale, s) matrix
 # Ramp rules are composite: equal panels of this many Gauss nodes.  With
 # 16-point panels the 48-node floor of the short upper ramp is 3 panels,
 # and W(s) at the contour nodes of w_hat_5(17) errs by up to 4e-8
@@ -524,22 +557,39 @@ class SmoothWindow:
 
 @lru_cache(maxsize=200_000)
 def w_transform(
-    q: int, n: int, window: SmoothWindow, quad: KernelQuadrature = KernelQuadrature()
-) -> float:
-    """w_hat_q(n) = int w(t) U(N t) dt with N = pi^3 n / q^3.
+    q: int, n: int | range, window: SmoothWindow, quad: KernelQuadrature = KernelQuadrature()
+) -> float | np.ndarray:
+    """w_hat_q(n) = int w(t) U(N t) dt with N = pi^3 n / q^3, for one n or
+    for every n of an ascending range (a read-only array).
 
     Evaluated as the contour integral of G(s) N^{-s} W(s): identical to
     quadrature of w(t) U(Nt) sampled at Gauss nodes after the two
     absolutely convergent integrals are exchanged, but every s-node's
-    t-integral is the exact plateau term plus short ramp quadratures.
-    Under deep cancellation the value may meet only the rounding floor,
-    within 100x of quad.rtol, without raising (see ``KernelQuadrature``).
-    Values are cached per (q, n, window, quad).
+    t-integral is the exact plateau term plus short ramp quadratures.  A
+    range is split into blocks with n_hi < 8 n_lo, and each block shares
+    one contour, resolved for every N of the block, and one G(s) W(s) per
+    pass; each n keeps its own error estimate and tolerance check, and
+    ``QuadratureError`` names the worst n of a block.  Under deep
+    cancellation a value may meet only the rounding floor, within 100x of
+    quad.rtol, without raising (see ``KernelQuadrature``).  Values are
+    cached per (q, n, window, quad), a range as one entry.
     """
-    if n < 1 or q < 1:
-        raise ValueError("need n >= 1 and q >= 1")
-    N = math.pi**3 * n / q**3
-    return _contour_integral(N, N * window.Y, N * window.x, quad, window.mellin)[0]
+    ns = n if isinstance(n, range) else range(n, n + 1)
+    if q < 1 or ns.step < 1 or (ns and ns[0] < 1):
+        raise ValueError("need q >= 1 and n >= 1, a range ascending")
+    out = np.empty(len(ns))
+    i = 0
+    while i < len(ns):
+        block = ns[i : bisect.bisect_left(ns, 8 * ns[i], lo=i)]
+        N = [math.pi**3 * m / q**3 for m in block]
+        out[i : i + len(block)] = _contour_integral(
+            N, N[0] * window.Y, N[-1] * window.x, quad, window.mellin,
+            lambda k: f"n = {block[k]}")[0]
+        i += len(block)
+    if not isinstance(n, range):
+        return float(out[0])
+    out.flags.writeable = False
+    return out
 
 
 def w_transform_direct(
@@ -614,12 +664,14 @@ def dual_sum_eval(
 ) -> tuple[complex, float]:
     """Leading dual-sum term (pi^{3/2}/q^3) sum_{n <= n_max} A_{h/q}(n) w_hat_q(n).
 
-    n_max defaults to the decay cutoff (x^2 q^3 / Y^3)^{1.1}.  Returns
-    (value, tail_estimate) where the tail estimate is the magnitude of
-    the last quarter of the range; the transform decays superpolynomially
-    past the cutoff, so this dominates the true remainder.  The similar
-    dual terms of the underlying summation formula are not synthesized:
-    callers compare magnitudes only.
+    n_max defaults to the decay cutoff (x^2 q^3 / Y^3)^{1.1}.  The
+    transforms come from one ``w_transform`` call on range(1, n_max + 1),
+    a few shared contours that every h of one q reads from the cache.
+    Returns (value, tail_estimate) where the tail estimate is the
+    magnitude of the last quarter of the range; the transform decays
+    superpolynomially past the cutoff, so this dominates the true
+    remainder.  The similar dual terms of the underlying summation formula
+    are not synthesized: callers compare magnitudes only.
     """
     from .expsum import GuardError, a_sum
 
@@ -630,10 +682,11 @@ def dual_sum_eval(
         cutoff = (window.x**2 * q**3 / window.Y**3) ** 1.1
         n_max = max(8, math.ceil(cutoff))
     pref = math.pi ** 1.5 / q**3
+    w_hat = w_transform(q, range(1, n_max + 1), window, quad).tolist()
     total = 0j
     tail = 0.0
-    for n in range(1, n_max + 1):
-        term = a_sum(point, n) * w_transform(q, n, window, quad)
+    for n, w in enumerate(w_hat, start=1):
+        term = a_sum(point, n) * w
         total += term
         if n > 0.75 * n_max:
             tail += abs(term)

@@ -549,6 +549,21 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]"]
 
+    def test_scan_and_voronoi_compare_load_no_mpmath(self, tmp_path):
+        # mpmath is a test oracle only; the Stieltjes constants are a table
+        script = (
+            "import sys\n"
+            "from d3lab.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['--threads', '1', 'scan', '--out', out + '/scan.csv']) == 0\n"
+            "assert main(['voronoi-compare', '--x', '1e4', '--Y', '1e3', '--q', '5',"
+            " '--out', out + '/vc.csv']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'mpmath'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
+
 
 class TestHelp:
     def test_subcommands_document_their_check(self):

@@ -406,9 +406,9 @@ class TestContourConvergence:
 
         def recording(*args):
             log.append([0])
-            value, err = integrate(*args)
-            log[-1] += [value, err]
-            return value, err
+            value, err, floor = integrate(*args)
+            log[-1] += [value, err, floor]
+            return value, err, floor
 
         monkeypatch.setattr(voronoi, "_contour_nodes", counting_nodes)
         monkeypatch.setattr(voronoi, "_contour_integral", recording)
@@ -417,8 +417,8 @@ class TestContourConvergence:
     def _check(self, log, count):
         rtol = KernelQuadrature().rtol
         assert len(log) == count
-        for builds, value, err in log:
-            assert builds == 2 and err <= rtol * abs(value)
+        for builds, value, err, _ in log:
+            assert builds == 2 and np.all(err <= rtol * np.abs(value))
 
     def test_kernel_stops_at_second_pass(self, passes):
         for X in np.geomspace(0.05, 1e6, 25):
@@ -436,11 +436,22 @@ class TestContourConvergence:
             w_transform.__wrapped__(q, n, w)
         self._check(passes, len(points))
 
+    def test_transform_blocks_stop_at_second_pass(self, passes):
+        # the ranges of the voronoi workload's dual sum (blocks n <= 7 and
+        # 8..17) and of criterion 08 at q = 2, 3: a row that misses rtol is
+        # one whose change is below its rounding floor
+        rtol = KernelQuadrature().rtol
+        for q, top in ((5, 17), (3, 8), (2, 8)):
+            w_transform.__wrapped__(q, range(1, top + 1), SmoothWindow(1e4, 1e3))
+        assert [len(value) for _, value, _, _ in passes] == [7, 10, 7, 1, 7, 1]
+        for builds, value, err, floor in passes:
+            assert builds == 2 and np.all((err <= rtol * np.abs(value)) | (err <= 2 * floor))
+
     def test_rounding_floor_stops_refinement(self, passes):
         # w_hat_3(18) = -1.8973e-5 is a sum of terms 1.9e6 times larger, so
         # rounding alone is 2e-9 of it: refining cannot reach rtol = 1e-9
         value = w_transform.__wrapped__(3, 18, SmoothWindow(1e4, 1e3))
-        [(builds, _, err)] = passes
+        [(builds, _, (err,), _)] = passes
         assert builds == 2 and 1e-9 * abs(value) < err < 1e-8 * abs(value)
 
     def test_missed_tolerance_raises(self):
@@ -449,6 +460,71 @@ class TestContourConvergence:
         quad = KernelQuadrature(rtol=1e-17, max_refinements=1)
         with pytest.raises(voronoi.QuadratureError):
             w_transform.__wrapped__(10, 1, SmoothWindow(1e4, 1e2), quad)
+
+    def test_missed_tolerance_names_the_worst_n(self):
+        # every row of the block misses 1e-17; the message names the one
+        # furthest from its tolerance, and its estimate
+        quad = KernelQuadrature(rtol=1e-17, max_refinements=1)
+        w = SmoothWindow(1e4, 1e3)
+        with pytest.raises(voronoi.QuadratureError, match=r"at n = \d+; estimate") as exc:
+            w_transform.__wrapped__(5, range(1, 8), w, quad)
+        worst = int(exc.value.args[0].split("n = ")[1].split(";")[0])
+        assert 1 <= worst <= 7
+        with pytest.raises(voronoi.QuadratureError, match=f"at n = {worst};"):
+            w_transform.__wrapped__(5, worst, w, quad)
+
+
+class TestTransformRange:
+    """w_hat_q(n) for a range of n on one contour per block, against the
+    one-n calls."""
+
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 200),
+        st.integers(0, 199),
+        st.floats(math.log(300.0), math.log(1e4)),
+        st.floats(0.0, 1.0),
+        st.data(),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_matches_one_n_calls(self, q, lo, width, log_x, y_exp, data):
+        x = math.exp(log_x)
+        w = SmoothWindow(x=x, Y=max(1.0, (x / 3.0) ** y_exp))
+        ns = range(lo, min(lo + width, 200) + 1)
+        batch = w_transform(q, ns, w)
+        assert len(batch) == len(ns)
+        for i in {0, len(ns) - 1, data.draw(st.integers(0, len(ns) - 1))}:
+            # the contours differ, not the integral: 1.8e-13 apart at most
+            # where measured (w_hat_5(2) in range(1, 18))
+            assert abs(batch[i] - w_transform(q, ns[i], w)) <= 1e-10
+
+    def test_range_of_one_is_the_one_n_call(self):
+        w = SmoothWindow(1e4, 1e3)
+        for q, n in ((2, 5), (3, 18), (5, 17)):
+            assert w_transform(q, range(n, n + 1), w)[0] == w_transform(q, n, w)
+
+    def test_slabs_match_the_whole_block(self, monkeypatch):
+        # slabs of 3 * 4096 entries hold one row of these 6576- and
+        # 9216-node contours; each row's sums are the same, bit for bit
+        w = SmoothWindow(1e4, 1e3)
+        whole = w_transform.__wrapped__(2, range(8, 64), w)
+        monkeypatch.setattr(voronoi, "_BLOCK", 3 * 4096)
+        slabs = w_transform.__wrapped__(2, range(8, 64), w)
+        assert np.array_equal(whole, slabs)
+
+    def test_result_is_read_only(self):
+        w = SmoothWindow(1e4, 1e3)
+        vals = w_transform(5, range(1, 18), w)
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        assert w_transform(5, range(1, 18), w) is vals
+        assert len(w_transform(5, range(3, 3), w)) == 0
+
+    def test_rejects_bad_ranges(self):
+        w = SmoothWindow(1e4, 1e3)
+        for q, ns in ((5, range(0, 4)), (5, range(9, 1, -1)), (0, range(1, 4))):
+            with pytest.raises(ValueError):
+                w_transform(q, ns, w)
 
 
 class TestSmoothedDelta:
