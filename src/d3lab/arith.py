@@ -29,6 +29,7 @@ __all__ = [
     "mod_inverse",
     "ramanujan_sum",
     "ramanujan_sum_bruteforce",
+    "round_to_integer",
     "sieve_dk",
     "sieve_dk_convolution",
     "sigma",
@@ -287,6 +288,22 @@ def unit_phase(a: int, q: int) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
+def round_to_integer(value: complex, tol: float = 1e-6, scale: float = 1.0) -> int:
+    """Round a numerically-integer complex value to the exact integer.
+
+    Tolerance is absolute for scale=1; callers of large aggregates pass
+    scale = 1 + |value| to absorb float accumulation.  Failure signals a
+    bug in an identity that should be exact.
+    """
+    bound = tol * scale
+    if abs(value.imag) > bound:
+        raise ArithmeticError(f"imaginary part {value.imag} exceeds {bound}")
+    nearest = round(value.real)
+    if abs(value.real - nearest) > bound:
+        raise ArithmeticError(f"{value.real} is not an integer to within {bound}")
+    return int(nearest)
+
+
 def ramanujan_sum(q: int, n: int) -> int:
     """c_q(n) via the divisor formula sum_{h | (q,n)} mu(q/h) * h.
 
@@ -312,12 +329,7 @@ def ramanujan_sum_bruteforce(q: int, n: int) -> int:
     for a in range(1, q + 1):
         if math.gcd(a, q) == 1:
             total += unit_phase(a * n, q)
-    if abs(total.imag) > 1e-6:
-        raise ArithmeticError(f"c_{q}({n}) oracle has imaginary part {total.imag}")
-    nearest = round(total.real)
-    if abs(total.real - nearest) > 1e-6:
-        raise ArithmeticError(f"c_{q}({n}) oracle {total.real} is not an integer")
-    return nearest
+    return round_to_integer(total)
 
 
 def kloosterman_sum(n: int, m: int, q: int) -> complex:

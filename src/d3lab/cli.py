@@ -280,11 +280,19 @@ def _flag(name: str, type=int, default=None, **kw) -> tuple[str, dict]:
     return f"--{name}", {"type": type, "default": default, **kw}
 
 
+def _nonnegative_int(text: str) -> int:
+    """An integer >= 0: the type of flags whose 0 means "not given"."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 Q = _flag("q")
 X = _flag("x", float)
 Y = _flag("Y", float)
 K = _flag("k", default=3)
-N_MAX = _flag("n-max", default=0)
+N_MAX = _flag("n-max", _nonnegative_int, default=0)
 FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
 # The "c" meta cell of kernel and wtransform: the abscissa of U's defining
 # integral over Re s = c.  Any 0 < c < 1/6 gives the same U, which the
@@ -488,7 +496,7 @@ def _variance_table(reports: list, fmt: str) -> tuple[list[str], list[list]]:
           Q, X, K)
 def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
-    rep = variance.variance_report(args.q, args.x, table, args.k, with_decomposition=True)
+    rep = variance.variance_report(args.q, args.x, table, args.k)
     ok = rep.parseval_dev <= IDENTITY_TOL and rep.decomp_dev <= IDENTITY_TOL
     return (0 if ok else 1), _table(cfg.fmt, {"k": args.k}, *_variance_table([rep], cfg.fmt))
 
@@ -538,9 +546,7 @@ def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
         "slope2_x": fmt12(slopes["ratio2"]["slope_x"]),
         "slope2_q": fmt12(slopes["ratio2"]["slope_q"]),
     }
-    ok = all(r.parseval_dev <= IDENTITY_TOL for r in reports) and all(
-        math.isnan(r.decomp_dev) or r.decomp_dev <= IDENTITY_TOL for r in reports
-    )
+    ok = all(r.parseval_dev <= IDENTITY_TOL and r.decomp_dev <= IDENTITY_TOL for r in reports)
     return (0 if ok else 1), _table(cfg.fmt, meta, *_variance_table(reports, cfg.fmt))
 
 

@@ -36,6 +36,7 @@ from .arith import (
     mobius,
     mod_inverse,
     ramanujan_sum,
+    round_to_integer,
     sigma,
 )
 
@@ -72,22 +73,6 @@ class GuardError(RuntimeError):
 def _require(cond: bool, msg: str):
     if not cond:
         raise GuardError(msg)
-
-
-def round_to_integer(value: complex, tol: float = 1e-6, scale: float = 1.0) -> int:
-    """Round a numerically-integer complex value to the exact integer.
-
-    Tolerance is absolute for scale=1; callers of large aggregates pass
-    scale = 1 + |value| to absorb float accumulation.  Failure signals a
-    bug in an identity that should be exact.
-    """
-    bound = tol * scale
-    if abs(value.imag) > bound:
-        raise ArithmeticError(f"imaginary part {value.imag} exceeds {bound}")
-    nearest = round(value.real)
-    if abs(value.real - nearest) > bound:
-        raise ArithmeticError(f"{value.real} is not an integer to within {bound}")
-    return int(nearest)
 
 
 def dk_exact(k: int, n: int) -> int:
@@ -428,10 +413,9 @@ def _check_prime_power(p: int, k: int) -> None:
             raise ValueError(f"{p} is not prime")
 
 
-def cq_pair_sum_prime_power(
-    a: int, a2: int, b: int, b2: int, p: int, k: int
-) -> tuple[PrimePowerCase, int]:
-    """Closed-form value of the pair sum at q = p^k, with its case label.
+def cq_pair_sum_prime_power(T: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form value of the pair sum at q = p^k, with its case label,
+    for every row (a, a2, b, b2) of the int64 array T.
 
     With Bb = gcd(q,b,b2), Q = q/Bb, B = b/Bb, B2 = b2/Bb:
       * p | B*B2:            S = c_q(Bb) c_q(a) c_q(a2)
@@ -447,34 +431,11 @@ def cq_pair_sum_prime_power(
     beside cq_pair_sum (the Ramanujan expansion), lemma3-check counts any
     mismatch, and the tests hold that expansion to cq_pair_sum_bruteforce,
     which evaluates the definition.
-    """
-    _check_prime_power(p, k)
-    q = p**k
-    a, a2, b, b2 = a % q, a2 % q, b % q, b2 % q
-    Bb = math.gcd(q, math.gcd(b, b2))
-    Q = q // Bb
-    B, B2 = b // Bb, b2 // Bb
-    ca, ca2 = ramanujan_sum(q, a), ramanujan_sum(q, a2)
 
-    if (B * B2) % p == 0:
-        return PrimePowerCase.P_DIVIDES_BB, ramanujan_sum(q, Bb) * ca * ca2
-    cross = ramanujan_sum(q * Bb, a * b2 - a2 * b)
-    if Q % (p * p) == 0:
-        ok = math.gcd(q, a) == Bb and math.gcd(q, a2) == Bb
-        return PrimePowerCase.P2_DIVIDES_Q, q * cross if ok else 0
-    # remaining case Q = p
-    ok = a % Bb == 0 and a2 % Bb == 0
-    val = (q * cross if ok else 0) - Bb * ca * ca2
-    return PrimePowerCase.Q_EQUALS_P, val
-
-
-def _closed_form_batch(T: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """cq_pair_sum_prime_power for every row (a, a2, b, b2) of the int64 array T.
-
-    The same case split as array passes: Bb = gcd(q, b, b2) from np.gcd,
-    c_q from cq_table(q) and c_{q*Bb} from cq_table(p^(k+j)), one gather
-    per Bb = p^j < q present.  Returns the PrimePowerCase value (label
-    string) of each row and the int64 values.
+    The case split runs as array passes: Bb from np.gcd, c_q from
+    cq_table(q) and c_{q*Bb} from cq_table(p^(k+j)), one gather per
+    Bb = p^j < q present.  Returns the PrimePowerCase value (label string)
+    of each row and the int64 values.
     """
     _check_prime_power(p, k)
     q = p**k
@@ -545,7 +506,7 @@ def prime_power_catalog(
     else:
         T = np.random.default_rng(seed).integers(0, q, size=(n_samples, 4))
     brute = cq_pair_sum(*T.T, q)
-    cases, closed = _closed_form_batch(T, p, k)
+    cases, closed = cq_pair_sum_prime_power(T, p, k)
     for column in (T, cases, brute, closed):
         column.setflags(write=False)
     return PrimePowerCatalog(q, T, cases, brute, closed)

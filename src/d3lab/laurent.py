@@ -216,11 +216,11 @@ def zeta_power_laurent(k: int, hi: int) -> LaurentExpansion:
     return LaurentExpansion(out.lo, out.coeffs[: hi - out.lo + 1])
 
 
-def zeta_near_1(s: complex, terms: int = 16) -> complex:
+def zeta_near_1(s: complex) -> complex:
     """zeta(s) from the Laurent data; accurate for |s-1| <= ~1.5.
 
     The series zeta - 1/(s-1) is entire and gamma_j/j! decays fast, so
     16 terms give ~1e-13 error on the disc used here (contour radius
     1/4 and the fixed test point s = 2).
     """
-    return zeta_laurent(terms - 1).eval_at(s)
+    return zeta_laurent(15).eval_at(s)

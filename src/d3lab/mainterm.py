@@ -227,18 +227,16 @@ def mainterm_expsum(point: ReducedFraction, x: float, k: int = 3) -> float:
     )
 
 
-def residue_by_contour(
-    q: int, delta: int, x: float, k: int = 3, radius: float = 0.25, nodes: int = 512
-) -> float:
+def residue_by_contour(q: int, delta: int, x: float, k: int = 3) -> float:
     """Res_{s=1} D_{q,delta}(s) x^s / s by trapezoidal contour quadrature.
 
-    The integrand is evaluated on |s-1| = radius from the direct
+    The integrand is evaluated at 512 nodes on |s-1| = 1/4 from the direct
     local-factor product; periodic trapezoid converges spectrally.
     Cross-checks the Laurent residue path (note the x^s here versus
     x^{s-1} in the class main term).
     """
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-    s = 1.0 + radius * np.exp(1j * theta)
+    theta = 2.0 * np.pi * (np.arange(512) + 0.5) / 512
+    s = 1.0 + 0.25 * np.exp(1j * theta)
     vals = np.array([restricted_series_eval(q, delta, sv, k) for sv in s])
     integrand = vals * np.power(x, s) / s
     # (1/2pi i) * integral = mean of integrand * (s - 1)

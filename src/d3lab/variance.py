@@ -209,8 +209,8 @@ class VarianceReport:
     ratio2: float
     ratio1: float
     parseval_dev: float
-    decomp_dev: float = math.nan
-    y_param: float = math.nan
+    decomp_dev: float
+    y_param: float
 
 
 def variance_report(
@@ -218,10 +218,9 @@ def variance_report(
     x: float,
     table: DivisorTable,
     k: int = 3,
-    *,
-    with_decomposition: bool = False,
 ) -> VarianceReport:
-    """All aggregates at one (x, q), with the Parseval deviation recorded.
+    """All aggregates at one (x, q), with the Parseval and divisor
+    decomposition deviations recorded.
 
     Hermitian sanity (aggregates real and nonnegative) is asserted here;
     all reductions are fixed-order compensated sums.
@@ -259,11 +258,7 @@ def variance_report(
         ratio2=v2_all / b1,
         ratio1=v1_prim / b2,
         parseval_dev=parseval_dev,
-        decomp_dev=(
-            divisor_decomposition_check(q, x, table, k, sums=S)
-            if with_decomposition
-            else math.nan
-        ),
+        decomp_dev=divisor_decomposition_check(q, x, table, k, sums=S),
         y_param=float(x) ** 0.5 * q**0.75,
     )
 
@@ -296,16 +291,12 @@ def divisor_decomposition_check(
 # ---------------------------------------------------------------------------
 
 
-def default_grid(x_values=(10**4, 10**5, 10**6), dense_x: int | None = 10**5) -> list[tuple[int, int]]:
-    """The acceptance grid q in {ceil(x^e)} for e in {1/3, 1/2, 2/3}, plus a
-    dense modulus sweep 2..200 at one x."""
-    grid = []
-    for x in x_values:
-        for e in (1.0 / 3.0, 0.5, 2.0 / 3.0):
-            grid.append((int(x), math.ceil(x**e)))
-    if dense_x is not None:
-        for q in range(2, 201):
-            grid.append((dense_x, q))
+def default_grid() -> list[tuple[int, int]]:
+    """The acceptance grid q in {ceil(x^e)} for x in {10^4, 10^5, 10^6} and
+    e in {1/3, 1/2, 2/3}, plus a dense modulus sweep 2..200 at x = 10^5."""
+    grid = [(x, math.ceil(x**e)) for x in (10**4, 10**5, 10**6)
+            for e in (1.0 / 3.0, 0.5, 2.0 / 3.0)]
+    grid += [(10**5, q) for q in range(2, 201)]
     return sorted(set(grid))
 
 
@@ -314,7 +305,6 @@ def exponent_scan(
     table: DivisorTable,
     k: int = 3,
     *,
-    with_decomposition: bool = True,
     workers: int = 1,
 ) -> list[VarianceReport]:
     """VarianceReport per grid point, deterministic grid order.
@@ -326,13 +316,10 @@ def exponent_scan(
     """
     grid = sorted(set((int(x), int(q)) for x, q in grid))
     if workers <= 1:
-        return [
-            variance_report(q, float(x), table, k, with_decomposition=with_decomposition)
-            for x, q in grid
-        ]
+        return [variance_report(q, float(x), table, k) for x, q in grid]
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(x, q, k, with_decomposition) for x, q in grid]
+    tasks = [(x, q, k) for x, q in grid]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_scan_worker, initargs=(table,)
     ) as pool:
@@ -349,8 +336,8 @@ def _init_scan_worker(table: DivisorTable) -> None:
 
 
 def _scan_worker(args) -> VarianceReport:
-    x, q, k, with_decomposition = args
-    return variance_report(q, float(x), _worker_table, k, with_decomposition=with_decomposition)
+    x, q, k = args
+    return variance_report(q, float(x), _worker_table, k)
 
 
 def fit_log_slopes(reports: list[VarianceReport]) -> dict:

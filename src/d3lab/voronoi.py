@@ -19,7 +19,7 @@ so the first pass is accurate to rounding and a quadrature converges at
 its second pass.  Its error estimate is the change under one 1.4x
 refinement plus the tail bound and a rounding floor of a few ulps of the
 summed term magnitudes; ``QuadratureError`` is raised when that misses
-the tolerance by more than 100x.  One private driver,
+the tolerance _RTOL by more than 100x.  One private driver,
 ``_contour_integral``, holds the contour, its panels and the pass loop
 for every kernel, and evaluates it for an array of scales X at once:
 only X^{-s} depends on X, so G(s) and the weight are formed once per
@@ -58,12 +58,12 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial  # numpy 2 loads it on first use: load it here, at import
 
-from .arith import ReducedFraction
+from .arith import ReducedFraction, divisors, euler_phi, mobius
+from .expsum import GuardError, a_sum
 from .laurent import LaurentExpansion, bernoulli_numbers
-from .mainterm import mainterm_expsum, restricted_series_laurent
+from .mainterm import restricted_series_laurent
 
 __all__ = [
-    "KernelQuadrature",
     "QuadratureError",
     "SmoothWindow",
     "dual_sum_eval",
@@ -77,20 +77,6 @@ __all__ = [
 
 class QuadratureError(ArithmeticError):
     """Requested tolerance was not reached; carries the achieved estimate."""
-
-
-@dataclass(frozen=True)
-class KernelQuadrature:
-    """Contour tolerances: relative target, least turn height, refinement passes.
-
-    rtol is a target, not a guarantee: where a sum cancels deeply, refinement
-    stops once the change between passes is below its rounding floor, and the
-    value may miss rtol by up to 100x before ``QuadratureError`` is raised.
-    """
-
-    rtol: float = 1e-9
-    t_floor: float = 40.0
-    max_refinements: int = 3
 
 
 @lru_cache(maxsize=8)
@@ -185,6 +171,17 @@ def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
 # last node magnitudes / 3 bound the tail.
 _LEG = 0.5
 _POLE_RATE = 12.0
+# Every contour integral targets the relative error _RTOL, turns at height
+# at least _T_FLOOR and refines at most _MAX_REFINEMENTS times.  _RTOL is a
+# target, not a guarantee: where a sum cancels deeply, refinement stops
+# once the change between passes is below its rounding floor, and a value
+# may miss _RTOL by up to 100x before QuadratureError is raised.  The
+# functions read these at call time, so a test may monkeypatch them; it
+# must then call w_transform.__wrapped__ or clear w_transform's cache,
+# whose entries do not record the constants they were computed under.
+_RTOL = 1e-9
+_T_FLOOR = 40.0
+_MAX_REFINEMENTS = 3
 _RAY_PANELS = 2.0
 _U_MAX = 14.0
 _NODES_PER_OSC = 8.0
@@ -223,32 +220,33 @@ def _contour_nodes(T: float, log_lo: float, log_hi: float, density: float):
     return s, np.concatenate([1j * t_weights, (-1.0 + 1j) * u_weights])
 
 
-def _contour_integral(scales, lo: float, hi: float, quad: KernelQuadrature,
-                      weight=None, label=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _contour_integral(scales, lo: float, hi: float, weight=None,
+                      label=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(1/2 pi i) int G(s) X^{-s} weight(s) ds for every scale X in
     ``scales``, with error estimates and rounding floors, one array each.
 
     The weight is 1 or W(s) for a window supported on [lo, hi] in units of
     X^{-1}, for every X; ``weight(s, nodes_hint)`` is called once per pass,
-    and so is G(s).  The turn height T = 2e hi^{1/3} passes the stationary
-    point of every phase, and the panels resolve the phase rates of scales
-    in [lo, hi].  The full line integral is 2i Im of the upper path by
-    conjugate symmetry of the integrand, so each value is Im(int_upper)/pi.
+    and so is G(s).  The turn height T = max(_T_FLOOR, 2e hi^{1/3}) passes
+    the stationary point of every phase, and the panels resolve the phase
+    rates of scales in [lo, hi].  The full line integral is 2i Im of the
+    upper path by conjugate symmetry of the integrand, so each value is
+    Im(int_upper)/pi.
     Each error estimate is the change under a 1.4x node-density
     refinement, plus the tail bound and a rounding floor of _ROUNDING_ULPS
     ulps of the summed term magnitudes.  Refinement stops when every scale
-    meets the tolerance rtol |value| + 1e-15 or has a change below its
+    meets the tolerance _RTOL |value| + 1e-15 or has a change below its
     floor, where no refinement can help; QuadratureError is raised, naming
     ``label(i)`` of the worst scale i (by default X itself), if an error
     then exceeds 100x its tolerance.
     """
     log_scales = np.array([math.log(x) for x in scales])
     log_lo, log_hi = math.log(lo), math.log(hi)
-    T = max(quad.t_floor, 2.0 * math.e * hi ** (1.0 / 3.0))
+    T = max(_T_FLOOR, 2.0 * math.e * hi ** (1.0 / 3.0))
     hint = T + _U_MAX * 1.05
     err = floor = np.full(len(log_scales), math.inf)
     prev, density = None, 1.0
-    for _ in range(quad.max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         s, w = _contour_nodes(T, log_lo, log_hi, density)
         result, mass, tail = _contour_rows(
             s, w, gamma_ratio_cubed(s), None if weight is None else weight(s, hint), log_scales)
@@ -256,15 +254,15 @@ def _contour_integral(scales, lo: float, hi: float, quad: KernelQuadrature,
             change = np.abs(result - prev) + tail / 3.0
             floor = _ROUNDING_ULPS * np.finfo(float).eps * mass / math.pi
             err = change + floor
-            if np.all((err <= quad.rtol * np.abs(result) + 1e-15) | (change <= floor)):
+            if np.all((err <= _RTOL * np.abs(result) + 1e-15) | (change <= floor)):
                 break
         prev, density = result, density * 1.4
-    excess = err / (100 * (quad.rtol * np.abs(result) + 1e-15))
+    excess = err / (100 * (_RTOL * np.abs(result) + 1e-15))
     worst = int(np.argmax(excess))
     if excess[worst] > 1.0:
         where = label(worst) if label else f"X = {scales[worst]:g}"
         raise QuadratureError(
-            f"tolerance {quad.rtol} not reached at {where}; estimate {err[worst]:g}")
+            f"tolerance {_RTOL} not reached at {where}; estimate {err[worst]:g}")
     return result, err, floor
 
 
@@ -291,13 +289,14 @@ def _contour_rows(s, w, g, weights, log_scales):
     return out
 
 
-def kernel_U(X: float, quad: KernelQuadrature = KernelQuadrature()) -> float:
-    """U(X) by contour quadrature; real by conjugate symmetry.  Under deep
-    cancellation the value may meet only the rounding floor, within 100x of
-    quad.rtol, without raising (see ``KernelQuadrature``)."""
+def kernel_U(X: float) -> float:
+    """U(X) by contour quadrature; real by conjugate symmetry.  The
+    relative error target is _RTOL = 1e-9; under deep cancellation the
+    value may meet only the rounding floor, within 100x of _RTOL, without
+    raising."""
     if X <= 0:
         raise ValueError("X must be positive")
-    return _contour_integral([X], X, X, quad)[0][0]
+    return _contour_integral([X], X, X)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +367,12 @@ def _ramp_value(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _ramp_derivative_bound(j: int, samples: int = 8001) -> float:
-    """max_v |r^(j)(v)| by dense sampling; static scale constants C_j.
+def _ramp_derivative_bound(j: int) -> float:
+    """max_v |r^(j)(v)| sampled at 8001 points; static scale constants C_j.
 
     Inflated 1% to certify values between sample points.
     """
-    vs = np.linspace(0.0, 1.0, samples)
+    vs = np.linspace(0.0, 1.0, 8001)
     fac = math.factorial(j)
     return 1.01 * float(max(abs(_ramp_jet(v)[j]) * fac for v in vs))
 
@@ -556,9 +555,7 @@ class SmoothWindow:
 
 
 @lru_cache(maxsize=200_000)
-def w_transform(
-    q: int, n: int | range, window: SmoothWindow, quad: KernelQuadrature = KernelQuadrature()
-) -> float | np.ndarray:
+def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndarray:
     """w_hat_q(n) = int w(t) U(N t) dt with N = pi^3 n / q^3, for one n or
     for every n of an ascending range (a read-only array).
 
@@ -569,10 +566,10 @@ def w_transform(
     range is split into blocks with n_hi < 8 n_lo, and each block shares
     one contour, resolved for every N of the block, and one G(s) W(s) per
     pass; each n keeps its own error estimate and tolerance check, and
-    ``QuadratureError`` names the worst n of a block.  Under deep
-    cancellation a value may meet only the rounding floor, within 100x of
-    quad.rtol, without raising (see ``KernelQuadrature``).  Values are
-    cached per (q, n, window, quad), a range as one entry.
+    ``QuadratureError`` names the worst n of a block.  The relative error
+    target is _RTOL = 1e-9; under deep cancellation a value may meet only
+    the rounding floor, within 100x of _RTOL, without raising.  Values are
+    cached per (q, n, window), a range as one entry.
     """
     ns = n if isinstance(n, range) else range(n, n + 1)
     if q < 1 or ns.step < 1 or (ns and ns[0] < 1):
@@ -583,7 +580,7 @@ def w_transform(
         block = ns[i : bisect.bisect_left(ns, 8 * ns[i], lo=i)]
         N = [math.pi**3 * m / q**3 for m in block]
         out[i : i + len(block)] = _contour_integral(
-            N, N[0] * window.Y, N[-1] * window.x, quad, window.mellin,
+            N, N[0] * window.Y, N[-1] * window.x, window.mellin,
             lambda k: f"n = {block[k]}")[0]
         i += len(block)
     if not isinstance(n, range):
@@ -592,16 +589,11 @@ def w_transform(
     return out
 
 
-def w_transform_direct(
-    q: int,
-    n: int,
-    window: SmoothWindow,
-    quad: KernelQuadrature = KernelQuadrature(),
-    nodes_per_osc: float = 10.0,
-) -> float:
-    """Oracle: direct t-space quadrature of w(t) U(Nt), panels sized to
-    the kernel oscillation 6 (Nt)^{1/3}.  Cost grows like (N x)^{1/3}
-    kernel evaluations; intended for moderate N cross-checks only."""
+def w_transform_direct(q: int, n: int, window: SmoothWindow) -> float:
+    """Oracle: direct t-space quadrature of w(t) U(Nt), 16-point panels
+    sized to 14 nodes per oscillation of the kernel phase 6 (Nt)^{1/3}.
+    Cost grows like (N x)^{1/3} kernel evaluations; intended for moderate
+    N cross-checks only."""
     N = math.pi**3 * n / q**3
     xg, wg = _leggauss(16)
     total = 0.0
@@ -609,12 +601,12 @@ def w_transform_direct(
     while t < window.x:
         theta_rate = 2.0 * N ** (1.0 / 3.0) * t ** (-2.0 / 3.0)
         width = min(
-            (2.0 * math.pi / max(theta_rate, 1e-12)) * 16.0 / nodes_per_osc,
+            (2.0 * math.pi / max(theta_rate, 1e-12)) * 16.0 / 14.0,
             (window.x - window.Y) / 8.0,
         )
         hi = min(window.x, t + width)
         tn = 0.5 * (hi + t) + 0.5 * (hi - t) * xg
-        vals = np.array([kernel_U(N * tv, quad) for tv in tn])
+        vals = np.array([kernel_U(N * tv) for tv in tn])
         total += float(np.sum(0.5 * (hi - t) * wg * window(tn) * vals))
         t = hi
     return total
@@ -643,7 +635,6 @@ def smoothed_delta_direct(
 
     m = window.log_moments(3)
     mellin_exp = LaurentExpansion(0, tuple(m[j] / math.factorial(j) for j in range(4)))
-    from .arith import divisors, euler_phi, mobius
 
     main = 0.0
     for delta in divisors(q):
@@ -658,7 +649,6 @@ def dual_sum_eval(
     point: ReducedFraction,
     window: SmoothWindow,
     n_max: int | None = None,
-    quad: KernelQuadrature = KernelQuadrature(),
     *,
     q_guard: int = 20,
 ) -> tuple[complex, float]:
@@ -673,8 +663,6 @@ def dual_sum_eval(
     remainder.  The similar dual terms of the underlying summation formula
     are not synthesized: callers compare magnitudes only.
     """
-    from .expsum import GuardError, a_sum
-
     q = point.q
     if q > q_guard:
         raise GuardError(f"q={q} exceeds dual-sum guard {q_guard}")
@@ -682,7 +670,7 @@ def dual_sum_eval(
         cutoff = (window.x**2 * q**3 / window.Y**3) ** 1.1
         n_max = max(8, math.ceil(cutoff))
     pref = math.pi ** 1.5 / q**3
-    w_hat = w_transform(q, range(1, n_max + 1), window, quad).tolist()
+    w_hat = w_transform(q, range(1, n_max + 1), window).tolist()
     total = 0j
     tail = 0.0
     for n, w in enumerate(w_hat, start=1):

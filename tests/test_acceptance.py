@@ -44,7 +44,6 @@ from d3lab.variance import (
     fit_log_slopes,
 )
 from d3lab.voronoi import (
-    KernelQuadrature,
     SmoothWindow,
     dual_sum_eval,
     kernel_U,
@@ -204,7 +203,9 @@ class TestCriterion06Kernel:
             vals = []
             for leg in (0.3, 0.5, 0.7):
                 monkeypatch.setattr(voronoi, "_LEG", leg)
-                vals += [kernel_U(X, KernelQuadrature(t_floor=t)) for t in (30.0, 40.0, 60.0)]
+                for t in (30.0, 40.0, 60.0):
+                    monkeypatch.setattr(voronoi, "_T_FLOOR", t)
+                    vals.append(kernel_U(X))
             monkeypatch.undo()
             worst_rel = max(worst_rel, (max(vals) - min(vals)) / max(abs(v) for v in vals))
         amp = [abs(kernel_U(float(X))) * X ** (1 / 3) for X in np.geomspace(1e3, 1e6, 25)]
@@ -220,7 +221,6 @@ class TestCriterion07TransformBounds:
         # the transform depends on (q, n) only through N = pi^3 n / q^3, so
         # the grid spans (x, Y, N) with one q-robustness row; the bound
         # argument x^2/(N Y^3) spans ~1.5 decades
-        quad = KernelQuadrature(rtol=1e-7)
         split_maxima = {1: [], 2: [], 3: []}
         for x in (3_000.0, 30_000.0):
             per_x = {1: 0.0, 2: 0.0, 3: 0.0}
@@ -230,7 +230,7 @@ class TestCriterion07TransformBounds:
                     for arg in args:
                         n = max(1, round(x**2 * q**3 / (math.pi**3 * Y**3 * arg)))
                         N = math.pi**3 * n / q**3
-                        val = abs(w_transform(q, n, SmoothWindow(x=x, Y=Y), quad))
+                        val = abs(w_transform(q, n, SmoothWindow(x=x, Y=Y)))
                         for j in (1, 2, 3):
                             bound = (Y / (N * x) ** (1 / 3)) * (x**2 / (N * Y**3)) ** (j / 3)
                             per_x[j] = max(per_x[j], val / bound)
@@ -253,11 +253,10 @@ class TestCriterion07TransformBounds:
     )
     def test_far_tail_decay_clause(self):
         window = SmoothWindow(x=1e4, Y=1e2)
-        quad = KernelQuadrature()
-        peak = max(abs(w_transform(10, n, window, quad)) for n in range(1, 33))
+        peak = max(abs(w_transform(10, n, window)) for n in range(1, 33))
         cutoff_pow = (1e4**2 * 10**3 / 1e2**3) ** 1.1
         n0 = math.ceil(cutoff_pow)
-        tail_vals = {n: abs(w_transform(10, n, window, quad)) for n in (n0, 2 * n0, 4 * n0)}
+        tail_vals = {n: abs(w_transform(10, n, window)) for n in (n0, 2 * n0, 4 * n0)}
         ok = all(v <= 1e-8 * peak for v in tail_vals.values())
         gate(7, "transform far-tail decay at the nominal cutoff", ok,
              f"max={peak:.3g}, tail={ {n: f'{v:.2e}' for n, v in tail_vals.items()} }, "
@@ -334,7 +333,7 @@ class TestCriterion10TheoremScan:
 
     def test_scan_identities_and_bound_comparison(self, d3_table_1e6):
         t0 = time.time()
-        reports = exponent_scan(self.GRID, d3_table_1e6, with_decomposition=True)
+        reports = exponent_scan(self.GRID, d3_table_1e6)
         par = max(r.parseval_dev for r in reports)
         dec = max(r.decomp_dev for r in reports)
         slopes = fit_log_slopes(reports)
@@ -359,7 +358,7 @@ class TestCriterion10TheoremScan:
         "measured table",
     )
     def test_scan_q_slope_clause(self, d3_table_1e6):
-        reports = exponent_scan(self.GRID, d3_table_1e6, with_decomposition=False)
+        reports = exponent_scan(self.GRID, d3_table_1e6)
         slopes = fit_log_slopes(reports)
         sx, sq = slopes["ratio2"]["slope_x"], slopes["ratio2"]["slope_q"]
         rhos = ", ".join(f"({int(r.x):.0e},{r.q})={r.ratio2:.2f}" for r in reports)

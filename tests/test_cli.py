@@ -1,4 +1,5 @@
 import gzip
+import importlib.util
 import json
 import math
 import shlex
@@ -29,6 +30,7 @@ from d3lab.cli import (
 
 # the benchmark's reference outputs, captured at its default seed
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -80,6 +82,16 @@ class TestExitCodes:
         code, out, _ = run_cli("corr", "--triple", "0,0,0", "--triple2", "0,0,0",
                                "--q", str(q), "--force")
         assert code == 0 and out == fmt12(float(euler_phi(q) * r * r)) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["voronoi-compare", "--q", "3", "--x", "1e4", "--Y", "1e3"],
+        ["wtransform", "--q", "10", "--x", "1e4", "--Y", "1e2"],
+    ])
+    def test_negative_n_max_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-max", "-3"])
+        assert exc.value.code == 2
+        assert "argument --n-max: -3 is negative" in capsys.readouterr().err
 
     def test_variance_passes(self):
         code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")
@@ -334,15 +346,15 @@ class TestCatalogReference:
             assert float(row[split]) <= 1e-12 and float(ref_row[split]) <= 1e-12
 
     def test_mismatch_is_counted(self, tmp_path, monkeypatch):
-        closed_form_batch = expsum._closed_form_batch
+        closed_form = expsum.cq_pair_sum_prime_power
 
         def off_by_one(T, p, k):
-            cases, closed = closed_form_batch(T, p, k)
+            cases, closed = closed_form(T, p, k)
             closed = closed.copy()
             closed[5] += 1
             return cases, closed
 
-        monkeypatch.setattr(expsum, "_closed_form_batch", off_by_one)
+        monkeypatch.setattr(expsum, "cq_pair_sum_prime_power", off_by_one)
         code, out = _lemma3(tmp_path, 2, 2)
         assert code == 1
         lines = out.read_text().splitlines()
@@ -563,6 +575,29 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]
+
+
+class TestLayerTrace:
+    def test_traced_names_resolve(self, tmp_path):
+        # the benchmark's --trace run wraps every target of the layer tracer
+        # and reads some of their arguments by name; pytest collects only
+        # tests/, so without this a rename of either passes the suite
+        spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        tracer = layertrace.Tracer()
+        try:  # a failed install leaves patches behind, which uninstall undoes
+            tracer.install()
+            cache = ["--cache-dir", str(tmp_path)]
+            for argv in (["sieve", "--n", "1000"], ["sieve", "--n", "1000"],
+                         # a window no other test transforms: the cache misses
+                         ["wtransform", "--q", "7", "--x", "3001", "--Y", "101", "--n", "1"]):
+                assert main([*cache, *argv, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            tracer.uninstall()
+        measured = {f"{mod}.{path}.{key}"
+                    for mod, path, _, extra in layertrace.TARGETS for key in extra}
+        assert {m for m in measured if tracer.measures[m] > 0} == measured
 
 
 class TestHelp:

@@ -19,7 +19,6 @@ from d3lab.expsum import (
     GuardError,
     PrimePowerCase,
     _PAIR_CHUNK,
-    _closed_form_batch,
     _pair_tables,
     _twist_column,
     _unit_rows,
@@ -342,8 +341,9 @@ class TestPairSum:
             for kernel in (cq_pair_sum, cq_pair_sum_bruteforce):
                 assert kernel(1, 1, 0, 0, q) == (498 if q == 499 else 0)
                 assert kernel(0, 0, 0, 0, q) == euler_phi(q) ** 3
-        for args in ((1, 1, 0, 0), (0, 0, 0, 0)):
-            assert cq_pair_sum(*args, 499) == cq_pair_sum_prime_power(*args, 499, 1)[1]
+        rows = [(1, 1, 0, 0), (0, 0, 0, 0)]
+        _, closed = cq_pair_sum_prime_power(np.array(rows, dtype=np.int64), 499, 1)
+        assert closed.tolist() == [cq_pair_sum(*row, 499) for row in rows]
         for kernel in (cq_pair_sum, cq_pair_sum_bruteforce):
             with pytest.raises(GuardError):
                 kernel(1, 2, 3, 4, 501)
@@ -369,10 +369,11 @@ class TestPairSum:
             cq_table(12)[0] = 1
 
     def test_closed_form_examples(self):
-        case, val = cq_pair_sum_prime_power(0, 0, 1, 1, 3, 1)
-        assert case is PrimePowerCase.Q_EQUALS_P and val == 2
-        case, val = cq_pair_sum_prime_power(0, 0, 3, 1, 3, 1)
-        assert case is PrimePowerCase.P_DIVIDES_BB and val == -4
+        cases, values = cq_pair_sum_prime_power(
+            np.array([[0, 0, 1, 1], [0, 0, 3, 1]], dtype=np.int64), 3, 1)
+        assert [PrimePowerCase(case) for case in cases] == [
+            PrimePowerCase.Q_EQUALS_P, PrimePowerCase.P_DIVIDES_BB]
+        assert values.tolist() == [2, -4]
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
     def test_closed_form_exhaustive(self, p, k):
@@ -401,11 +402,10 @@ class TestPairSum:
     def test_second_case_formula(self):
         # p^2 | Q requires k >= 2 with small gcd(q, b, b2)
         q = 9
-        for a in range(9):
-            for a2 in range(9):
-                case, val = cq_pair_sum_prime_power(a, a2, 1, 2, 3, 2)
-                assert case is PrimePowerCase.P2_DIVIDES_Q
-                assert val == cq_pair_sum(a, a2, 1, 2, q)
+        rows = [(a, a2, 1, 2) for a in range(9) for a2 in range(9)]
+        cases, values = cq_pair_sum_prime_power(np.array(rows, dtype=np.int64), 3, 2)
+        assert all(PrimePowerCase(case) is PrimePowerCase.P2_DIVIDES_Q for case in cases)
+        assert values.tolist() == [cq_pair_sum(*row, q) for row in rows]
 
     @given(
         st.sampled_from([(p, k) for p in (2, 3, 5, 7) for k in range(1, 9) if p**k <= 343])
@@ -417,21 +417,30 @@ class TestPairSum:
     )
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_closed_form_batch_matches_scalar(self, args):
+        # every row against the exact pair sum, one scalar cq_pair_sum call
+        # each, and its case label against the split read off
+        # Bb = gcd(q, b, b2), Q = q/Bb, B = b/Bb and B2 = b2/Bb
         (p, k), rows = args
         q = p**k
         # rows with b = b2 = 0 mod q (Q = 1)
         rows = rows + [(rows[0][0], rows[0][1], 0, q), (1, -1, -q, 2 * q)]
-        cases, values = _closed_form_batch(np.array(rows, dtype=np.int64), p, k)
+        cases, values = cq_pair_sum_prime_power(np.array(rows, dtype=np.int64), p, k)
         assert len(cases) == len(values) == len(rows)
-        for row, case, val in zip(rows, cases, values.tolist()):
-            assert (PrimePowerCase(case), val) == cq_pair_sum_prime_power(*row, p, k), (p, k, row)
+        for (a, a2, b, b2), case, val in zip(rows, cases, values.tolist()):
+            Bb = math.gcd(q, b % q, b2 % q)
+            if (b % q // Bb) * (b2 % q // Bb) % p == 0:
+                want = PrimePowerCase.P_DIVIDES_BB
+            elif q // Bb % (p * p) == 0:
+                want = PrimePowerCase.P2_DIVIDES_Q
+            else:
+                want = PrimePowerCase.Q_EQUALS_P
+            assert (PrimePowerCase(case), val) == (want, cq_pair_sum(a, a2, b, b2, q)), (
+                p, k, (a, a2, b, b2))
 
     def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            cq_pair_sum_prime_power(0, 0, 1, 1, 6, 1)
         for p, k in ((6, 1), (1, 2), (3, 0)):
             with pytest.raises(ValueError):
-                _closed_form_batch(np.array([[0, 0, 1, 1]], dtype=np.int64), p, k)
+                cq_pair_sum_prime_power(np.array([[0, 0, 1, 1]], dtype=np.int64), p, k)
 
 
 class TestBounds:

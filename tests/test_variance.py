@@ -157,7 +157,7 @@ class TestReports:
 
     def test_golden_fixture_q3_x1e3(self, d3_table_1e4):
         # regression fixture recorded from the first verified run
-        r = variance_report(3, 1e3, d3_table_1e4, with_decomposition=True)
+        r = variance_report(3, 1e3, d3_table_1e4)
         assert fmt12(r.v2_all) == "10455.1353239"
         assert fmt12(r.v2_prim) == "9774.66638025"
         assert fmt12(r.v2_e) == "3485.04510797"
@@ -170,7 +170,7 @@ class TestReports:
         assert fmt12(r.ratio2) == "22.3806204368"
 
     def test_k2_pipeline(self, d2_table_1e4):
-        r = variance_report(12, 1e4, d2_table_1e4, k=2, with_decomposition=True)
+        r = variance_report(12, 1e4, d2_table_1e4, k=2)
         assert r.parseval_dev <= 1e-9
         assert r.decomp_dev <= 1e-9
         assert r.bound_thm1 == 1e4
@@ -200,7 +200,7 @@ class TestBoundsAndScan:
 
     def test_scan_and_slopes(self, d3_table_1e4):
         grid = [(10**3, 5), (10**3, 11), (10**4, 10), (10**4, 22), (10**4, 47)]
-        reports = exponent_scan(grid, d3_table_1e4, with_decomposition=False)
+        reports = exponent_scan(grid, d3_table_1e4)
         assert [(int(r.x), r.q) for r in reports] == sorted(grid)
         slopes = fit_log_slopes(reports)
         assert abs(slopes["ratio2"]["slope_x"]) < 2.0
@@ -233,12 +233,12 @@ class TestBoundsAndScan:
         values[0] = 0
         table = DivisorTable(k=3, limit=2000, values=values)
         grid = [(10**3, 5), (2000, 12)]
-        serial = exponent_scan(grid, table, with_decomposition=True, workers=1)
-        parallel = exponent_scan(grid, table, with_decomposition=True, workers=2)
+        serial = exponent_scan(grid, table, workers=1)
+        parallel = exponent_scan(grid, table, workers=2)
         assert serial == parallel
 
     def test_scan_workers_match_serial(self, d3_table_1e4):
         grid = [(10**3, 5), (10**3, 12), (10**4, 30)]
-        serial = exponent_scan(grid, d3_table_1e4, with_decomposition=True, workers=1)
-        parallel = exponent_scan(grid, d3_table_1e4, with_decomposition=True, workers=3)
+        serial = exponent_scan(grid, d3_table_1e4, workers=1)
+        parallel = exponent_scan(grid, d3_table_1e4, workers=3)
         assert serial == parallel

@@ -9,7 +9,6 @@ from d3lab import voronoi
 from d3lab.arith import ReducedFraction
 from d3lab.expsum import dk_exact
 from d3lab.voronoi import (
-    KernelQuadrature,
     SmoothWindow,
     dual_sum_eval,
     gamma_ratio_cubed,
@@ -130,7 +129,9 @@ class TestKernel:
             vals = []
             for leg in (0.3, 0.5, 0.7):
                 monkeypatch.setattr(voronoi, "_LEG", leg)
-                vals += [kernel_U(X, KernelQuadrature(t_floor=t)) for t in (30.0, 40.0, 60.0)]
+                for t in (30.0, 40.0, 60.0):
+                    monkeypatch.setattr(voronoi, "_T_FLOOR", t)
+                    vals.append(kernel_U(X))
             ref = max(abs(v) for v in vals)
             assert max(vals) - min(vals) <= 1e-4 * ref
 
@@ -364,7 +365,7 @@ class TestTransform:
         w = SmoothWindow(x=1e4, Y=1e3)
         for q, n in ((2, 1), (3, 2), (5, 4)):
             a = w_transform(q, n, w)
-            b = w_transform_direct(q, n, w, nodes_per_osc=14.0)
+            b = w_transform_direct(q, n, w)
             assert a == pytest.approx(b, rel=2e-4, abs=1e-9)
 
     def test_trivial_bound(self):
@@ -383,9 +384,8 @@ class TestTransform:
         # the dimensionless ratio |w_hat| n^{2/3} / (x^{1/3} q^2) stays
         # bounded through the mid-range (measured max ~0.03)
         w = SmoothWindow(x=1e4, Y=1e2)
-        quad = KernelQuadrature(rtol=1e-7)
         for n in (50, 200, 1000, 5000):
-            v = abs(w_transform(10, n, w, quad))
+            v = abs(w_transform(10, n, w))
             assert v * n ** (2 / 3) / (1e4 ** (1 / 3) * 100) < 0.1
 
 
@@ -415,7 +415,7 @@ class TestContourConvergence:
         return log
 
     def _check(self, log, count):
-        rtol = KernelQuadrature().rtol
+        rtol = voronoi._RTOL
         assert len(log) == count
         for builds, value, err, _ in log:
             assert builds == 2 and np.all(err <= rtol * np.abs(value))
@@ -440,7 +440,7 @@ class TestContourConvergence:
         # the ranges of the voronoi workload's dual sum (blocks n <= 7 and
         # 8..17) and of criterion 08 at q = 2, 3: a row that misses rtol is
         # one whose change is below its rounding floor
-        rtol = KernelQuadrature().rtol
+        rtol = voronoi._RTOL
         for q, top in ((5, 17), (3, 8), (2, 8)):
             w_transform.__wrapped__(q, range(1, top + 1), SmoothWindow(1e4, 1e3))
         assert [len(value) for _, value, _, _ in passes] == [7, 10, 7, 1, 7, 1]
@@ -454,24 +454,29 @@ class TestContourConvergence:
         [(builds, _, (err,), _)] = passes
         assert builds == 2 and 1e-9 * abs(value) < err < 1e-8 * abs(value)
 
-    def test_missed_tolerance_raises(self):
+    @pytest.fixture
+    def unreachable(self, monkeypatch):
+        """A tolerance of 1e-17 and one refinement; w_transform.__wrapped__
+        bypasses the cache, whose entries were computed at the defaults."""
+        monkeypatch.setattr(voronoi, "_RTOL", 1e-17)
+        monkeypatch.setattr(voronoi, "_MAX_REFINEMENTS", 1)
+
+    def test_missed_tolerance_raises(self, unreachable):
         # error 8.6e-13 at two passes, nearly all of it the rounding floor
         # of terms whose magnitudes sum to 917 pi: no refinement gets to 1e-17
-        quad = KernelQuadrature(rtol=1e-17, max_refinements=1)
         with pytest.raises(voronoi.QuadratureError):
-            w_transform.__wrapped__(10, 1, SmoothWindow(1e4, 1e2), quad)
+            w_transform.__wrapped__(10, 1, SmoothWindow(1e4, 1e2))
 
-    def test_missed_tolerance_names_the_worst_n(self):
+    def test_missed_tolerance_names_the_worst_n(self, unreachable):
         # every row of the block misses 1e-17; the message names the one
         # furthest from its tolerance, and its estimate
-        quad = KernelQuadrature(rtol=1e-17, max_refinements=1)
         w = SmoothWindow(1e4, 1e3)
         with pytest.raises(voronoi.QuadratureError, match=r"at n = \d+; estimate") as exc:
-            w_transform.__wrapped__(5, range(1, 8), w, quad)
+            w_transform.__wrapped__(5, range(1, 8), w)
         worst = int(exc.value.args[0].split("n = ")[1].split(";")[0])
         assert 1 <= worst <= 7
         with pytest.raises(voronoi.QuadratureError, match=f"at n = {worst};"):
-            w_transform.__wrapped__(5, worst, w, quad)
+            w_transform.__wrapped__(5, worst, w)
 
 
 class TestTransformRange:
