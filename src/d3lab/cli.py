@@ -288,7 +288,23 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-Q = _flag("q")
+def _positive_int(text: str) -> int:
+    """An integer >= 1: the type of moduli and of single indices n."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+    return value
+
+
+Q = _flag("q", _positive_int)
 X = _flag("x", float)
 Y = _flag("Y", float)
 K = _flag("k", default=3)
@@ -403,7 +419,8 @@ def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> tuple[int, str]:
 
 @_command("corr-identity", "measured deviation of the coprime correlation identity "
           "sum_h A(n) conj(A(m)) = q^3 c_q(n-m) d_3(n) d_3(m)",
-          _flag("n-max", default=6), _flag("q-list", default=(3, 5, 7), nargs="+"))
+          _flag("n-max", _nonnegative_int, default=6),
+          _flag("q-list", default=(3, 5, 7), nargs="+"))
 def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
     rows = []
     for q in args.q_list:
@@ -432,16 +449,17 @@ def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("kernel", "oscillatory kernel U(X) on a geometric grid",
-          _flag("x-min", float, 1.0), _flag("x-max", float, 1e3), _flag("points", default=25))
+          _flag("x-min", _positive_float, 1.0), _flag("x-max", _positive_float, 1e3),
+          _flag("points", default=25))
 def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
     xs = np.geomspace(args.x_min, args.x_max, args.points)
-    U = [voronoi.kernel_U(float(X)) for X in xs]
+    U = voronoi.kernel_U(xs)
     meta = {"c": U_ABSCISSA, "points": args.points}
     return 0, _table(cfg.fmt, meta, ["X", "U"], [xs, U])
 
 
 @_command("wtransform", "window transform w_hat_q(n)",
-          Q, _flag("n", default=1), N_MAX, X, Y)
+          Q, _flag("n", _positive_int, 1), N_MAX, X, Y)
 def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
     n_values = range(1, args.n_max + 1) if args.n_max else range(args.n, args.n + 1)

@@ -23,7 +23,9 @@ the tolerance _RTOL by more than 100x.  One private driver,
 ``_contour_integral``, holds the contour, its panels and the pass loop
 for every kernel, and evaluates it for an array of scales X at once:
 only X^{-s} depends on X, so G(s) and the weight are formed once per
-pass, and each scale keeps its own error estimate.
+pass, and each scale keeps its own error estimate.  ``kernel_U`` takes an
+array of X and shares one contour among the X of each block with
+X_hi < 8 X_lo, so a grid of X costs one contour per block, not per X.
 
 The window transform int_0^infty w(t) U(Nt) dt is evaluated on the same
 contour after exchanging the absolutely convergent integrals:
@@ -44,8 +46,11 @@ contour among the n of each block with n_hi < 8 n_lo, so the dual sum
 over n <= n_max costs about log_8(n_max) contours, not n_max of them.
 
 G(s) is exp(3 (ln Gamma(s/2) - ln Gamma((1-s)/2))) with ln Gamma from
-Stirling's series after the recurrence has stepped Re z up to 6 (see
-``_log_gamma``), so the module needs numpy alone.
+Stirling's series, chosen per node (see ``_log_gamma``): 8 terms at z
+itself where |Im z| >= 20 or Re z >= 6 and |z| >= 12, which is nearly
+every contour node, and 22 terms after the recurrence has stepped Re z up
+to 6 elsewhere.  The coefficients are a table of doubles, so the module
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import numpy.polynomial  # numpy 2 loads it on first use: load it here, at impor
 
 from .arith import ReducedFraction, divisors, euler_phi, mobius
 from .expsum import GuardError, a_sum
-from .laurent import LaurentExpansion, bernoulli_numbers
+from .laurent import LaurentExpansion
 from .mainterm import restricted_series_laurent
 
 __all__ = [
@@ -98,42 +103,75 @@ def _composite_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarr
     return nodes, (half[:, None] * wg[None, :]).ravel()
 
 
-# ln Gamma(z) is stepped up by ln Gamma(z) = ln Gamma(z + m) - ln(z (z+1) ... (z+m-1))
-# until Re z >= _STIRLING_SHIFT, then summed by Stirling's series
+# ln Gamma(z) is summed by Stirling's series
 #
-#   (z - 1/2) ln z - z + ln(2 pi)/2 + sum_{k=1}^{K} B_2k / (2k (2k-1) z^{2k-1}).
+#   (z - 1/2) ln z - z + ln(2 pi)/2 + sum_{k=1}^{K} B_2k / (2k (2k-1) z^{2k-1}),
 #
-# Its terms fall until k is about pi |z|; the first one left out is 1e-17 at
-# |z| = 6 and smaller beyond, so rounding is the error: G(s) agrees with
-# 30-digit values as closely as scipy's loggamma does.  The shift product
-# (at most 13 factors on the contour) overflows only where G(s) itself
-# leaves the float range, or where |Im s| passes 1e51.
+# whose terms fall until k is about pi |z|; the number of terms and the
+# recurrence shift are chosen per node.  Where |Im z| >= 20, or Re z >= 6
+# and |z| >= 12, which holds at nearly every contour node, K = 8 terms are
+# summed at z itself: the first one left out, 0.18 / |z|^17, is 8e-20 at
+# |z| = 12 and below 1e-22 at |z| >= 20 (the contour's arguments have
+# Re z >= -7, so the sector factor of the remainder stays below 2e4).  Every
+# other node is stepped up by ln Gamma(z) = ln Gamma(z + m) - ln(z (z+1) ...
+# (z+m-1)) until Re z >= _STIRLING_SHIFT and summed with all 22 terms; the
+# first one left out is 1e-17 at |z| = 6 and smaller beyond.  So rounding is
+# the error: G(s) agrees with 30-digit values as closely as scipy's loggamma
+# does.  The shift product (at most 13 factors on the contour) overflows
+# only where G(s) itself leaves the float range.
 _STIRLING_SHIFT = 6.0
-_STIRLING_TERMS = 22
+_STIRLING_FAR_TERMS = 8
+# B_2k / (2k (2k-1)) for k = 1..22, from the exact Bernoulli numbers of
+# laurent.bernoulli_numbers, which a test checks every entry against
+_STIRLING = (
+    0.08333333333333333,
+    -0.002777777777777778,
+    0.0007936507936507937,
+    -0.0005952380952380953,
+    0.0008417508417508417,
+    -0.0019175269175269176,
+    0.00641025641025641,
+    -0.029550653594771242,
+    0.17964437236883057,
+    -1.3924322169059011,
+    13.402864044168393,
+    -156.84828462600203,
+    2193.1033333333335,
+    -36108.77125372499,
+    691472.268851313,
+    -15238221.539407415,
+    382900751.39141417,
+    -10882266035.784391,
+    347320283765.00226,
+    -12369602142269.275,
+    488788064793079.3,
+    -2.1320333960919372e+16,
+)
 
 
-@lru_cache(maxsize=1)
-def _stirling_coefficients() -> np.ndarray:
-    """B_2k / (2k (2k-1)) for k = 1..K, from the exact Bernoulli numbers."""
-    B = bernoulli_numbers(2 * _STIRLING_TERMS)
-    return np.array([float(B[2 * k] / (2 * k * (2 * k - 1)))
-                     for k in range(1, _STIRLING_TERMS + 1)])
-
-
-def _log_gamma(z: np.ndarray) -> np.ndarray:
-    """ln Gamma(z) up to a multiple of 2 pi i, which exp(3 ln Gamma) ignores."""
-    steps = np.ceil(np.maximum(_STIRLING_SHIFT - z.real, 0.0))
-    prod = np.ones_like(z)
-    for j in range(int(steps.max(initial=0.0))):
-        np.multiply(prod, z + j, out=prod, where=steps > j)
-    z = z + steps
+def _stirling_series(z: np.ndarray, terms: int) -> np.ndarray:
+    """Stirling's series for ln Gamma(z) with its first ``terms`` terms."""
+    coef = _STIRLING[:terms]
     inv_sq = 1.0 / (z * z)
-    coef = _stirling_coefficients()
     series = np.full_like(z, coef[-1])
     for c in coef[-2::-1]:
         series *= inv_sq
         series += c
-    return (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series / z - np.log(prod)
+    return (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series / z
+
+
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) up to a multiple of 2 pi i, which exp(3 ln Gamma) ignores."""
+    far = (np.abs(z.imag) >= 20.0) | ((z.real >= _STIRLING_SHIFT) & (np.abs(z) >= 12.0))
+    out = np.empty_like(z)
+    out[far] = _stirling_series(z[far], _STIRLING_FAR_TERMS)
+    near = z[~far]
+    steps = np.ceil(np.maximum(_STIRLING_SHIFT - near.real, 0.0))
+    prod = np.ones_like(near)
+    for j in range(int(steps.max(initial=0.0))):
+        np.multiply(prod, near + j, out=prod, where=steps > j)
+    out[~far] = _stirling_series(near + steps, len(_STIRLING)) - np.log(prod)
+    return out
 
 
 def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
@@ -289,14 +327,37 @@ def _contour_rows(s, w, g, weights, log_scales):
     return out
 
 
-def kernel_U(X: float) -> float:
-    """U(X) by contour quadrature; real by conjugate symmetry.  The
-    relative error target is _RTOL = 1e-9; under deep cancellation the
+def _blocks(values):
+    """(start, stop) index pairs that split an ascending sequence into
+    blocks of consecutive values with hi < 8 lo; each block shares one
+    contour, resolved for every scale of the block."""
+    i = 0
+    while i < len(values):
+        j = bisect.bisect_left(values, 8 * values[i], lo=i)
+        yield i, j
+        i = j
+
+
+def kernel_U(X: float | np.ndarray) -> float | np.ndarray:
+    """U(X) by contour quadrature, for one X or an array of X (a float, or
+    an array of the same shape); real by conjugate symmetry.
+
+    The distinct X are sorted and split into blocks with X_hi < 8 X_lo,
+    and each block shares one contour and one G(s) per pass; each X keeps
+    its own error estimate and tolerance check, and ``QuadratureError``
+    names the worst X of a block.  Any order and repeated X are accepted.
+    The relative error target is _RTOL = 1e-9; under deep cancellation a
     value may meet only the rounding floor, within 100x of _RTOL, without
     raising."""
-    if X <= 0:
-        raise ValueError("X must be positive")
-    return _contour_integral([X], X, X)[0][0]
+    xs = np.asarray(X, dtype=float)
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("X must be positive and finite")
+    distinct, where = np.unique(xs, return_inverse=True)
+    grid = distinct.tolist()
+    out = np.empty(len(grid))
+    for i, j in _blocks(grid):
+        out[i:j] = _contour_integral(grid[i:j], grid[i], grid[j - 1])[0]
+    return float(out[0]) if xs.ndim == 0 else out[where].reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +636,12 @@ def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndar
     if q < 1 or ns.step < 1 or (ns and ns[0] < 1):
         raise ValueError("need q >= 1 and n >= 1, a range ascending")
     out = np.empty(len(ns))
-    i = 0
-    while i < len(ns):
-        block = ns[i : bisect.bisect_left(ns, 8 * ns[i], lo=i)]
+    for i, j in _blocks(ns):
+        block = ns[i:j]
         N = [math.pi**3 * m / q**3 for m in block]
-        out[i : i + len(block)] = _contour_integral(
+        out[i:j] = _contour_integral(
             N, N[0] * window.Y, N[-1] * window.x, window.mellin,
             lambda k: f"n = {block[k]}")[0]
-        i += len(block)
     if not isinstance(n, range):
         return float(out[0])
     out.flags.writeable = False
@@ -591,9 +650,9 @@ def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndar
 
 def w_transform_direct(q: int, n: int, window: SmoothWindow) -> float:
     """Oracle: direct t-space quadrature of w(t) U(Nt), 16-point panels
-    sized to 14 nodes per oscillation of the kernel phase 6 (Nt)^{1/3}.
-    Cost grows like (N x)^{1/3} kernel evaluations; intended for moderate
-    N cross-checks only."""
+    sized to 14 nodes per oscillation of the kernel phase 6 (Nt)^{1/3},
+    with one ``kernel_U`` call per panel.  Cost grows like (N x)^{1/3}
+    kernel evaluations; intended for moderate N cross-checks only."""
     N = math.pi**3 * n / q**3
     xg, wg = _leggauss(16)
     total = 0.0
@@ -606,7 +665,7 @@ def w_transform_direct(q: int, n: int, window: SmoothWindow) -> float:
         )
         hi = min(window.x, t + width)
         tn = 0.5 * (hi + t) + 0.5 * (hi - t) * xg
-        vals = np.array([kernel_U(N * tv) for tv in tn])
+        vals = kernel_U(N * tn)
         total += float(np.sum(0.5 * (hi - t) * wg * window(tn) * vals))
         t = hi
     return total

@@ -86,12 +86,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["voronoi-compare", "--q", "3", "--x", "1e4", "--Y", "1e3"],
         ["wtransform", "--q", "10", "--x", "1e4", "--Y", "1e2"],
+        ["corr-identity"],
     ])
     def test_negative_n_max_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n-max", "-3"])
         assert exc.value.code == 2
         assert "argument --n-max: -3 is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["wtransform", "--q", "10", "--x", "1e4", "--Y", "1e2"], "--n", "0"),
+        (["wtransform", "--x", "1e4", "--Y", "1e2"], "--q", "0"),
+        (["voronoi-compare", "--x", "1e4", "--Y", "1e3"], "--q", "0"),
+        (["kernel"], "--x-min", "-1"),
+        (["kernel"], "--x-max", "0"),
+        (["kernel"], "--x-max", "inf"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_variance_passes(self):
         code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")

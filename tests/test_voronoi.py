@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from d3lab import voronoi
 from d3lab.arith import ReducedFraction
 from d3lab.expsum import dk_exact
+from d3lab.laurent import bernoulli_numbers
 from d3lab.voronoi import (
     SmoothWindow,
     dual_sum_eval,
@@ -114,6 +115,24 @@ class TestStirlingGamma:
         # scipy: max 4.5e-12 on every 40th far node; this G measured 6.2e-12
         assert self._rel_errors(far[::40]).max() <= 7e-12
 
+    def test_coefficient_table(self):
+        B = bernoulli_numbers(2 * len(voronoi._STIRLING))
+        assert voronoi._STIRLING == tuple(float(B[2 * k] / (2 * k * (2 * k - 1)))
+                                          for k in range(1, len(voronoi._STIRLING) + 1))
+
+    def test_term_choice_boundaries(self):
+        # z = s/2 and z = (1-s)/2 on both sides of |Im z| = 20 and of |z| = 12
+        # with Re z >= 6, where the series switches between 8 terms at z and
+        # 22 terms after the shift to Re z >= 6
+        zs = [x + 1j * y for x in (-7.0, -3.0, 0.25, 3.0, 5.9) for y in (19.999, 20.0, 20.001)]
+        zs += [x + 1j * math.sqrt(144.0 - x * x) * f for x in (6.0, 6.5) for f in (0.999, 1.001)]
+        zs += [12.0 + 0.5j, 11.99 + 0.1j, 6.0 + 0.1j]
+        zs = np.array(zs)
+        rel = self._rel_errors(np.concatenate([2.0 * zs, 1.0 - 2.0 * zs]))
+        # shifting every node and summing 22 terms measured max 1.1e-13 here;
+        # the per-node choice 7e-14
+        assert rel.max() <= 1.2e-13
+
     def test_sweep(self):
         re, im = np.meshgrid(np.linspace(-14.0, 1.0, 16), np.linspace(0.37, 4000.0, 41))
         rel = self._rel_errors((re + 1j * im).ravel())
@@ -157,15 +176,79 @@ class TestKernel:
         # contour invariance, which a consistently wrong quadrature passes
         import mpmath
 
-        for X in np.geomspace(0.05, 1e6, 25):
+        xs = np.geomspace(0.05, 1e6, 25)
+        for X, U in zip(xs, kernel_U(xs)):
             with mpmath.workdps(30):
                 ref = float(2 * mpmath.meijerg([[], []], [[0, 0, 0], [0.5, 0.5, 0.5]],
                                                mpmath.mpf(float(X)) ** 2))
-            assert abs(kernel_U(float(X)) - ref) <= 1e-10 * abs(ref)
+            assert abs(U - ref) <= 1e-10 * abs(ref)
 
     def test_rejects_bad_abscissa(self):
-        with pytest.raises(ValueError):
-            kernel_U(-1.0)
+        for X in (-1.0, 0.0, math.inf, np.array([1.0, -1.0]), np.array([2.0, math.nan])):
+            with pytest.raises(ValueError):
+                kernel_U(X)
+
+
+class TestKernelBlocks:
+    """U(X) for an array of X on one contour per block with X_hi < 8 X_lo,
+    against the one-X calls."""
+
+    @pytest.mark.parametrize("xs", [np.geomspace(1.0, 1e6, 50), np.geomspace(0.05, 1e6, 25)],
+                             ids=["benchmark", "meijer-g"])
+    def test_matches_one_x_calls(self, monkeypatch, xs):
+        errors = {}
+        integrate = voronoi._contour_integral
+
+        def recording(scales, *args):
+            value, err, floor = integrate(scales, *args)
+            for X, e in zip(scales, err):
+                errors.setdefault(X, []).append(e)
+            return value, err, floor
+
+        monkeypatch.setattr(voronoi, "_contour_integral", recording)
+        batch = kernel_U(xs)
+        assert batch.shape == xs.shape
+        for X, U in zip(xs.tolist(), batch):
+            one = kernel_U(X)
+            # the contours differ, not the integral; the two estimates are
+            # not bounds at rounding level (ROADMAP item 1(c)): the worst
+            # difference is 1.88 times their sum, 2.5e-15 at U(1e6) =
+            # -2.9e-4 (2.03 times with G shifted and summed to 22 terms at
+            # every node, so the blocks, not the series, move these rows)
+            assert len(errors[X]) == 2 and abs(U - one) <= 2 * sum(errors[X])
+
+    def test_order_and_repeats(self):
+        xs = np.geomspace(1.0, 10.0, 25)
+        up = kernel_U(xs)
+        assert np.array_equal(kernel_U(xs[::-1]), up[::-1])
+        # a block of one distinct X is the one-X call, bit for bit
+        assert np.array_equal(kernel_U(np.full(3, 5.0)), np.full(3, kernel_U(5.0)))
+        mixed = np.concatenate([xs[::-1], xs[:5]]).reshape(6, 5)
+        assert np.array_equal(kernel_U(mixed).ravel(), np.concatenate([up[::-1], up[:5]]))
+        assert kernel_U(np.array([])).shape == (0,)
+
+    def test_missed_tolerance_names_the_worst_x(self, monkeypatch):
+        xs = np.geomspace(7.0, 1.0, 5)  # one block, descending
+        found = []
+        integrate = voronoi._contour_integral
+
+        def recording(*args):
+            found.append(integrate(*args))
+            return found[-1]
+
+        # a floor of 1e4 ulps puts every error near 1e-11: above 100x the
+        # tolerance 1e-17 |U| + 1e-15, and within rtol = 1e-9, where the
+        # same two passes run and the estimates can be recorded
+        monkeypatch.setattr(voronoi, "_ROUNDING_ULPS", 1e4)
+        monkeypatch.setattr(voronoi, "_MAX_REFINEMENTS", 1)
+        monkeypatch.setattr(voronoi, "_contour_integral", recording)
+        kernel_U(xs)
+        [(value, err, _)] = found
+        worst = int(np.argmax(err / (1e-17 * np.abs(value) + 1e-15)))
+        monkeypatch.setattr(voronoi, "_RTOL", 1e-17)
+        with pytest.raises(voronoi.QuadratureError,
+                           match=f"at X = {np.sort(xs)[worst]:g}; estimate {err[worst]:g}$"):
+            kernel_U(xs)
 
 
 class TestWindow:
@@ -421,9 +504,18 @@ class TestContourConvergence:
             assert builds == 2 and np.all(err <= rtol * np.abs(value))
 
     def test_kernel_stops_at_second_pass(self, passes):
-        for X in np.geomspace(0.05, 1e6, 25):
-            kernel_U(float(X))
-        self._check(passes, 25)
+        # the Meijer-G points, 3 per block with X_hi < 8 X_lo
+        kernel_U(np.geomspace(0.05, 1e6, 25))
+        assert [len(value) for _, value, _, _ in passes] == [3] * 8 + [1]
+        self._check(passes, 9)
+
+    def test_benchmark_kernel_builds_14_contours(self, passes):
+        # the voronoi workload's kernel command: 8 of its 50 X per block,
+        # 2 contours per block
+        kernel_U(np.geomspace(1.0, 1e6, 50))
+        assert [len(value) for _, value, _, _ in passes] == [8] * 6 + [2]
+        self._check(passes, 7)
+        assert sum(builds for builds, *_ in passes) == 14
 
     def test_transform_stops_at_second_pass(self, passes):
         # the voronoi workload's points, and criterion 08's at q = 2, 3,
