@@ -160,9 +160,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 @lru_cache(maxsize=ARITH_CACHE_SIZE)
 def factorize(n: int) -> Factorization:

@@ -374,7 +374,8 @@ def _cmd_corr(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("lemma2-check", "multiplicativity of the correlation sum in the modulus, with the "
-          "splitting identity sampled", _flag("q1"), _flag("q2"), _flag("samples", default=8))
+          "splitting identity sampled", _flag("q1"), _flag("q2"),
+          _flag("samples", _nonnegative_int, default=8))
 def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
     q1, q2 = args.q1, args.q2
     # sample i is t1 then t2, the stream of drawing each triple in turn
@@ -410,7 +411,8 @@ def _cmd_lemma3_check(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("lemma4-scan", "max correlation ratio against the divisor-sum bound over a family",
-          _flag("q-max", default=24), _flag("entry-max", default=4))
+          _flag("q-max", _positive_int, default=24),
+          _flag("entry-max", _positive_int, default=4))
 def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> tuple[int, str]:
     best = expsum.correlation_bound_scan(list(range(1, args.q_max + 1)), args.entry_max)
     return 0, (f"max ratio (log power 3): {fmt12(best['ratio'])} at q={best.get('q')}, "
@@ -420,7 +422,7 @@ def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> tuple[int, str]:
 @_command("corr-identity", "measured deviation of the coprime correlation identity "
           "sum_h A(n) conj(A(m)) = q^3 c_q(n-m) d_3(n) d_3(m)",
           _flag("n-max", _nonnegative_int, default=6),
-          _flag("q-list", default=(3, 5, 7), nargs="+"))
+          _flag("q-list", _positive_int, default=(3, 5, 7), nargs="+"))
 def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
     rows = []
     for q in args.q_list:
@@ -450,7 +452,7 @@ def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
 
 @_command("kernel", "oscillatory kernel U(X) on a geometric grid",
           _flag("x-min", _positive_float, 1.0), _flag("x-max", _positive_float, 1e3),
-          _flag("points", default=25))
+          _flag("points", _positive_int, default=25))
 def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     U = voronoi.kernel_U(xs)
@@ -472,6 +474,9 @@ def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
 @_command("voronoi-compare", "magnitude comparison: leading dual-sum term vs the smoothed "
           "exponential-sum error", Q, X, Y, N_MAX)
 def _cmd_voronoi_compare(args, cfg: RunConfig) -> tuple[int, str]:
+    if args.q < 2:
+        print("error: q = 1 has no h to compare; voronoi-compare needs q >= 2", file=sys.stderr)
+        return 2, ""
     window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
     table = load_or_build_table(cfg, 3, int(args.x))
     rows, worst = [], 0.0

@@ -361,60 +361,12 @@ def kernel_U(X: float | np.ndarray) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# smooth window with exact derivative jets
+# smooth window and its Mellin transform
 # ---------------------------------------------------------------------------
-
-_JET_ORDER = 4
-
-
-def _jet_var(v: float) -> np.ndarray:
-    out = np.zeros(_JET_ORDER + 1)
-    out[0] = v
-    out[1] = 1.0
-    return out
-
-
-def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(_JET_ORDER + 1)
-    for n in range(_JET_ORDER + 1):
-        out[n] = sum(a[i] * b[n - i] for i in range(n + 1))
-    return out
-
-
-def _jet_recip(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(_JET_ORDER + 1)
-    out[0] = 1.0 / a[0]
-    for n in range(1, _JET_ORDER + 1):
-        out[n] = -sum(a[i] * out[n - i] for i in range(1, n + 1)) / a[0]
-    return out
-
-
-def _jet_exp(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(_JET_ORDER + 1)
-    out[0] = math.exp(a[0])
-    for n in range(1, _JET_ORDER + 1):
-        out[n] = sum(i * a[i] * out[n - i] for i in range(1, n + 1)) / n
-    return out
-
-
-def _ramp_jet(v: float) -> np.ndarray:
-    """Taylor jet of r(v) = f(v)/(f(v)+f(1-v)), f(v) = exp(-1/v)."""
-    if v <= 0.0:
-        return np.zeros(_JET_ORDER + 1)
-    if v >= 1.0:
-        out = np.zeros(_JET_ORDER + 1)
-        out[0] = 1.0
-        return out
-    jv = _jet_var(v)
-    one_minus = -jv.copy()
-    one_minus[0] += 1.0
-    f1 = _jet_exp(-_jet_recip(jv))
-    f2 = _jet_exp(-_jet_recip(one_minus))
-    return _jet_mul(f1, _jet_recip(f1 + f2))
 
 
 def _ramp_value(v: np.ndarray) -> np.ndarray:
-    """Vectorized r(v); exp underflow past the cut points is exact 0/1."""
+    """r(v) = f(v)/(f(v)+f(1-v)), f(v) = exp(-1/v); exact 0/1 past the cuts."""
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     out[v >= 1.0] = 1.0
@@ -425,17 +377,6 @@ def _ramp_value(v: np.ndarray) -> np.ndarray:
         f2 = np.exp(-1.0 / (1.0 - vi))
     out[inside] = f1 / (f1 + f2)
     return out
-
-
-@lru_cache(maxsize=8)
-def _ramp_derivative_bound(j: int) -> float:
-    """max_v |r^(j)(v)| sampled at 8001 points; static scale constants C_j.
-
-    Inflated 1% to certify values between sample points.
-    """
-    vs = np.linspace(0.0, 1.0, 8001)
-    fac = math.factorial(j)
-    return 1.01 * float(max(abs(_ramp_jet(v)[j]) * fac for v in vs))
 
 
 # A ramp sum F(s) = sum_k wn_k e^{-s L_k} over the Gauss nodes L_k = log t_k
@@ -522,32 +463,13 @@ class SmoothWindow:
         out[down] = _ramp_value((self.x - t[down]) / self.Y)
         return out if out.ndim else float(out)
 
-    def derivative(self, t: float, j: int) -> float:
-        """w^(j)(t) for 0 <= j <= 4, exact to roundoff via Taylor jets."""
-        if not 0 <= j <= _JET_ORDER:
-            raise ValueError(f"derivatives supported to order {_JET_ORDER}")
-        if j == 0:
-            return float(self(t))
-        fac = math.factorial(j)
-        if self.Y < t < 2.0 * self.Y:
-            return _ramp_jet((t - self.Y) / self.Y)[j] * fac / self.Y**j
-        if self.x - self.Y < t < self.x:
-            return _ramp_jet((self.x - t) / self.Y)[j] * fac * (-1.0 / self.Y) ** j
-        return 0.0
-
-    def derivative_bound(self, j: int) -> float:
-        """Certified |w^(j)| <= C_j / Y^j with sampled C_j."""
-        if j == 0:
-            return 1.0
-        return _ramp_derivative_bound(j) / self.Y**j
-
     # -- integral transforms ------------------------------------------------
 
-    def mellin(self, s: np.ndarray, nodes_hint: float = 0.0) -> np.ndarray:
+    def mellin(self, s: np.ndarray, nodes_hint: float) -> np.ndarray:
         """W(s) = int w(t) t^{-s} dt, vectorized over s.
 
-        Exact plateau antiderivative plus composite Gauss-Legendre ramps; the ramp
-        node counts resolve oscillation up to |Im s| = nodes_hint.  Each
+        Exact plateau antiderivative plus composite Gauss-Legendre ramps; the
+        ramp node counts resolve |Im s| up to the required nodes_hint.  Each
         ramp sum F(s) = sum_k wn_k e^{-s L_k}, L_k = log t_k, is expanded
         about the centre s0 of a square cell of s-nodes as
         e^{-s m} sum_{j<J} M_j(s0) (s0 - s)^j with moments
@@ -559,18 +481,17 @@ class SmoothWindow:
         """
         return self._mellin(s, nodes_hint, _ramp_sum_moments)
 
-    def mellin_dense(self, s: np.ndarray, nodes_hint: float = 0.0) -> np.ndarray:
-        """Oracle for ``mellin``: the same plateau and ramp rules, with each
-        ramp sum formed as a dense (s, t) matrix of exponentials."""
+    def mellin_dense(self, s: np.ndarray, nodes_hint: float) -> np.ndarray:
+        """Oracle for ``mellin``: the same plateau and ramp rules at the same
+        nodes_hint, with each ramp sum a dense (s, t) matrix of exponentials."""
         return self._mellin(s, nodes_hint, _ramp_sum_dense)
 
     def _mellin(self, s, nodes_hint, ramp_sum) -> np.ndarray:
         s = np.atleast_1d(s)
         one_minus_s = 1.0 - s
         plateau = ((self.x - self.Y) ** one_minus_s - (2.0 * self.Y) ** one_minus_s) / one_minus_s
-        tmax = float(nodes_hint) if nodes_hint else float(np.max(np.abs(s.imag)))
         out = plateau.astype(np.complex128)
-        for lo, hi, tn, wn in self._ramp_rules(tmax):
+        for lo, hi, tn, wn in self._ramp_rules(nodes_hint):
             out += ramp_sum(s, np.log(tn), wn, math.log(lo), math.log(hi))
         return out
 
@@ -585,8 +506,8 @@ class SmoothWindow:
             tn, dt = _composite_rule(np.linspace(lo, hi, panels + 1), _RAMP_ORDER)
             yield lo, hi, tn, dt * self(tn)
 
-    def log_moments(self, j_max: int = 3) -> list[float]:
-        """m_j = int w(t) log^j t dt for j = 0..j_max.
+    def log_moments(self) -> list[float]:
+        """m_j = int w(t) log^j t dt for j = 0..3.
 
         Plateau part via the exact antiderivative of log^j, ramps by
         64-point Gauss-Legendre (smooth, non-oscillatory).
@@ -601,7 +522,7 @@ class SmoothWindow:
 
         xg, wg = _leggauss(64)
         out = []
-        for j in range(j_max + 1):
+        for j in range(4):
             val = antideriv(j, self.x - self.Y) - antideriv(j, 2.0 * self.Y)
             for lo, hi in ((self.Y, 2.0 * self.Y), (self.x - self.Y, self.x)):
                 tn = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
@@ -692,7 +613,7 @@ def smoothed_delta_direct(
     phases = np.exp(2j * np.pi * h * np.arange(q) / q)
     sum_part = complex(np.dot(residues, phases))
 
-    m = window.log_moments(3)
+    m = window.log_moments()
     mellin_exp = LaurentExpansion(0, tuple(m[j] / math.factorial(j) for j in range(4)))
 
     main = 0.0
@@ -704,12 +625,13 @@ def smoothed_delta_direct(
     return sum_part - main
 
 
+_DUAL_Q_GUARD = 20  # n_max grows like q^3.3: a larger q raises GuardError
+
+
 def dual_sum_eval(
     point: ReducedFraction,
     window: SmoothWindow,
     n_max: int | None = None,
-    *,
-    q_guard: int = 20,
 ) -> tuple[complex, float]:
     """Leading dual-sum term (pi^{3/2}/q^3) sum_{n <= n_max} A_{h/q}(n) w_hat_q(n).
 
@@ -723,8 +645,8 @@ def dual_sum_eval(
     are not synthesized: callers compare magnitudes only.
     """
     q = point.q
-    if q > q_guard:
-        raise GuardError(f"q={q} exceeds dual-sum guard {q_guard}")
+    if q > _DUAL_Q_GUARD:
+        raise GuardError(f"q={q} exceeds dual-sum guard {_DUAL_Q_GUARD}")
     if n_max is None:
         cutoff = (window.x**2 * q**3 / window.Y**3) ** 1.1
         n_max = max(8, math.ceil(cutoff))

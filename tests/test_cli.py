@@ -101,6 +101,12 @@ class TestExitCodes:
         (["kernel"], "--x-min", "-1"),
         (["kernel"], "--x-max", "0"),
         (["kernel"], "--x-max", "inf"),
+        (["kernel"], "--points", "-1"),
+        (["kernel"], "--points", "0"),
+        (["lemma2-check", "--q1", "4", "--q2", "9"], "--samples", "-1"),
+        (["lemma4-scan"], "--q-max", "0"),
+        (["lemma4-scan"], "--entry-max", "0"),
+        (["corr-identity"], "--q-list", "0"),
     ])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -157,6 +163,8 @@ class TestOut:
         for code, argv, err in (
             (2, ["--config", str(cfg_file), "scan", "--grid", "1000:5"], "sieve_limit is 100"),
             (1, ["corr", "--triple", "1,1,1", "--triple2", "1,1,1", "--q", "99"], "guard"),
+            # no h with 1 <= h < 1: the factor-10 gate would pass on an empty table
+            (2, ["voronoi-compare", "--x", "1e4", "--Y", "1e3", "--q", "1"], "needs q >= 2"),
         ):
             assert main([*argv, "--out", str(out)]) == code
             assert not out.exists()
