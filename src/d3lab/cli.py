@@ -305,8 +305,8 @@ def _positive_float(text: str) -> float:
 
 
 Q = _flag("q", _positive_int)
-X = _flag("x", float)
-Y = _flag("Y", float)
+X = _flag("x", _positive_float)
+Y = _flag("Y", _positive_float)
 K = _flag("k", default=3)
 N_MAX = _flag("n-max", _nonnegative_int, default=0)
 FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
@@ -317,7 +317,7 @@ FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
 U_ABSCISSA = 0.1
 
 
-@_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", float))
+@_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", _positive_float))
 def _cmd_sieve(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.n))
     return 0, f"d_{args.k} sieved to {table.limit}; sum = {table.prefix_sum(table.limit)}\n"
@@ -374,7 +374,7 @@ def _cmd_corr(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("lemma2-check", "multiplicativity of the correlation sum in the modulus, with the "
-          "splitting identity sampled", _flag("q1"), _flag("q2"),
+          "splitting identity sampled", _flag("q1", _positive_int), _flag("q2", _positive_int),
           _flag("samples", _nonnegative_int, default=8))
 def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
     q1, q2 = args.q1, args.q2

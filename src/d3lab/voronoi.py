@@ -37,13 +37,14 @@ where W(s) splits into an exact plateau term and two short smooth ramp
 integrals.  Each ramp integral is a composite Gauss-Legendre sum, equal
 panels of the 32-point rule, over nodes L_k = log t_k that every contour
 node s shares; it is evaluated from Taylor moments of the nodes about the
-centres of square cells of s-nodes, one matrix product per ramp, with a
-truncation error below float64 rounding (see ``_ramp_sum_moments``).  The
-dense (s, t) exponential matrix is retained as the oracle
-``SmoothWindow.mellin_dense``, and a direct t-space quadrature of w(t) U(Nt)
-as an oracle for moderate N.  For a range of n, ``w_transform`` shares one
-contour among the n of each block with n_hi < 8 n_lo, so the dual sum
-over n <= n_max costs about log_8(n_max) contours, not n_max of them.
+centres of square cells of s-nodes, built in cache-sized slabs of cells
+from three small tables of exponentials, with a truncation error below
+float64 rounding (see ``_ramp_sum_moments``).  The dense (s, t)
+exponential matrix is retained as the oracle ``SmoothWindow.mellin_dense``,
+and a direct t-space quadrature of w(t) U(Nt) as an oracle for moderate
+N.  For a range of n, ``w_transform`` shares one contour among the n of
+each block with n_hi < 8 n_lo, so the dual sum over n <= n_max costs
+about log_8(n_max) contours, not n_max of them.
 
 G(s) is exp(3 (ln Gamma(s/2) - ln Gamma((1-s)/2))) with ln Gamma from
 Stirling's series, chosen per node (see ``_log_gamma``): 8 terms at z
@@ -388,9 +389,16 @@ def _ramp_value(v: np.ndarray) -> np.ndarray:
 #   |R| <= sum_k |wn_k e^{-s0 d_k}| (rho^J / J!) / (1 - rho/(J+1)),
 #
 # and rho = 2, J = 26 make the factor 1.8e-19, below float64 rounding.
+# The centres lie on the grid s0 = side (a + r0 + i (b + i0)), so with
+# b = 16 u + v each e^{-s0 d_k} is a product of three table entries:
+# e^{-side (a + r0) d_k} (one real row per a), e^{-i side (v + i0) d_k} (16
+# rows) and e^{-16 i side u d_k} (one row per u).  The moments are formed
+# in slabs of _MOMENT_SLAB entries, a few cells at a time, so no
+# (cells, t-nodes) or (J, s-nodes) matrix is built.
 _MOMENT_RADIUS = 2.0
 _MOMENT_TERMS = 26
-_BLOCK = 1 << 22  # complex entries per slab of an (s, t) or (scale, s) matrix
+_MOMENT_SLAB = 1 << 13  # complex entries (128 KB) per slab of cells x t-nodes
+_BLOCK = 1 << 16  # complex entries (1 MB) per slab of an (s, t) or (scale, s) matrix
 # Ramp rules are composite: equal panels of this many Gauss nodes.  With
 # 16-point panels the 48-node floor of the short upper ramp is 3 panels,
 # and W(s) at the contour nodes of w_hat_5(17) errs by up to 4e-8
@@ -419,21 +427,33 @@ def _ramp_sum_moments(s, logt, wn, log_lo, log_hi) -> np.ndarray:
     width = int(gi.max() - i0) + 1
     key = (gr - r0).astype(np.int64) * width + (gi - i0).astype(np.int64)
     keys, cell = np.unique(key, return_inverse=True)
-    s0 = side * ((keys // width + r0) + 1j * (keys % width + i0))
-    # powers[k, j] = d_k^j / j!
+    a, b = np.divmod(keys, width)
+    s0 = side * ((a + r0) + 1j * (b + i0))
+    # the three tables of e^{-s0 d}; see the expansion above
+    u, v = np.divmod(b, 16)
+    real_rows = np.exp(np.multiply.outer(-side * (np.arange(a.max() + 1) + r0), d)) * wn
+    fine = np.exp(np.multiply.outer(-1j * side * (np.arange(16) + i0), d))
+    coarse = np.exp(np.multiply.outer(-16j * side * np.arange(u.max() + 1), d))
+    # powers[k, j] = d_k^j / j!, complex so that no slab's product casts it
     steps = np.empty((len(d), _MOMENT_TERMS))
     steps[:, 0] = 1.0
     steps[:, 1:] = d[:, None] / np.arange(1, _MOMENT_TERMS)
-    powers = np.cumprod(steps, axis=1)
-    moments = np.empty((len(s0), _MOMENT_TERMS), dtype=np.complex128)
-    chunk = max(1, _BLOCK // len(d))
-    for i in range(0, len(s0), chunk):
-        moments[i : i + chunk] = (np.exp(-np.outer(s0[i : i + chunk], d)) * wn) @ powers
-    moments = moments.T[:, cell]
+    powers = np.cumprod(steps, axis=1).astype(np.complex128)
+    moments = np.empty((_MOMENT_TERMS, len(keys)), dtype=np.complex128)
+    rows = max(1, _MOMENT_SLAB // len(d))
+    slab = np.empty((rows, len(d)), dtype=np.complex128)
+    for i in range(0, len(keys), rows):
+        c = slice(i, i + rows)
+        e = slab[: len(a[c])]
+        np.multiply(real_rows[a[c]], fine[v[c]], out=e)
+        e *= coarse[u[c]]
+        moments[:, c] = (e @ powers).T
     z = s0[cell] - s
-    acc = moments[-1]
+    acc = moments[-1].take(cell)
+    tmp = np.empty_like(acc)
     for j in range(_MOMENT_TERMS - 2, -1, -1):
-        acc = acc * z + moments[j]
+        acc *= z
+        acc += moments[j].take(cell, out=tmp)
     return np.exp(-s * m) * acc
 
 
@@ -474,7 +494,11 @@ class SmoothWindow:
         about the centre s0 of a square cell of s-nodes as
         e^{-s m} sum_{j<J} M_j(s0) (s0 - s)^j with moments
         M_j(s0) = sum_k wn_k e^{-s0 d_k} d_k^j / j!, d_k = L_k - m, and
-        summed by Horner.  With cells of radius rho/h, h = max |d_k|, the
+        summed by Horner.  The moments are built a few cells at a time, in
+        128 KB slabs, and e^{-s0 d_k} is the product of a real row per
+        Re s0 and two rows of phases, so a t-node costs about
+        (real cell indices + 16 + imaginary ones / 16) exponentials, not
+        one per cell.  With cells of radius rho/h, h = max |d_k|, the
         truncation is at most |e^{-s m}| sum_k |wn_k e^{-s0 d_k}| times
         1.8e-19 (rho = 2, J = 26), so the result is the same discrete sum
         as the dense oracle ``mellin_dense`` to rounding.

@@ -107,6 +107,14 @@ class TestExitCodes:
         (["lemma4-scan"], "--q-max", "0"),
         (["lemma4-scan"], "--entry-max", "0"),
         (["corr-identity"], "--q-list", "0"),
+        (["lemma2-check", "--q2", "3"], "--q1", "0"),
+        (["lemma2-check", "--q1", "3"], "--q2", "-2"),
+        (["delta", "--q", "5"], "--x", "0"),
+        (["delta", "--q", "5"], "--x", "-3"),
+        (["delta", "--q", "5"], "--x", "nan"),
+        (["variance", "--q", "5"], "--x", "inf"),
+        (["sieve"], "--n", "-5"),
+        (["wtransform", "--q", "10", "--x", "1e4"], "--Y", "0"),
     ])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,23 @@ class TestFastMellin:
             assert abs(fast[i] - ref) <= 2e-11 * abs(ref)
             assert abs(dense[i] - ref) <= 2e-11 * abs(ref)
 
+    def test_matches_dense_oracle_across_slabs_and_tables(self, monkeypatch):
+        # the far tail's pass-2 nodes: on the lower ramp they fall into 122
+        # cells, 18 slabs of 7 cells, with 3 real and 120 imaginary cell
+        # indices, so every row of the three exponential tables is used
+        w = SmoothWindow(1e4, 1e2)
+        _, [_, (s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        scale = _term_scale(w, s, hint)
+        for lo, hi, tn, wn in w._ramp_rules(hint):
+            if lo == w.Y:
+                side = math.sqrt(2.0) * voronoi._MOMENT_RADIUS / (0.5 * math.log(hi / lo))
+                cells = np.unique(np.rint(s.real / side) + 1j * np.rint(s.imag / side))
+                assert len(cells) * len(tn) > voronoi._MOMENT_SLAB
+                assert len(np.unique(cells.real)) >= 3 and len(np.unique(cells.imag)) > 16
+            args = (s, np.log(tn), wn, math.log(lo), math.log(hi))
+            fast, dense = voronoi._ramp_sum_moments(*args), voronoi._ramp_sum_dense(*args)
+            assert np.all(np.abs(fast - dense) <= 2e-11 * scale)
+
     @pytest.mark.parametrize("q, n, x, Y", [(10, 17783, 1e4, 1e2), (5, 17, 1e4, 1e3)])
     def test_w_transform_matches_dense(self, monkeypatch, q, n, x, Y):
         w = SmoothWindow(x=x, Y=Y)
@@ -416,6 +434,33 @@ class TestRampRule:
                 ref = complex(ref)
             # measured 4e-15 .. 5e-13 relative
             assert abs(w.mellin(np.array([sv]), nodes_hint=100.0)[0] - ref) <= 2e-12 * abs(ref)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """W(s) and the rows of a block are built in cache-sized slabs, not as
+    whole (cells, t-nodes) or (scales, s-nodes) matrices."""
+
+    def test_far_tail_mellin(self, monkeypatch):
+        # 12,176 pass-2 nodes: measured 3.3 MB, against 7.3 MB for whole
+        # matrices and a (moments, nodes) gather
+        w = SmoothWindow(1e4, 1e2)
+        _, [_, (s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        assert _traced_peak(w.mellin, s, hint) <= 4.5e6
+
+    def test_ranged_transform(self):
+        # measured 2.7 MB, against 9.0 MB with slabs of 2^22 entries
+        w = SmoothWindow(1e4, 1e3)
+        assert _traced_peak(w_transform.__wrapped__, 3, range(1, 101), w) <= 4e6
 
 
 class TestTransform:
@@ -579,6 +624,7 @@ class TestTransformRange:
         # slabs of 3 * 4096 entries hold one row of these 6576- and
         # 9216-node contours; each row's sums are the same, bit for bit
         w = SmoothWindow(1e4, 1e3)
+        monkeypatch.setattr(voronoi, "_BLOCK", 1 << 22)
         whole = w_transform.__wrapped__(2, range(8, 64), w)
         monkeypatch.setattr(voronoi, "_BLOCK", 3 * 4096)
         slabs = w_transform.__wrapped__(2, range(8, 64), w)
