@@ -304,9 +304,36 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _float_at_least(low: float):
+    """The type of a finite float flag >= low: a command's own lower bound."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"{value} is not a finite number >= {low:g}")
+        return value
+    parse.__name__ = f"float >= {low:g}"
+    return parse
+
+
+def _usage_error(message: str) -> tuple[int, str]:
+    """A check across flags failed: one error: line, exit 2 and no report."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2, ""
+
+
+def _window(args) -> voronoi.SmoothWindow | None:
+    """The window of --x and --Y; None, after an error: line, when 3Y > x.
+    Y >= 1 is the bound of the --Y flag itself."""
+    if 3.0 * args.Y > args.x:
+        _usage_error(f"the window needs 3Y <= x, got x = {args.x:g} and Y = {args.Y:g}")
+        return None
+    return voronoi.SmoothWindow(x=args.x, Y=args.Y)
+
+
 Q = _flag("q", _positive_int)
 X = _flag("x", _positive_float)
-Y = _flag("Y", _positive_float)
+SIEVE_X = _flag("x", _float_at_least(1.0))  # also the sieve limit
+Y = _flag("Y", _float_at_least(1.0))
 K = _flag("k", default=3)
 N_MAX = _flag("n-max", _nonnegative_int, default=0)
 FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
@@ -317,7 +344,7 @@ FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
 U_ABSCISSA = 0.1
 
 
-@_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", _positive_float))
+@_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", _float_at_least(1.0)))
 def _cmd_sieve(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.n))
     return 0, f"d_{args.k} sieved to {table.limit}; sum = {table.prefix_sum(table.limit)}\n"
@@ -440,7 +467,8 @@ def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
     return 0, _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
 
 
-@_command("mainterm", "progression main term and its log-polynomial", Q, _flag("a"), X, K)
+@_command("mainterm", "progression main term and its log-polynomial", Q, _flag("a"),
+          _flag("x", _float_at_least(2.0)), K)
 def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
     text = fmt12(mainterm.mainterm_progression(args.q, args.a, args.x, args.k)) + "\n"
     if args.k == 3:
@@ -463,7 +491,8 @@ def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
 @_command("wtransform", "window transform w_hat_q(n)",
           Q, _flag("n", _positive_int, 1), N_MAX, X, Y)
 def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
-    window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
+    if (window := _window(args)) is None:
+        return 2, ""
     n_values = range(1, args.n_max + 1) if args.n_max else range(args.n, args.n + 1)
     w_hat = voronoi.w_transform(args.q, n_values, window)
     meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": U_ABSCISSA,
@@ -475,9 +504,9 @@ def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
           "exponential-sum error", Q, X, Y, N_MAX)
 def _cmd_voronoi_compare(args, cfg: RunConfig) -> tuple[int, str]:
     if args.q < 2:
-        print("error: q = 1 has no h to compare; voronoi-compare needs q >= 2", file=sys.stderr)
+        return _usage_error("q = 1 has no h to compare; voronoi-compare needs q >= 2")
+    if (window := _window(args)) is None:
         return 2, ""
-    window = voronoi.SmoothWindow(x=args.x, Y=args.Y)
     table = load_or_build_table(cfg, 3, int(args.x))
     rows, worst = [], 0.0
     for h in range(1, args.q):
@@ -516,7 +545,7 @@ def _variance_table(reports: list, fmt: str) -> tuple[list[str], list[list]]:
 
 
 @_command("variance", "one variance report row with Parseval and decomposition checks",
-          Q, X, K)
+          Q, SIEVE_X, K)
 def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
     rep = variance.variance_report(args.q, args.x, table, args.k)
@@ -525,7 +554,7 @@ def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("decomp-check", "divisor decomposition of the full variance into reduced levels",
-          Q, X, K)
+          Q, SIEVE_X, K)
 def _cmd_decomp_check(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
     dev = variance.divisor_decomposition_check(args.q, args.x, table, args.k)
@@ -556,9 +585,7 @@ def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
     grid = args.grid or variance.default_grid()
     xmax = max(x for x, _ in grid)
     if xmax > cfg.sieve_limit:
-        print(f"error: grid needs x up to {xmax} but sieve_limit is {cfg.sieve_limit}",
-              file=sys.stderr)
-        return 2, ""
+        return _usage_error(f"grid needs x up to {xmax} but sieve_limit is {cfg.sieve_limit}")
     table = load_or_build_table(cfg, args.k, xmax)
     reports = variance.exponent_scan(grid, table, args.k, workers=cfg.workers())
     slopes = variance.fit_log_slopes(reports)

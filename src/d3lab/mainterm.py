@@ -47,7 +47,9 @@ __all__ = [
     "x_power_over_s",
 ]
 
-LAURENT_ORDER = 3  # coefficients kept beyond the pole; residue needs 2
+# highest degree kept: the principal part, degrees -k..-1, is all that the
+# residue against x^{s-1}/s (or any series analytic at s = 1) reads
+LAURENT_ORDER = -1
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,18 @@ def _top_class_factor(p: int, e: int, k: int, n: int) -> tuple[LaurentExpansion,
 def restricted_series_laurent(
     q: int, delta: int, k: int = 3, hi: int = LAURENT_ORDER
 ) -> LaurentExpansion:
-    """Laurent expansion of D_{q,delta}(s) around s = 1 (pole order <= k).
+    """Laurent expansion of D_{q,delta}(s) around s = 1 (pole order <= k),
+    through degree hi: by default the principal part only.
 
     The local factors of each prime are cached across moduli; they are
     multiplied into the zeta power in the same order for every (q, delta).
+    Coefficient m of every product, inverse and polynomial depends only on
+    the operands' coefficients <= m, so a smaller hi gives the same bits
+    in the degrees it keeps.
     """
     if q < 1 or delta < 1 or q % delta != 0:
         raise ValueError(f"delta = {delta} must divide q = {q}")
-    n = hi + k + 1
+    n = hi + k  # the analytic factors' degree: hi against a pole of order k
     out = zeta_power_laurent(k, hi + 1)
     out = out * LaurentExpansion.from_exp(-math.log(delta), n).scale(1.0 / delta)
     for p, e_q in factorize(q).factors:

@@ -59,16 +59,19 @@ __all__ = [
 def progression_sums(q: int, x: float, table: DivisorTable) -> np.ndarray:
     """S_r = sum_{n <= x, n = r mod q} d_k(n) for r = 0..q-1, exact int64.
 
-    d_k(1..x) fills positions 1..x of a zero array cut into rows of
-    length q; the column sums are the S_r.
+    values[0..x] cut into rows of length q: the column sums of the whole
+    rows, a view of the table, plus the short last row, less values[0]
+    (n = 0 is not in the sum).
     """
     xi = int(x)
     if xi > table.limit:
         raise ValueError(f"sieve limit {table.limit} < x = {xi}")
-    rows = -(-(xi + 1) // q)
-    padded = np.zeros(rows * q, dtype=np.int64)
-    padded[1 : xi + 1] = table.values[1 : xi + 1]
-    return padded.reshape(rows, q).sum(axis=0)
+    vals = table.values[: xi + 1]
+    whole = len(vals) - len(vals) % q
+    S = vals[:whole].reshape(-1, q).sum(axis=0, dtype=np.int64)
+    S[: len(vals) - whole] += vals[whole:]
+    S[0] -= vals[0]
+    return S
 
 
 def fold_progression_sums(S: np.ndarray, d: int) -> np.ndarray:
@@ -258,32 +261,57 @@ def variance_report(
         ratio2=v2_all / b1,
         ratio1=v1_prim / b2,
         parseval_dev=parseval_dev,
-        decomp_dev=divisor_decomposition_check(q, x, table, k, sums=S),
+        decomp_dev=divisor_decomposition_check(q, x, table, k, sums=S, delta=delta),
         y_param=float(x) ** 0.5 * q**0.75,
     )
 
 
 def divisor_decomposition_check(
-    q: int, x: float, table: DivisorTable, k: int = 3, *, sums: np.ndarray | None = None
+    q: int,
+    x: float,
+    table: DivisorTable,
+    k: int = 3,
+    *,
+    sums: np.ndarray | None = None,
+    delta: np.ndarray | None = None,
 ) -> float:
     """Relative deviation of sum_a |Delta(a/q)|^2 from
     sum_{d|q} sum'_{h mod d} |Delta(h/d)|^2.
 
     Each level d gets its own DFT and main terms; its residue sums S_d
     are folded exactly from S_q (``sums``, computed from the table when
-    not given).
+    not given).  The level d = q is ``delta`` = Delta(a/q) when the caller
+    has it.  A proper level d < q is a function of (d, x, k, S_d) alone
+    and is memoised on those values, so a scan that meets d under many
+    moduli transforms it once; math.fsum is correctly rounded in any
+    order, so the deviation does not depend on which levels were cached.
     """
     S = progression_sums(q, x, table) if sums is None else sums
-    delta_q = delta_all(q, x, table, k, sums=S)
+    delta_q = delta_all(q, x, table, k, sums=S) if delta is None else delta
     lhs = math.fsum(delta_q.real**2 + delta_q.imag**2)
-    rhs_terms = []
-    for d in divisors(q):
-        dd = delta_all(d, x, table, k, sums=fold_progression_sums(S, d))
-        h = np.arange(d)
-        prim = np.gcd(h, d) == 1 if d > 1 else np.array([True])
-        rhs_terms.extend((dd.real[prim] ** 2 + dd.imag[prim] ** 2).tolist())
-    rhs = math.fsum(rhs_terms)
+    levels = [_primitive_abs2(delta_q)]
+    for d in divisors(q)[:-1]:
+        S_d = fold_progression_sums(S, d)
+        levels.append(_level_abs2(d, float(x), k, S_d.dtype.str, S_d.tobytes()))
+    rhs = math.fsum(np.concatenate(levels).tolist())
     return abs(lhs - rhs) / max(lhs, 1e-300)
+
+
+def _primitive_abs2(delta: np.ndarray) -> np.ndarray:
+    """|Delta(h/d)|^2 at the reduced h mod d = len(delta) (h = 0 for d = 1)."""
+    d = len(delta)
+    prim = np.gcd(np.arange(d), d) == 1
+    return delta.real[prim] ** 2 + delta.imag[prim] ** 2
+
+
+@lru_cache(maxsize=256)
+def _level_abs2(d: int, x: float, k: int, dtype: str, sums: bytes) -> np.ndarray:
+    """One proper level of the decomposition: _primitive_abs2 of its own
+    DFT of the residue sums S_d, passed as bytes so that they are the key."""
+    S_d = np.frombuffer(sums, dtype=dtype)
+    out = _primitive_abs2(delta_all(d, x, None, k, sums=S_d))
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

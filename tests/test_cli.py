@@ -115,6 +115,12 @@ class TestExitCodes:
         (["variance", "--q", "5"], "--x", "inf"),
         (["sieve"], "--n", "-5"),
         (["wtransform", "--q", "10", "--x", "1e4"], "--Y", "0"),
+        (["sieve"], "--n", "0.5"),
+        (["variance", "--q", "5"], "--x", "0.5"),
+        (["decomp-check", "--q", "5"], "--x", "0.5"),
+        (["mainterm", "--q", "6", "--a", "1"], "--x", "0.5"),
+        (["mainterm", "--q", "6", "--a", "1"], "--x", "1.9"),
+        (["wtransform", "--q", "3", "--x", "1e3", "--n", "1"], "--Y", "0.5"),
     ])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +179,9 @@ class TestOut:
             (1, ["corr", "--triple", "1,1,1", "--triple2", "1,1,1", "--q", "99"], "guard"),
             # no h with 1 <= h < 1: the factor-10 gate would pass on an empty table
             (2, ["voronoi-compare", "--x", "1e4", "--Y", "1e3", "--q", "1"], "needs q >= 2"),
+            # each flag is in range, the window is not: 3Y > x
+            (2, ["wtransform", "--q", "3", "--x", "1e2", "--Y", "50", "--n", "1"], "needs 3Y <= x"),
+            (2, ["voronoi-compare", "--x", "1e2", "--Y", "50", "--q", "3"], "needs 3Y <= x"),
         ):
             assert main([*argv, "--out", str(out)]) == code
             assert not out.exists()

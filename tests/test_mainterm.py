@@ -184,6 +184,28 @@ class TestRestrictedSeries:
                     restricted_series_eval(q, delta, s), rel=1e-9
                 )
 
+    @given(st.integers(1, 400), st.sampled_from([2, 3]), st.floats(3.0, 7.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_principal_part_is_the_longer_series_cut(self, q, k, log10_x):
+        # the default keeps degrees -k..-1 only; the hi = 3 series is the
+        # oracle, and every number read from the series keeps its bits
+        x = 10.0**log10_x
+        for delta in divisors(q):
+            D = restricted_series_laurent(q, delta, k)
+            longer = restricted_series_laurent(q, delta, k, hi=3)
+            assert (D.lo, D.hi) == (-k, -1)
+            assert [c.hex() for c in D.coeffs] == [longer.coeff(j).hex() for j in range(-k, 0)]
+            res = longer.product_coeff(x_power_over_s(x, 3 + k), -1)
+            expected = x * res / euler_phi(q // delta)
+            assert class_main_term(q, delta, x, k).hex() == expected.hex(), (q, delta, k)
+            if k == 3:
+                phi = euler_phi(q // delta)
+                d3c, d2c, d1c = longer.coeff(-3), longer.coeff(-2), longer.coeff(-1)
+                poly = mainterm_poly(q, delta)
+                assert [v.hex() for v in (poly.a2, poly.a1, poly.a0)] == [
+                    v.hex() for v in (d3c / 2.0 / phi, (d2c - d3c) / phi, (d3c - d2c + d1c) / phi)
+                ]
+
     def test_eval_at_2_vs_tail_extrapolated_sum(self, d3_table_1e6):
         # direct summation oracle: partial sums at many cutoffs, the limit
         # recovered by least squares against the tail shape

@@ -62,6 +62,25 @@ class TestProgressionSums:
         for d in divisors(q):
             assert np.array_equal(fold_progression_sums(S, d), progression_sums(d, x, d3_table_1e4))
 
+    @pytest.mark.parametrize("q, x", [
+        (7, 6999),  # q divides x + 1: whole rows only
+        (7, 7000),  # a short last row
+        (360, 100),  # x < q: the short row alone
+        (1, 5000),
+        (12, 10**5),  # x = table.limit
+        (13, 0),
+    ])
+    def test_matches_definition_at_the_row_edges(self, d3_table_1e5, q, x):
+        # values[0] is unused: a table that holds a value there must not see it
+        values = d3_table_1e5.values.copy()
+        values[0] = 10**9
+        marked = DivisorTable(k=3, limit=d3_table_1e5.limit, values=values)
+        for table in (d3_table_1e5, marked):
+            n = np.arange(1, x + 1)
+            oracle = np.bincount(n % q, weights=table.values[1 : x + 1], minlength=q)
+            S = progression_sums(q, x, table)
+            assert S.dtype == np.int64 and np.array_equal(S, oracle.astype(np.int64))
+
     def test_fold_rejects_non_divisor(self, d3_table_1e4):
         with pytest.raises(ValueError):
             fold_progression_sums(progression_sums(12, 100, d3_table_1e4), 5)
@@ -127,6 +146,39 @@ class TestReports:
     def test_decomposition(self, d3_table_1e4):
         assert divisor_decomposition_check(12, 1e4, d3_table_1e4) <= 1e-9
         assert divisor_decomposition_check(1, 1e4, d3_table_1e4) <= 1e-15
+
+    def test_decomposition_memo_keeps_the_bits(self, d3_table_1e5):
+        # cold memo and no delta, warm memo and the caller's delta, and the
+        # report: one float, because fsum is correctly rounded in any order
+        from d3lab.variance import _level_abs2
+
+        q, x = 360, 1e5
+        S = progression_sums(q, x, d3_table_1e5)
+        delta = delta_all(q, x, d3_table_1e5, sums=S)
+        _level_abs2.cache_clear()
+        cold = divisor_decomposition_check(q, x, d3_table_1e5)
+        assert _level_abs2.cache_info().misses == len(divisors(q)) - 1
+        warm = divisor_decomposition_check(q, x, d3_table_1e5, sums=S, delta=delta)
+        assert _level_abs2.cache_info().hits == len(divisors(q)) - 1
+        report = variance_report(q, x, d3_table_1e5).decomp_dev
+        assert cold.hex() == warm.hex() == report.hex()
+        assert cold <= 1e-9
+
+    def test_decomposition_memo_recomputes_a_changed_level(self, d3_table_1e5):
+        # one more at n = 9999 changes S_d at every level d | 12; a memo that
+        # served the first table's levels would leave a deviation near 1e-4
+        from d3lab.variance import _level_abs2
+
+        q, x = 12, 10**4
+        values = d3_table_1e5.values.copy()
+        values[9999] += 1
+        changed = DivisorTable(k=3, limit=d3_table_1e5.limit, values=values)
+        divisor_decomposition_check(q, x, d3_table_1e5)
+        warm = divisor_decomposition_check(q, x, changed)
+        _level_abs2.cache_clear()
+        cold = divisor_decomposition_check(q, x, changed)
+        assert warm.hex() == cold.hex()
+        assert warm <= 1e-9
 
     def test_prime_decomposition_structure(self, d3_table_1e4):
         # for prime q the right side is |Delta(0/1)|^2 plus the primitive sum
