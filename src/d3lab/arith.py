@@ -36,9 +36,14 @@ __all__ = [
     "unit_phase",
 ]
 
-# sieve_dk works in place on two int64 arrays (the table and the cofactor):
-# 16 bytes/entry, measured under tracemalloc, keeps N = 10^7 under ~200 MB.
+# sieve_dk holds one uint32 table (4 bytes/entry for k = 3) plus one block of
+# work arrays, so N = 5*10^7 is a 200 MB table.
 MAX_SIEVE_LIMIT = 50_000_000
+# entries per block of sieve_dk: a block's slice of the table and its
+# cofactor (4 bytes each) stay within a 1 MB cache
+_SIEVE_BLOCK = 1 << 17
+# the smallest k of d_k that the sieves take
+K_MIN = 2
 # entries kept by the factorize and divisors caches
 ARITH_CACHE_SIZE = 1 << 14
 
@@ -52,6 +57,8 @@ class DivisorTable:
     """Sieved values of d_k(n) for 1 <= n <= limit, immutable once built.
 
     d_k(n) counts ordered k-tuples with product n; values[0] is unused.
+    values is uint32, or uint64 when _dk_max(k, limit) needs it (never
+    for k = 3), so sums over it are taken in a wider type.
     """
 
     k: int
@@ -68,20 +75,52 @@ class DivisorTable:
         """Sum of d_k(n) for n <= x, exact."""
         if x > self.limit:
             raise ValueError(f"sieve holds n <= {self.limit}, asked for {x}")
-        return int(self.values[1 : x + 1].sum())
+        vals = self.values[1 : x + 1]
+        if vals.dtype == np.uint32:
+            return int(vals.sum(dtype=np.uint64))  # x < 2^32 terms < 2^32
+        return sum(vals.tolist())
 
 
-def _check_sieve_args(k: int, limit: int, max_limit: int) -> None:
-    if k < 2:
-        raise ValueError("k must be >= 2")
+def _dk_max(k: int, limit: int) -> int:
+    """The exact maximum of d_k(n) over 1 <= n <= limit.
+
+    d_k(n) = prod C(e_i + k - 1, k - 1) depends on the exponents of n
+    alone, and putting them on 2, 3, 5, ... in non-increasing order keeps
+    d_k(n) and does not raise n.  So the maximum is taken at such an n,
+    and the walk visits each of those n <= limit once.
+    """
+    primes = _primes_upto(8)
+    while math.prod(primes) <= limit:
+        primes = _primes_upto(2 * primes[-1])
+
+    def walk(i: int, n: int, cap: int, d: int) -> int:
+        best, p, e = d, primes[i], 1
+        while e <= cap and n * p**e <= limit:
+            best = max(best, walk(i + 1, n * p**e, e, d * math.comb(e + k - 1, k - 1)))
+            e += 1
+        return best
+
+    return walk(0, 1, limit.bit_length(), 1)
+
+
+def _check_sieve_args(k: int, limit: int, max_limit: int) -> type:
+    """The dtype of the d_k table to limit: uint32 when every d_k(n) fits,
+    else uint64; an OverflowError beyond 64 bits."""
+    if k < K_MIN:
+        raise ValueError(f"k must be >= {K_MIN}")
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    top = _dk_max(k, limit)
+    if top >= 2**64:
+        raise OverflowError(f"d_{k}(n) reaches {top} for n <= {limit}, beyond 64 bits")
+    dtype = np.uint32 if top < 2**32 else np.uint64
     if limit > max_limit:
         raise CapacityError(
             f"sieve limit {limit} exceeds budget {max_limit} "
-            f"(~{16 * limit / 1e6:.0f} MB of work arrays); "
+            f"(~{np.dtype(dtype).itemsize * limit / 1e6:.0f} MB of table); "
             "raise max_limit explicitly if you really want this"
         )
+    return dtype
 
 
 def _primes_upto(m: int) -> list[int]:
@@ -96,6 +135,17 @@ def _primes_upto(m: int) -> list[int]:
     return np.flatnonzero(is_prime).tolist()
 
 
+def _prime_power_hits(powers: list[tuple], limit: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (n, p) with p^e | n <= limit for each (p^e, p, ...) of
+    powers, as two arrays sorted by n."""
+    n = np.concatenate([np.zeros(0, dtype)]
+                       + [np.arange(pe, limit + 1, pe, dtype=dtype) for pe, *_ in powers])
+    p = np.repeat(np.array([p for _, p, *_ in powers], dtype=dtype),
+                  [limit // pe for pe, *_ in powers])
+    order = np.argsort(n, kind="stable")
+    return n[order], p[order]
+
+
 def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
     """Exact table of d_k(1..limit) by a multiplicative sieve.
 
@@ -103,30 +153,55 @@ def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTab
     p <= sqrt(limit) and each e, the multiples of p^e trade the factor
     d_k(p^(e-1)) they already carry for d_k(p^e) (an exact division),
     and their cofactor loses one p.  What is left of n is then 1 or a
-    single prime > sqrt(limit), which contributes d_k(p) = k.  All work
-    is in place on two int64 arrays; sieve_dk_convolution is the oracle.
+    single prime > sqrt(limit), which contributes d_k(p) = k.  Every
+    value the table holds on the way is d_k of a divisor of n, so the
+    dtype that holds max d_k holds them all.
+
+    The table is sieved in place, in blocks of _SIEVE_BLOCK entries, each
+    with a cofactor of its own.  Prime powers below the block size run
+    on every block.  The few larger ones update the table afterwards in
+    strided passes, so each prime's exponents stay in order, and their
+    cofactor divisions are sparse (n, p) hits that each block applies.
+    sieve_dk_convolution is the oracle.
     """
-    _check_sieve_args(k, limit, max_limit)
-    vals = np.ones(limit + 1, dtype=np.int64)
-    vals[0] = 0
-    rest = np.arange(limit + 1, dtype=np.int64)
+    vals = np.empty(limit + 1, dtype=_check_sieve_args(k, limit, max_limit))
+    # (p^e, p, d_k(p^(e-1)), d_k(p^e)) for the prime powers p^e <= limit, p <= sqrt(limit)
+    small, large = [], []
     for p in _primes_upto(math.isqrt(limit)):
         pe, e = p, 1
         while pe <= limit:
-            v = vals[pe::pe]
-            if e > 1:
-                v //= math.comb(e + k - 2, k - 1)
-            v *= math.comb(e + k - 1, k - 1)
-            r = rest[pe::pe]
-            r //= p
+            (small if pe < _SIEVE_BLOCK else large).append(
+                (pe, p, math.comb(e + k - 2, k - 1), math.comb(e + k - 1, k - 1)))
             pe *= p
             e += 1
-    # rest -> 1 where the cofactor is 1 and k where it is a large prime
-    np.minimum(rest, 2, out=rest)
-    rest -= 1
-    rest *= k - 1
-    rest += 1
-    vals *= rest
+    cofactor = np.uint32 if limit < 2**32 else np.uint64
+    hit_n, hit_p = _prime_power_hits(large, limit, cofactor)
+    for lo in range(0, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+        block = vals[lo:hi]
+        block.fill(1)  # each block's first touch, so it is still in cache
+        rest = np.arange(lo, hi, dtype=cofactor)
+        for pe, p, before, after in small:
+            start = -lo % pe
+            v = block[start::pe]
+            if before > 1:
+                v //= before
+            v *= after
+            r = rest[start::pe]
+            r //= p
+        i, j = np.searchsorted(hit_n, (lo, hi))
+        np.floor_divide.at(rest, hit_n[i:j] - lo, hit_p[i:j])
+        # what is left of n > 1 is 1 or a prime > sqrt(limit): a factor 1 or k
+        np.greater(rest, 1, out=rest)
+        rest *= k - 1
+        rest += 1
+        block *= rest
+    for pe, _, before, after in large:
+        v = vals[pe::pe]
+        if before > 1:
+            v //= before
+        v *= after
+    vals[0] = 0
     return DivisorTable(k=k, limit=limit, values=vals)
 
 
@@ -134,15 +209,21 @@ def sieve_dk_convolution(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -
     """Oracle for sieve_dk: k-1 divisor-convolution passes, O(k N log N).
 
     Each pass convolves the current table with the all-ones function:
-    out[m] = sum_{d|m} vals[d], so after k-1 passes vals[n] = d_k(n).
+    out[n] = sum_{dm = n} vals[d], so after k-1 passes vals[n] = d_k(n).
+    The pairs with m <= sqrt(N) are added one m at a time, the others
+    (where d < sqrt(N)) one d at a time.  Every pass holds d_j(n) <= d_k(n),
+    so sieve_dk's dtype holds it.
     """
-    _check_sieve_args(k, limit, max_limit)
-    vals = np.ones(limit + 1, dtype=np.int64)
+    dtype = _check_sieve_args(k, limit, max_limit)
+    vals = np.ones(limit + 1, dtype=dtype)
     vals[0] = 0
+    root = math.isqrt(limit)
     for _ in range(k - 1):
-        out = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            out[d::d] += vals[d]
+        out = np.zeros(limit + 1, dtype=dtype)
+        for m in range(1, root + 1):
+            out[m : m * (limit // m) + 1 : m] += vals[1 : limit // m + 1]
+        for d in range(1, limit // (root + 1) + 1):
+            out[d * (root + 1) :: d] += vals[d]
         vals = out
     return DivisorTable(k=k, limit=limit, values=vals)
 

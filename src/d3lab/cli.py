@@ -104,16 +104,18 @@ def write_cache(table: DivisorTable, path: Path) -> None:
     """Binary layout: magic 'D3PL', u16 version, u8 k, u64 N, N x u32
     values, u64 blake2b checksum of everything before it.
 
-    The file is written to a temporary name in the same directory and
-    renamed over ``path``, so a reader sees the old file or the new one,
-    never a partial write.
+    The values are hashed and written straight from the table, with no
+    copy; a table that is not uint32 does not fit the format.  The file
+    is written to a temporary name in the same directory and renamed over
+    ``path``, so a reader sees the old file or the new one, never a
+    partial write.
     """
-    vals = table.values[1:]
-    if vals.max(initial=0) >= 2**32:
-        raise OverflowError("table values exceed the 32-bit cache format")
+    if table.values.dtype != np.uint32:
+        raise OverflowError(f"a {table.values.dtype} table does not fit the 32-bit cache format")
     header = CACHE_MAGIC + struct.pack("<HBQ", CACHE_VERSION, table.k, table.limit)
-    body = vals.astype("<u4").tobytes()
-    digest = hashlib.blake2b(header + body, digest_size=8).digest()
+    body = memoryview(table.values[1:].astype("<u4", copy=False))
+    checksum = hashlib.blake2b(header, digest_size=8)
+    checksum.update(body)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -121,7 +123,7 @@ def write_cache(table: DivisorTable, path: Path) -> None:
             with open(tmp, "wb") as fh:
                 fh.write(header)
                 fh.write(body)
-                fh.write(digest)
+                fh.write(checksum.digest())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -131,24 +133,33 @@ def write_cache(table: DivisorTable, path: Path) -> None:
 
 
 def read_cache(path: Path, k: int, limit: int) -> DivisorTable | None:
-    """Returns the cached table, or None when absent/corrupt/mismatched."""
+    """Returns the cached table, or None when absent/corrupt/mismatched.
+
+    Once the header matches, the body is read straight into a fresh
+    uint32 table and hashed there; the table is returned only when the
+    checksum matches and nothing follows it.
+    """
+    head_len = 4 + 2 + 1 + 8
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.read(head_len)
+            if len(header) != head_len or header[:4] != CACHE_MAGIC:
+                return None
+            version, kk, nn = struct.unpack("<HBQ", header[4:])
+            if version != CACHE_VERSION or kk != k or nn != limit:
+                return None
+            values = np.empty(limit + 1, dtype="<u4")
+            values[0] = 0
+            body = memoryview(values[1:])
+            if fh.readinto(body) != body.nbytes:
+                return None
+            digest = fh.read(9)  # the 8 checksum bytes and nothing after them
     except OSError:
         return None
-    head_len = 4 + 2 + 1 + 8
-    if len(blob) < head_len + 8 or blob[:4] != CACHE_MAGIC:
+    checksum = hashlib.blake2b(header, digest_size=8)
+    checksum.update(body)
+    if checksum.digest() != digest:
         return None
-    version, kk, nn = struct.unpack("<HBQ", blob[4:head_len])
-    if version != CACHE_VERSION or kk != k or nn != limit:
-        return None
-    body = blob[head_len:-8]
-    if len(body) != 4 * limit:
-        return None
-    if hashlib.blake2b(blob[:-8], digest_size=8).digest() != blob[-8:]:
-        return None
-    values = np.zeros(limit + 1, dtype=np.int64)
-    values[1:] = np.frombuffer(body, dtype="<u4")
     return DivisorTable(k=k, limit=limit, values=values)
 
 
@@ -315,6 +326,20 @@ def _float_at_least(low: float):
     return parse
 
 
+def _int_in(low: int, high: int | None = None):
+    """The type of an integer flag >= low (and <= high when given): a
+    command's own range, read from the code that enforces it."""
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+    parse.__name__ = f"int {span}"
+    return parse
+
+
 def _usage_error(message: str) -> tuple[int, str]:
     """A check across flags failed: one error: line, exit 2 and no report."""
     print(f"error: {message}", file=sys.stderr)
@@ -334,7 +359,12 @@ Q = _flag("q", _positive_int)
 X = _flag("x", _positive_float)
 SIEVE_X = _flag("x", _float_at_least(1.0))  # also the sieve limit
 Y = _flag("Y", _float_at_least(1.0))
-K = _flag("k", default=3)
+# --k of each command, default 3: a sieve needs k >= 2, main terms need the
+# Stieltjes constants of zeta^k, and a variance report needs bounds for k
+SIEVE_K = _flag("k", _int_in(arith.K_MIN), default=3)
+MAIN_K = _flag("k", _int_in(1, mainterm.K_MAX), default=3)
+DELTA_K = _flag("k", _int_in(arith.K_MIN, mainterm.K_MAX), default=3)
+REPORT_K = _flag("k", _int_in(min(variance.BOUNDED_K), max(variance.BOUNDED_K)), default=3)
 N_MAX = _flag("n-max", _nonnegative_int, default=0)
 FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
 # The "c" meta cell of kernel and wtransform: the abscissa of U's defining
@@ -344,7 +374,7 @@ FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
 U_ABSCISSA = 0.1
 
 
-@_command("sieve", "build (and cache) the exact d_k table", K, _flag("n", _float_at_least(1.0)))
+@_command("sieve", "build (and cache) the exact d_k table", SIEVE_K, _flag("n", _float_at_least(1.0)))
 def _cmd_sieve(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.n))
     return 0, f"d_{args.k} sieved to {table.limit}; sum = {table.prefix_sum(table.limit)}\n"
@@ -468,7 +498,7 @@ def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("mainterm", "progression main term and its log-polynomial", Q, _flag("a"),
-          _flag("x", _float_at_least(2.0)), K)
+          _flag("x", _float_at_least(2.0)), MAIN_K)
 def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
     text = fmt12(mainterm.mainterm_progression(args.q, args.a, args.x, args.k)) + "\n"
     if args.k == 3:
@@ -523,7 +553,7 @@ def _cmd_voronoi_compare(args, cfg: RunConfig) -> tuple[int, str]:
     return (0 if worst <= 10.0 else 1), _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
 
 
-@_command("delta", "Delta(a/q) for all a via the chirp-length DFT", Q, X, K)
+@_command("delta", "Delta(a/q) for all a via the chirp-length DFT", Q, X, DELTA_K)
 def _cmd_delta(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, max(int(args.x), 1))
     d = variance.delta_all(args.q, args.x, table, args.k)
@@ -545,7 +575,7 @@ def _variance_table(reports: list, fmt: str) -> tuple[list[str], list[list]]:
 
 
 @_command("variance", "one variance report row with Parseval and decomposition checks",
-          Q, SIEVE_X, K)
+          Q, SIEVE_X, REPORT_K)
 def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
     rep = variance.variance_report(args.q, args.x, table, args.k)
@@ -554,7 +584,7 @@ def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("decomp-check", "divisor decomposition of the full variance into reduced levels",
-          Q, SIEVE_X, K)
+          Q, SIEVE_X, DELTA_K)
 def _cmd_decomp_check(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, int(args.x))
     dev = variance.divisor_decomposition_check(args.q, args.x, table, args.k)
@@ -580,7 +610,7 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 @_command("scan", "variance scan over an (x, q) grid with fitted slopes",
           _flag("grid", _parse_grid, required=False,
-                help="comma list x:q, e.g. 1e4:22,1e4:100"), K)
+                help="comma list x:q, e.g. 1e4:22,1e4:100"), REPORT_K)
 def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
     grid = args.grid or variance.default_grid()
     xmax = max(x for x, _ in grid)

@@ -188,12 +188,13 @@ _STIELTJES = (
     -0.00020920926205929996,
     -0.0002834686553202414,
 )
+STIELTJES_J_MAX = len(_STIELTJES) - 1
 
 
 def stieltjes_constants(j_max: int) -> tuple[float, ...]:
-    """gamma_0..gamma_j_max from the table above; j_max <= 15."""
-    if not 0 <= j_max < len(_STIELTJES):
-        raise ValueError(f"Stieltjes constants are tabulated for j <= {len(_STIELTJES) - 1}")
+    """gamma_0..gamma_j_max from the table above; j_max <= STIELTJES_J_MAX."""
+    if not 0 <= j_max <= STIELTJES_J_MAX:
+        raise ValueError(f"Stieltjes constants are tabulated for j <= {STIELTJES_J_MAX}")
     return _STIELTJES[: j_max + 1]
 
 

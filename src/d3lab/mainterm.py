@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import ReducedFraction, divisors, euler_phi, factorize, mobius
-from .laurent import LaurentExpansion, zeta_near_1, zeta_power_laurent
+from .laurent import STIELTJES_J_MAX, LaurentExpansion, zeta_near_1, zeta_power_laurent
 
 __all__ = [
     "MainTermPoly",
@@ -50,6 +50,10 @@ __all__ = [
 # highest degree kept: the principal part, degrees -k..-1, is all that the
 # residue against x^{s-1}/s (or any series analytic at s = 1) reads
 LAURENT_ORDER = -1
+# zeta_power_laurent(k, LAURENT_ORDER + 1) reads gamma_j for j up to
+# LAURENT_ORDER + 2k - 1, so the tabulated constants give main terms for
+# 1 <= k <= K_MAX
+K_MAX = (STIELTJES_J_MAX - LAURENT_ORDER + 1) // 2
 
 
 @dataclass(frozen=True)

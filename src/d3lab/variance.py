@@ -61,7 +61,8 @@ def progression_sums(q: int, x: float, table: DivisorTable) -> np.ndarray:
 
     values[0..x] cut into rows of length q: the column sums of the whole
     rows, a view of the table, plus the short last row, less values[0]
-    (n = 0 is not in the sum).
+    (n = 0 is not in the sum).  The table is unsigned, so the sums are
+    taken in int64 and the short row is cast to it.
     """
     xi = int(x)
     if xi > table.limit:
@@ -69,8 +70,8 @@ def progression_sums(q: int, x: float, table: DivisorTable) -> np.ndarray:
     vals = table.values[: xi + 1]
     whole = len(vals) - len(vals) % q
     S = vals[:whole].reshape(-1, q).sum(axis=0, dtype=np.int64)
-    S[: len(vals) - whole] += vals[whole:]
-    S[0] -= vals[0]
+    S[: len(vals) - whole] += vals[whole:].astype(np.int64)
+    S[0] -= int(vals[0])
     return S
 
 
@@ -171,6 +172,10 @@ def bound_bhs(x: float, q: int) -> float:
     return math.inf
 
 
+# the k whose moments have reference bounds: the only k of a variance report
+BOUNDED_K = (2, 3)
+
+
 def bound_second_moment(x: float, q: int, k: int) -> float:
     """Second-moment bound: x q^{3/2} for k=3, x for k=2 (Blomer form)."""
     if k == 3:
@@ -235,12 +240,13 @@ def variance_report(
     a = np.arange(q)
     prim = np.gcd(a, q) == 1
 
+    # math.fsum reads a list faster than it iterates an array, to the same bits
     abs2 = delta.real**2 + delta.imag**2
-    v2_all = math.fsum(abs2)
-    v2_prim = math.fsum(abs2[prim])
-    v2_e = math.fsum(E * E)
-    v1_prim = math.fsum(np.abs(E[prim]))
-    v1_all = math.fsum(np.abs(E))
+    v2_all = math.fsum(abs2.tolist())
+    v2_prim = math.fsum(abs2[prim].tolist())
+    v2_e = math.fsum((E * E).tolist())
+    v1_prim = math.fsum(np.abs(E[prim]).tolist())
+    v1_all = math.fsum(np.abs(E).tolist())
     parseval_dev = abs(v2_e - v2_all / q) / max(v2_e, 1e-300)
 
     b1 = bound_second_moment(float(x), q, k)
@@ -288,7 +294,7 @@ def divisor_decomposition_check(
     """
     S = progression_sums(q, x, table) if sums is None else sums
     delta_q = delta_all(q, x, table, k, sums=S) if delta is None else delta
-    lhs = math.fsum(delta_q.real**2 + delta_q.imag**2)
+    lhs = math.fsum((delta_q.real**2 + delta_q.imag**2).tolist())
     levels = [_primitive_abs2(delta_q)]
     for d in divisors(q)[:-1]:
         S_d = fold_progression_sums(S, d)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from d3lab import arith
 from d3lab.arith import (
     CapacityError,
     ReducedFraction,
@@ -69,8 +70,47 @@ class TestSieve:
         assert fast.values.dtype == oracle.values.dtype
         assert np.array_equal(fast.values, oracle.values)
 
+    @given(st.integers(2, 5), st.integers(1, 2000))
+    @example(3, 64)
+    @example(4, 65)
+    @example(2, 1999)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_match_convolution_oracle(self, k, limit):
+        # 64-entry blocks: limits straddle blocks, and every p^e >= 64 (p = 2
+        # from e = 6, p >= 11 from e = 2) takes the strided pass and its
+        # sparse cofactor hits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_SIEVE_BLOCK", 64)
+            fast = sieve_dk(k, limit)
+        oracle = sieve_dk_convolution(k, limit)
+        assert fast.values.dtype == oracle.values.dtype == np.uint32
+        assert np.array_equal(fast.values, oracle.values)
+
     def test_matches_convolution_oracle_1e5(self):
         assert np.array_equal(sieve_dk(3, 10**5).values, sieve_dk_convolution(3, 10**5).values)
+
+    def test_dk_max_is_the_table_max(self):
+        # the running maximum of each oracle table is _dk_max at every N
+        for k in range(2, 7):
+            running = np.maximum.accumulate(sieve_dk_convolution(k, 3000).values)
+            assert [arith._dk_max(k, n) for n in range(1, 3001)] == running[1:].tolist()
+
+    def test_d3_is_uint32_to_the_budget(self):
+        assert arith._dk_max(3, arith.MAX_SIEVE_LIMIT) == 45_360
+        assert sieve_dk(3, 100).values.dtype == np.uint32
+
+    def test_uint64_when_uint32_overflows(self):
+        # max d_12(n), n <= 10^6, is 18,487,961,856 > 2^32
+        fast, oracle = sieve_dk(12, 10**6), sieve_dk_convolution(12, 10**6)
+        assert int(fast.values.max()) == arith._dk_max(12, 10**6) == 18_487_961_856
+        assert fast.values.dtype == oracle.values.dtype == np.uint64
+        assert np.array_equal(fast.values, oracle.values)
+
+    def test_beyond_64_bits_is_refused(self):
+        # d_60(2^10 3^6) = C(69, 59) C(65, 59), about 2.8e19, wrapped int64 once
+        assert math.comb(69, 59) * math.comb(65, 59) >= 2**64
+        with pytest.raises(OverflowError, match="beyond 64 bits"):
+            sieve_dk(60, 10**6)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -80,6 +120,16 @@ class TestSieve:
         t = sieve_dk(3, 100)
         with pytest.raises(ValueError):
             t.values[5] = 0
+
+    def test_prefix_sum_exact_beyond_64_bits(self):
+        # every d_72(n), n <= 10^5, fits uint64 but their sum does not:
+        # sum_{n <= x} d_k(n) = sum_{n <= x} d_{k-1}(n) floor(x / n)
+        x = 10**5
+        t = sieve_dk(72, x)
+        lower = sieve_dk(71, x).values.tolist()
+        expected = sum(lower[n] * (x // n) for n in range(1, x + 1))
+        assert t.values.dtype == np.uint64 and expected >= 2**64
+        assert t.prefix_sum(x) == expected
 
 
 class TestFactorize:

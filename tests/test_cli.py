@@ -121,12 +121,28 @@ class TestExitCodes:
         (["mainterm", "--q", "6", "--a", "1"], "--x", "0.5"),
         (["mainterm", "--q", "6", "--a", "1"], "--x", "1.9"),
         (["wtransform", "--q", "3", "--x", "1e3", "--n", "1"], "--Y", "0.5"),
+        # --k: a sieve needs k >= 2, main terms k <= 8, variance reports k in {2, 3}
+        (["sieve", "--n", "100"], "--k", "1"),
+        (["mainterm", "--q", "6", "--a", "1", "--x", "1e4"], "--k", "0"),
+        (["mainterm", "--q", "6", "--a", "1", "--x", "1e4"], "--k", "9"),
+        (["delta", "--q", "5", "--x", "100"], "--k", "1"),
+        (["decomp-check", "--q", "5", "--x", "100"], "--k", "9"),
+        (["variance", "--q", "5", "--x", "100"], "--k", "4"),
+        (["scan"], "--k", "4"),
     ])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_sieve_beyond_64_bits_is_one_error_line(self, capsys):
+        # d_60(746496) once wrapped int64 and printed a wrong sum with exit 0
+        assert main(["sieve", "--k", "60", "--n", "1e6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: d_60(n) reaches ") and line.endswith("beyond 64 bits")
 
     def test_variance_passes(self):
         code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")
@@ -526,6 +542,30 @@ class TestSieveCache:
         back = read_cache(path, 3, 1000)
         assert back is not None and np.array_equal(back.values, table.values)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        table = sieve_dk(3, 1000)
+        path = cache_path(str(tmp_path), 3, 1000)
+        write_cache(table, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        assert read_cache(path, 3, 1000) is None
+
+    def test_uint64_table_refused(self, tmp_path):
+        table = sieve_dk(28, 2000)  # d_28(2^6 3^3) = C(33, 6) C(30, 3) > 2^32
+        assert table.values.dtype == np.uint64
+        path = cache_path(str(tmp_path), 28, 2000)
+        with pytest.raises(OverflowError):
+            write_cache(table, path)
+        assert not path.exists()
+
+    def test_read_table_is_read_only_uint32(self, tmp_path):
+        path = cache_path(str(tmp_path), 3, 1000)
+        write_cache(sieve_dk(3, 1000), path)
+        back = read_cache(path, 3, 1000)
+        assert back.values.dtype == np.uint32 and back.values[0] == 0
+        assert not back.values.flags.writeable
+        with pytest.raises(ValueError):
+            back.values[1] = 7
 
     def test_wrong_k_not_reused(self, tmp_path):
         table = sieve_dk(3, 1000)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from d3lab.arith import DivisorTable, divisors
+from d3lab.arith import DivisorTable, divisors, sieve_dk
 from d3lab.cli import fmt12
 from d3lab.variance import (
     bound_bhs,
@@ -34,6 +34,14 @@ class TestProgressionSums:
         for q in (1, 7, 12):
             S = progression_sums(q, 100, d3_table_1e4)
             assert S.sum() == d3_table_1e4.prefix_sum(100)
+
+    def test_uint64_table(self):
+        # d_8 tables are uint64 past N = 10^7 (max d_8 is 4,892,659,200 at
+        # 5*10^7); their sums are the same int64 as a uint32 table's
+        table = sieve_dk(8, 1000)
+        wide = DivisorTable(k=8, limit=1000, values=table.values.astype(np.uint64))
+        for q, x in ((1, 1000), (7, 1000), (12, 999)):
+            assert np.array_equal(progression_sums(q, x, wide), progression_sums(q, x, table))
 
     def test_sieve_too_short(self, d3_table_1e4):
         with pytest.raises(ValueError):
@@ -179,6 +187,17 @@ class TestReports:
         cold = divisor_decomposition_check(q, x, changed)
         assert warm.hex() == cold.hex()
         assert warm <= 1e-9
+
+    @pytest.mark.parametrize("q, parseval_hex, decomp_hex", [
+        (12, "0x1.415fdd84b1a52p-41", "0x1.bd985be2ebc5ep-44"),
+        (360, "0x1.7ad07bf81f0fdp-51", "0x1.7265738684c54p-49"),
+    ])
+    def test_deviation_bits(self, d3_table_1e5, q, parseval_hex, decomp_hex):
+        # recorded when the sums read numpy arrays; fsum of a list is the same
+        # correctly rounded sum
+        r = variance_report(q, 1e5, d3_table_1e5)
+        assert (r.parseval_dev.hex(), r.decomp_dev.hex()) == (parseval_hex, decomp_hex)
+        assert divisor_decomposition_check(q, 1e5, d3_table_1e5).hex() == decomp_hex
 
     def test_prime_decomposition_structure(self, d3_table_1e4):
         # for prime q the right side is |Delta(0/1)|^2 plus the primitive sum
