@@ -18,7 +18,6 @@ import numpy.fft  # numpy 2 loads it on first use: load it here, at import
 __all__ = [
     "CapacityError",
     "DivisorTable",
-    "Factorization",
     "ReducedFraction",
     "divisors",
     "euler_phi",
@@ -49,7 +48,7 @@ ARITH_CACHE_SIZE = 1 << 14
 
 
 class CapacityError(MemoryError):
-    """Requested table would exceed the configured memory budget."""
+    """Requested table would exceed MAX_SIEVE_LIMIT, the sieve's memory budget."""
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,10 @@ def _dk_max(k: int, limit: int) -> int:
     return walk(0, 1, limit.bit_length(), 1)
 
 
-def _check_sieve_args(k: int, limit: int, max_limit: int) -> type:
+def _check_sieve_args(k: int, limit: int) -> type:
     """The dtype of the d_k table to limit: uint32 when every d_k(n) fits,
-    else uint64; an OverflowError beyond 64 bits."""
+    else uint64; an OverflowError beyond 64 bits and a CapacityError
+    beyond MAX_SIEVE_LIMIT, both before anything is allocated."""
     if k < K_MIN:
         raise ValueError(f"k must be >= {K_MIN}")
     if limit < 1:
@@ -114,11 +114,10 @@ def _check_sieve_args(k: int, limit: int, max_limit: int) -> type:
     if top >= 2**64:
         raise OverflowError(f"d_{k}(n) reaches {top} for n <= {limit}, beyond 64 bits")
     dtype = np.uint32 if top < 2**32 else np.uint64
-    if limit > max_limit:
+    if limit > MAX_SIEVE_LIMIT:
         raise CapacityError(
-            f"sieve limit {limit} exceeds budget {max_limit} "
-            f"(~{np.dtype(dtype).itemsize * limit / 1e6:.0f} MB of table); "
-            "raise max_limit explicitly if you really want this"
+            f"sieve limit {limit} exceeds budget {MAX_SIEVE_LIMIT} "
+            f"(~{np.dtype(dtype).itemsize * limit / 1e6:.0f} MB of table)"
         )
     return dtype
 
@@ -146,7 +145,7 @@ def _prime_power_hits(powers: list[tuple], limit: int, dtype) -> tuple[np.ndarra
     return n[order], p[order]
 
 
-def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
+def sieve_dk(k: int, limit: int) -> DivisorTable:
     """Exact table of d_k(1..limit) by a multiplicative sieve.
 
     d_k is multiplicative with d_k(p^e) = C(e+k-1, k-1).  For each prime
@@ -164,7 +163,7 @@ def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTab
     cofactor divisions are sparse (n, p) hits that each block applies.
     sieve_dk_convolution is the oracle.
     """
-    vals = np.empty(limit + 1, dtype=_check_sieve_args(k, limit, max_limit))
+    vals = np.empty(limit + 1, dtype=_check_sieve_args(k, limit))
     # (p^e, p, d_k(p^(e-1)), d_k(p^e)) for the prime powers p^e <= limit, p <= sqrt(limit)
     small, large = [], []
     for p in _primes_upto(math.isqrt(limit)):
@@ -205,7 +204,7 @@ def sieve_dk(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTab
     return DivisorTable(k=k, limit=limit, values=vals)
 
 
-def sieve_dk_convolution(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
+def sieve_dk_convolution(k: int, limit: int) -> DivisorTable:
     """Oracle for sieve_dk: k-1 divisor-convolution passes, O(k N log N).
 
     Each pass convolves the current table with the all-ones function:
@@ -214,7 +213,7 @@ def sieve_dk_convolution(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -
     (where d < sqrt(N)) one d at a time.  Every pass holds d_j(n) <= d_k(n),
     so sieve_dk's dtype holds it.
     """
-    dtype = _check_sieve_args(k, limit, max_limit)
+    dtype = _check_sieve_args(k, limit)
     vals = np.ones(limit + 1, dtype=dtype)
     vals[0] = 0
     root = math.isqrt(limit)
@@ -228,26 +227,13 @@ def sieve_dk_convolution(k: int, limit: int, max_limit: int = MAX_SIEVE_LIMIT) -
     return DivisorTable(k=k, limit=limit, values=vals)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ((p1, e1), (p2, e2), ...), primes increasing."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-
 @lru_cache(maxsize=ARITH_CACHE_SIZE)
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization, adequate for n <= ~10^12.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization ((p1, e1), (p2, e2), ...), primes
+    increasing; adequate for n <= ~10^12.
 
     Cached: mobius, sigma, euler_phi and ramanujan_sum all start here.
-    The result is immutable and holds Python ints whatever the type of n.
+    The result is a tuple of Python ints whatever the type of n.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -274,28 +260,28 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     factors.sort()
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
 @lru_cache(maxsize=ARITH_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, sorted; cached, hence a tuple."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         divs = [d * p**j for d in divs for j in range(e + 1)]
     return tuple(sorted(divs))
 
 
 def euler_phi(n: int) -> int:
     phi = n
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         phi -= phi // p
     return phi
 
 
 def mobius(n: int) -> int:
     mu = 1
-    for _, e in factorize(n).factors:
+    for _, e in factorize(n):
         if e > 1:
             return 0
         mu = -mu
@@ -305,7 +291,7 @@ def mobius(n: int) -> int:
 def sigma(n: int) -> int:
     """Sum of divisors of n."""
     out = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out *= (p ** (e + 1) - 1) // (p - 1)
     return out
 

@@ -4,20 +4,23 @@ Each subcommand is declared once, beside its handler, by ``_command``
 (its name, help text and flags), and ``build_parser`` loops over that
 table.  A handler returns its exit code and its report text; ``main``
 alone writes the text, to ``--out`` when it is given and to stdout
-otherwise.  Nothing is written on a usage error (exit 2) or when a run
-stops with an ``error:`` message; a failed check (exit 1) still writes
+otherwise.  A handler refuses a request by raising: ``main`` turns a
+UsageError into one ``error:`` line and exit 2, and a refused cost
+(a cost guard, the sieve budget arith.MAX_SIEVE_LIMIT, a table beyond
+64 bits) or a failed computation into one ``error:`` line and exit 1.
+A refused request writes nothing; a failed check (exit 1) still writes
 its report.
 
 Global flags go before the subcommand.  A ``--config`` file holds flat
-``key=value`` lines with the keys sieve_limit, cache_dir, threads,
-format and seed; the global flags override it.
+``key=value`` lines with the keys cache_dir, threads, format and seed;
+the global flags override it.
 
 Exit codes: 0 success, 1 check failure (an asserted identity or bound
-violated), 2 usage error.  All floating output is printed with 12
-significant digits so reports are byte-stable regression fixtures; in
-JSON a NaN is null and an infinity the string "inf" or "-inf".
-Identical argv + config + seed produce byte-identical outputs at any
-worker count.
+violated) or refused cost, 2 usage error.  All floating output is
+printed with 12 significant digits so reports are byte-stable regression
+fixtures; in JSON a NaN is null and an infinity the string "inf" or
+"-inf".  Identical argv + config + seed produce byte-identical outputs
+at any worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ IDENTITY_TOL = 1e-9
 
 # config-file key -> (RunConfig field, value parser)
 _CONFIG_KEYS = {
-    "sieve_limit": ("sieve_limit", int),
     "cache_dir": ("cache_dir", str),
     "threads": ("threads", int),
     "format": ("fmt", str),
@@ -59,7 +61,6 @@ _CONFIG_KEYS = {
 class RunConfig:
     """Execution knobs; file values are overridden by CLI flags."""
 
-    sieve_limit: int = 10**7
     cache_dir: str = ""
     threads: int = 0
     fmt: str = "csv"
@@ -164,6 +165,8 @@ def read_cache(path: Path, k: int, limit: int) -> DivisorTable | None:
 
 
 def load_or_build_table(cfg: RunConfig, k: int, limit: int) -> DivisorTable:
+    """The d_k table to limit, read from --cache-dir when it is there; a
+    table that is built is cached when the cache format holds it (uint32)."""
     if cfg.cache_dir:
         path = cache_path(cfg.cache_dir, k, limit)
         cached = read_cache(path, k, limit)
@@ -172,7 +175,8 @@ def load_or_build_table(cfg: RunConfig, k: int, limit: int) -> DivisorTable:
         if path.exists():
             print(f"warning: sieve cache {path} invalid, rebuilding", file=sys.stderr)
         table = arith.sieve_dk(k, limit)
-        write_cache(table, path)
+        if table.values.dtype == np.uint32:
+            write_cache(table, path)
         return table
     return arith.sieve_dk(k, limit)
 
@@ -340,18 +344,15 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _usage_error(message: str) -> tuple[int, str]:
-    """A check across flags failed: one error: line, exit 2 and no report."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2, ""
+class UsageError(Exception):
+    """A check across flags failed: main prints one error: line and exits 2."""
 
 
-def _window(args) -> voronoi.SmoothWindow | None:
-    """The window of --x and --Y; None, after an error: line, when 3Y > x.
-    Y >= 1 is the bound of the --Y flag itself."""
+def _window(args) -> voronoi.SmoothWindow:
+    """The window of --x and --Y; a UsageError when 3Y > x.  Y >= 1 is the
+    bound of the --Y flag itself."""
     if 3.0 * args.Y > args.x:
-        _usage_error(f"the window needs 3Y <= x, got x = {args.x:g} and Y = {args.Y:g}")
-        return None
+        raise UsageError(f"the window needs 3Y <= x, got x = {args.x:g} and Y = {args.Y:g}")
     return voronoi.SmoothWindow(x=args.x, Y=args.Y)
 
 
@@ -521,8 +522,7 @@ def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
 @_command("wtransform", "window transform w_hat_q(n)",
           Q, _flag("n", _positive_int, 1), N_MAX, X, Y)
 def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
-    if (window := _window(args)) is None:
-        return 2, ""
+    window = _window(args)
     n_values = range(1, args.n_max + 1) if args.n_max else range(args.n, args.n + 1)
     w_hat = voronoi.w_transform(args.q, n_values, window)
     meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": U_ABSCISSA,
@@ -534,9 +534,8 @@ def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
           "exponential-sum error", Q, X, Y, N_MAX)
 def _cmd_voronoi_compare(args, cfg: RunConfig) -> tuple[int, str]:
     if args.q < 2:
-        return _usage_error("q = 1 has no h to compare; voronoi-compare needs q >= 2")
-    if (window := _window(args)) is None:
-        return 2, ""
+        raise UsageError("q = 1 has no h to compare; voronoi-compare needs q >= 2")
+    window = _window(args)
     table = load_or_build_table(cfg, 3, int(args.x))
     rows, worst = [], 0.0
     for h in range(1, args.q):
@@ -614,8 +613,6 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
     grid = args.grid or variance.default_grid()
     xmax = max(x for x, _ in grid)
-    if xmax > cfg.sieve_limit:
-        return _usage_error(f"grid needs x up to {xmax} but sieve_limit is {cfg.sieve_limit}")
     table = load_or_build_table(cfg, args.k, xmax)
     reports = variance.exponent_scan(grid, table, args.k, workers=cfg.workers())
     slopes = variance.fit_log_slopes(reports)
@@ -673,10 +670,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         code, text = args.fn(args, cfg)
-        if code != 2:
-            _emit(text, args.out)
+        _emit(text, args.out)
         return code
-    except (expsum.GuardError, ValueError, OSError, ArithmeticError) as exc:
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (expsum.GuardError, arith.CapacityError, ValueError, OSError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

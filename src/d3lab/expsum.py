@@ -78,7 +78,7 @@ def _require(cond: bool, msg: str):
 def dk_exact(k: int, n: int) -> int:
     """d_k(n) from the factorization: product of C(e+k-1, k-1)."""
     out = 1
-    for _, e in factorize(n).factors:
+    for _, e in factorize(n):
         out *= math.comb(e + k - 1, k - 1)
     return out
 
@@ -320,49 +320,26 @@ def cq_table(q: int) -> np.ndarray:
     return out
 
 
-# moduli whose brute-force pair-sum tables stay cached: a catalog check
-# reads one modulus; the tables cost about 2 MB at q = 500
-PAIR_TABLE_CACHE = 4
-
-
-@lru_cache(maxsize=PAIR_TABLE_CACHE)
-def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only lookup tables mod q shared by every cq_pair_sum_bruteforce at q.
-
-    Returns the multiplication table r*X mod q (q x phi(q), rows r,
-    columns the units), the difference table (x - y) mod q (q x q,
-    int32) and the phases e(r/q).
-    """
-    r = np.arange(q, dtype=np.int64)
-    mul = (r[:, None] * _units(q)[None, :] % q).astype(np.int32)
-    diff = ((r[:, None] - r[None, :]) % q).astype(np.int32)
-    phases = np.exp(2j * np.pi * r / q)
-    for table in (mul, diff, phases):
-        table.flags.writeable = False
-    return mul, diff, phases
-
-
 def cq_pair_sum_bruteforce(
     a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500
 ) -> int:
     """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X'), exact integer.
 
-    Pairs are tallied by joint phase/twist residue class in integers,
-    so the only float step is a final length-q combination with e(r/q).
-    The residues aX - a2X' and bX - b2X' are gathered from the cached
-    tables of _pair_tables.
+    The residues aX - a2X' and bX - b2X' are formed over the phi(q)^2
+    unit pairs and the pairs tallied by joint phase/twist residue class
+    in integers, so the only float step is a final length-q combination
+    with e(r/q).
     """
     _require(q <= q_guard, f"q={q} exceeds pair-sum guard {q_guard}")
     if q == 1:
         return 1
-    mul, diff, phases = _pair_tables(q)
-    t = diff.take(mul[a % q], axis=0).take(mul[a2 % q], axis=1)  # (aX - a2X') mod q
-    s = diff.take(mul[b % q], axis=0).take(mul[b2 % q], axis=1)  # (bX - b2X') mod q
-    t *= q
-    t += s  # joint class t*q + s
-    joint = np.bincount(t.ravel(), minlength=q * q).reshape(q, q)
+    X = _units(q)[:, None]
+    a, a2, b, b2 = (v % q for v in (a, a2, b, b2))  # small factors: no int64 overflow
+    t = (a * X - a2 * X.T) % q  # (aX - a2X') mod q
+    s = (b * X - b2 * X.T) % q  # (bX - b2X') mod q
+    joint = np.bincount((t * q + s).ravel(), minlength=q * q).reshape(q, q)
     weights = joint @ cq_table(q)  # integer W_t per phase class
-    return round_to_integer(complex(weights @ phases))
+    return round_to_integer(complex(weights @ np.exp(2j * np.pi * np.arange(q) / q)))
 
 
 # elements gathered per chunk of rows in cq_pair_sum: bounds its scratch
@@ -408,7 +385,7 @@ class PrimePowerCase(Enum):
 def _check_prime_power(p: int, k: int) -> None:
     if p < 2 or k < 1:
         raise ValueError("need a prime p and exponent k >= 1")
-    for pp, _ in factorize(p).factors:
+    for pp, _ in factorize(p):
         if pp != p:
             raise ValueError(f"{p} is not prime")
 

@@ -53,10 +53,6 @@ class LaurentExpansion:
             return 0.0
         return self.coeffs[degree - self.lo]
 
-    def residue(self) -> float:
-        """Coefficient of (s-1)^(-1)."""
-        return self.coeff(-1)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentExpansion") -> "LaurentExpansion":

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ReducedFraction, divisors, euler_phi, factorize, mobius
+from .arith import divisors, euler_phi, factorize, mobius
 from .laurent import STIELTJES_J_MAX, LaurentExpansion, zeta_near_1, zeta_power_laurent
 
 __all__ = [
@@ -132,7 +132,7 @@ def restricted_series_laurent(
     n = hi + k  # the analytic factors' degree: hi against a pole of order k
     out = zeta_power_laurent(k, hi + 1)
     out = out * LaurentExpansion.from_exp(-math.log(delta), n).scale(1.0 / delta)
-    for p, e_q in factorize(q).factors:
+    for p, e_q in factorize(q):
         e_d = 0
         dd = delta
         while dd % p == 0:
@@ -160,7 +160,7 @@ def restricted_series_eval(q: int, delta: int, s: complex, k: int = 3) -> comple
         raise ValueError(f"delta = {delta} must divide q = {q}")
     z = zeta_near_1(s)
     val = z**k * delta ** (-s)
-    for p, e_q in factorize(q).factors:
+    for p, e_q in factorize(q):
         e_d = 0
         dd = delta
         while dd % p == 0:
@@ -222,14 +222,13 @@ def mainterm_poly(q: int, a: int, k: int = 3) -> MainTermPoly:
 
 
 @lru_cache(maxsize=65536)
-def mainterm_expsum(point: ReducedFraction, x: float, k: int = 3) -> float:
-    """Fourier-paired main term of the exponential sum at a reduced h/q.
+def mainterm_expsum(q: int, x: float, k: int = 3) -> float:
+    """Fourier-paired main term of the exponential sum at any reduced h/q.
 
     f = sum_{delta | q} c_{q/delta}(h) * M-class(q, delta); reduced h
     gives c_{q/delta}(h) = mu(q/delta), so the value depends only on q.
     Classes with mu(q/delta) = 0 add an exact zero and are skipped.
     """
-    q = point.q
     return math.fsum(
         mu * class_main_term(q, delta, float(x), k)
         for delta in divisors(q)

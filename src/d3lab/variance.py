@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first use: load it here, at import
 
-from .arith import DivisorTable, ReducedFraction, divisors
+from .arith import DivisorTable, divisors
 from .expsum import cq_table
 from .mainterm import mainterm_expsum, mainterm_progression
 
@@ -90,17 +90,11 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(a, a % q) / q) @ values.astype(np.complex128)
 
 
-@lru_cache(maxsize=200_000)
-def _expsum_main_term(d: int, x: float, k: int) -> float:
-    point = ReducedFraction(0, 1) if d == 1 else ReducedFraction(1, d)
-    return mainterm_expsum(point, x, k)
-
-
 def _class_main_terms(q: int, x: float, k: int) -> np.ndarray:
     """M_x(q, r) for r = 0..q-1 as the Fourier dual of the f_d values."""
     out = np.zeros(q)
     for d in divisors(q):
-        fd = _expsum_main_term(d, x, k)
+        fd = mainterm_expsum(d, x, k)
         out += cq_table(d)[np.arange(q) % d] * fd
     return out / q
 
@@ -121,7 +115,7 @@ def delta_all(
     D = q * np.fft.ifft(S.astype(np.float64))
     f_at = np.zeros(q + 1)  # f_d at index d, for each d | q
     for d in divisors(q):
-        f_at[d] = _expsum_main_term(d, float(x), k)
+        f_at[d] = mainterm_expsum(d, float(x), k)
     return D - f_at[q // np.gcd(np.arange(q), q)]
 
 

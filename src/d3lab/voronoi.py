@@ -645,7 +645,7 @@ def smoothed_delta_direct(
         mu = mobius(q // delta)
         if mu:  # a class with mu = 0 adds an exact zero
             D = restricted_series_laurent(q, delta, 3)
-            main += mu / euler_phi(q // delta) * (D * mellin_exp).residue()
+            main += mu / euler_phi(q // delta) * D.product_coeff(mellin_exp, -1)
     return sum_part - main
 
 

@@ -187,12 +187,15 @@ class TestOut:
         assert out.read_bytes() == printed.encode()
 
     def test_error_exit_writes_no_file(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("sieve_limit = 100\n")
         out = tmp_path / "report"
         for code, argv, err in (
-            (2, ["--config", str(cfg_file), "scan", "--grid", "1000:5"], "sieve_limit is 100"),
+            # beyond the sieve budget, refused before anything is sieved
+            (1, ["scan", "--grid", "6e7:5"], "exceeds budget"),
+            (1, ["sieve", "--n", "1e9"], "exceeds budget"),
+            (1, ["variance", "--q", "5", "--x", "6e7"], "exceeds budget"),
             (1, ["corr", "--triple", "1,1,1", "--triple2", "1,1,1", "--q", "99"], "guard"),
+            # a d_k beyond 64 bits
+            (1, ["sieve", "--k", "60", "--n", "1e6"], "beyond 64 bits"),
             # no h with 1 <= h < 1: the factor-10 gate would pass on an empty table
             (2, ["voronoi-compare", "--x", "1e4", "--Y", "1e3", "--q", "1"], "needs q >= 2"),
             # each flag is in range, the window is not: 3Y > x
@@ -201,7 +204,10 @@ class TestOut:
         ):
             assert main([*argv, "--out", str(out)]) == code
             assert not out.exists()
-            assert err in capsys.readouterr().err
+            printed = capsys.readouterr()
+            assert printed.out == ""
+            assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+            assert err in printed.err
 
 
 def _readme_cli_examples():
@@ -558,6 +564,18 @@ class TestSieveCache:
             write_cache(table, path)
         assert not path.exists()
 
+    def test_uint64_table_built_not_cached(self, tmp_path, capsys):
+        # --cache-dir caches the uint32 tables the format holds and still
+        # runs a command whose table is uint64
+        argv = ["sieve", "--k", "28", "--n", "2000"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(["--cache-dir", str(tmp_path), *argv]) == 0
+        assert capsys.readouterr().out == plain
+        assert list(tmp_path.iterdir()) == []
+        assert main(["--cache-dir", str(tmp_path), "sieve", "--k", "3", "--n", "2000"]) == 0
+        assert read_cache(cache_path(str(tmp_path), 3, 2000), 3, 2000) is not None
+
     def test_read_table_is_read_only_uint32(self, tmp_path):
         path = cache_path(str(tmp_path), 3, 1000)
         write_cache(sieve_dk(3, 1000), path)
@@ -575,14 +593,18 @@ class TestSieveCache:
 
 
 class TestConfig:
-    def test_config_file(self, tmp_path):
+    def test_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("sieve_limit = 12345\nthreads = 4\nformat = json\nseed = 9\n")
+        cfg_file.write_text("cache_dir = c\nthreads = 4\nformat = json\nseed = 9\n")
         cfg = RunConfig.from_file(str(cfg_file))
-        assert cfg.sieve_limit == 12345
+        assert cfg.cache_dir == "c"
         assert cfg.threads == 4
         assert cfg.fmt == "json"
         assert cfg.seed == 9
+        # the sieve has one budget, arith.MAX_SIEVE_LIMIT, and no config key
+        cfg_file.write_text("sieve_limit = 100\n")
+        assert main(["--config", str(cfg_file), "scan", "--grid", "1000:5"]) == 2
+        assert capsys.readouterr().err == "error: unknown config key: sieve_limit\n"
 
     def test_negative_threads_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="threads must be >= 0"):

@@ -19,7 +19,6 @@ from d3lab.expsum import (
     GuardError,
     PrimePowerCase,
     _PAIR_CHUNK,
-    _pair_tables,
     _twist_column,
     _unit_rows,
     _units,
@@ -347,11 +346,6 @@ class TestPairSum:
         for kernel in (cq_pair_sum, cq_pair_sum_bruteforce):
             with pytest.raises(GuardError):
                 kernel(1, 2, 3, 4, 501)
-
-    def test_pair_tables_read_only(self):
-        for table in _pair_tables(12):
-            with pytest.raises(ValueError):
-                table[0] = 1
 
     def test_units_read_only(self):
         assert _units(12).tolist() == [1, 5, 7, 11]

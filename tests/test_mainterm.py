@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d3lab.arith import divisors, euler_phi, mobius, ReducedFraction
+from d3lab.arith import divisors, euler_phi, mobius, ramanujan_sum
 from d3lab.laurent import (
     LaurentExpansion,
     bernoulli_numbers,
@@ -275,23 +275,22 @@ class TestMainTerms:
 
     def test_expsum_mainterm(self):
         x = 1e5
-        assert mainterm_expsum(ReducedFraction(0, 1), x) == pytest.approx(
+        assert mainterm_expsum(1, x) == pytest.approx(
             mainterm_progression(1, 1, x), rel=1e-14
         )
-        # value depends only on q, not on the reduced numerator
-        assert mainterm_expsum(ReducedFraction(1, 12), x) == mainterm_expsum(
-            ReducedFraction(5, 12), x
-        )
+        # the pairing sum_{delta | q} c_{q/delta}(h) M-class(q, delta) is the
+        # same at every reduced numerator h
+        for h in (1, 5, 7, 11):
+            paired = math.fsum(ramanujan_sum(12 // d, h) * class_main_term(12, d, x)
+                               for d in divisors(12))
+            assert paired == mainterm_expsum(12, x), h
 
     def test_expsum_pairing_recovers_full_main_term(self):
         # sum over a mod q of the paired main term telescopes to q * M_x(q, q)
         x = 1e4
         for q in (2, 6, 12):
             total = math.fsum(
-                euler_phi(d) * mainterm_expsum(
-                    ReducedFraction(0, 1) if d == 1 else ReducedFraction(1, d), x
-                )
-                for d in divisors(q)
+                euler_phi(d) * mainterm_expsum(d, x) for d in divisors(q)
             )
             assert total == pytest.approx(q * mainterm_progression(q, q, x), rel=1e-9)
 
@@ -299,13 +298,12 @@ class TestMainTerms:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_shared_factor_paths_against_oracles(self, q, log10_x):
         x = 10.0**log10_x
-        point = ReducedFraction(0, 1) if q == 1 else ReducedFraction(1, q)
         # every class, the mu(q/delta) = 0 ones included, bit for bit
         unskipped = math.fsum(mobius(q // d) * class_main_term(q, d, x) for d in divisors(q))
-        assert mainterm_expsum(point, x).hex() == unskipped.hex()
+        assert mainterm_expsum(q, x).hex() == unskipped.hex()
         for d in divisors(q):
             D = restricted_series_laurent(q, d)
-            full = (D * x_power_over_s(x, LAURENT_ORDER + 3)).residue()
+            full = (D * x_power_over_s(x, LAURENT_ORDER + 3)).coeff(-1)
             cmt = class_main_term(q, d, x)
             assert cmt.hex() == (x * full / euler_phi(q // d)).hex(), (q, d)
             con = residue_by_contour(q, d, x)

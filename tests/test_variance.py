@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from d3lab.arith import DivisorTable, divisors, sieve_dk
 from d3lab.cli import fmt12
+from d3lab.mainterm import mainterm_expsum
 from d3lab.variance import (
     bound_bhs,
     bound_first_moment,
@@ -96,13 +97,11 @@ class TestProgressionSums:
 
 class TestDeltaAll:
     def test_chirp_vs_direct(self, d3_table_1e4):
-        from d3lab.variance import _expsum_main_term
-
         for q in (7, 12, 30):
             d1 = delta_all(q, 1e4, d3_table_1e4)
             S = progression_sums(q, 1e4, d3_table_1e4).astype(float)
             g = np.gcd(np.arange(q), q)
-            f = np.array([_expsum_main_term(int(q // gv), 1e4, 3) for gv in g])
+            f = np.array([mainterm_expsum(int(q // gv), 1e4, 3) for gv in g])
             d2 = dft_direct(S) - f
             assert np.max(np.abs(d1 - d2)) <= 1e-9 * np.max(np.abs(d1))
 
