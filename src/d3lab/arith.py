@@ -437,7 +437,7 @@ def _unit_roots(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # (q, m) columns kept by kloosterman_table.  A column costs 8*q bytes, so
 # the cache holds at most 4096 * 8 * q_max bytes: 3.9 MB while q <= 120
-# (lemma4-scan --q-max 120 --entry-max 4 reads 1,030 columns)
+# (lemma4-scan --q-max 120 --entry-max 4 reads 328 columns, at prime powers)
 KLOOSTERMAN_CACHE = 4096
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import struct
@@ -261,6 +260,8 @@ def _json_float(v: float) -> float | str | None:
 
 def _rows_json(meta: dict, names: list[str], columns) -> str:
     """{"meta", "rows"}, float cells through _json_float."""
+    import json
+
     cols = [list(map(_json_float, _as_list(values))) if is_float else _as_list(values)
             for values, is_float in _columns(names, columns)]
     doc = {"meta": meta, "rows": [dict(zip(names, r)) for r in zip(*cols)]}
@@ -308,6 +309,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
+def _prime(text: str) -> int:
+    """A prime: the base p of a prime power p^k."""
+    value = int(text)
+    if value < 2 or arith.factorize(value) != ((value, 1),):
+        raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 
 
@@ -410,7 +419,7 @@ def _cmd_rsum(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("asum", "divisor-weighted sum A_{h/q}(n) over ordered triples",
-          _flag("h"), Q, _flag("n"))
+          _flag("h"), Q, _flag("n", _positive_int))
 def _cmd_asum(args, cfg: RunConfig) -> tuple[int, str]:
     v = expsum.a_sum(ReducedFraction.reduce(args.h, args.q), args.n)
     return 0, f"{fmt12(v.real)} {fmt12(v.imag)}\n"
@@ -436,6 +445,8 @@ def _cmd_corr(args, cfg: RunConfig) -> tuple[int, str]:
           _flag("samples", _nonnegative_int, default=8))
 def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
     q1, q2 = args.q1, args.q2
+    if math.gcd(q1, q2) != 1:
+        raise UsageError(f"lemma2-check needs coprime moduli, got q1 = {q1} and q2 = {q2}")
     # sample i is t1 then t2, the stream of drawing each triple in turn
     draws = np.random.default_rng(cfg.seed).integers(0, q1 * q2, size=(args.samples, 2, 3))
     t1, t2 = draws[:, 0], draws[:, 1]
@@ -452,7 +463,8 @@ def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("lemma3-check", "prime-power closed form of the Ramanujan-twisted pair sum vs "
-          "its exact value; emits the match catalog", _flag("p"), _flag("k"))
+          "its exact value; emits the match catalog", _flag("p", _prime),
+          _flag("k", _positive_int))
 def _cmd_lemma3_check(args, cfg: RunConfig) -> tuple[int, str]:
     cat = expsum.prime_power_catalog(args.p, args.k, seed=cfg.seed)
     n = len(cat.brute)
@@ -468,7 +480,9 @@ def _cmd_lemma3_check(args, cfg: RunConfig) -> tuple[int, str]:
     return (0 if mismatches == 0 else 1), _table(cfg.fmt, meta, cols, columns)
 
 
-@_command("lemma4-scan", "max correlation ratio against the divisor-sum bound over a family",
+@_command("lemma4-scan", "max correlation ratio against the divisor-sum bound over "
+          "q = 1..q-max and the triples with entries 1..entry-max; q starts at 1, where "
+          "every ratio is 1, so the max is at least 1",
           _flag("q-max", _positive_int, default=24),
           _flag("entry-max", _positive_int, default=4))
 def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> tuple[int, str]:
@@ -501,6 +515,8 @@ def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
 @_command("mainterm", "progression main term and its log-polynomial", Q, _flag("a"),
           _flag("x", _float_at_least(2.0)), MAIN_K)
 def _cmd_mainterm(args, cfg: RunConfig) -> tuple[int, str]:
+    import json  # only this command and JSON reports use json: load it here
+
     text = fmt12(mainterm.mainterm_progression(args.q, args.a, args.x, args.k)) + "\n"
     if args.k == 3:
         rec = mainterm.mainterm_poly(args.q, args.a).as_record()

@@ -177,6 +177,7 @@ def _units(q: int) -> np.ndarray:
 
 # (q, b, c) columns kept by _twist_column.  A column costs 8*q bytes, so the
 # cache holds at most 4096 * 8 * q_max bytes: 3.9 MB while q <= 120
+# (lemma4-scan --q-max 120 --entry-max 4 reads 621 columns, at prime powers)
 @lru_cache(maxsize=4096)
 def _twist_column(q: int, b: int, c: int) -> np.ndarray:
     """u -> R_{u,b,c}(1/q) for u = 0..q-1, float64, read-only.
@@ -239,10 +240,14 @@ def _paired_unit_rows(q: int, triples, triples2) -> np.ndarray:
 
 def _integer_correlations(q: int, M: np.ndarray) -> np.ndarray:
     """Column j against column n + j of a _paired_unit_rows table, summed
-    over h and rounded to the nearest integer within 1e-6 * (1 + |value|),
-    else ArithmeticError."""
+    over h and rounded by _exact_correlations."""
     n = M.shape[1] // 2
-    total = np.einsum("ij,ij->j", M[:, :n], M[:, n:])
+    return _exact_correlations(q, np.einsum("ij,ij->j", M[:, :n], M[:, n:]))
+
+
+def _exact_correlations(q: int, total: np.ndarray) -> np.ndarray:
+    """Correlation sums at modulus q rounded to the nearest integer within
+    1e-6 * (1 + |value|), else ArithmeticError."""
     exact = np.rint(total) + 0.0  # + 0.0 makes -0.0 a 0.0, which prints as 0
     off = np.abs(total - exact) > 1e-6 * (1.0 + np.abs(total))
     if off.any():
@@ -499,10 +504,28 @@ def correlation_bound_scan(
 ) -> dict:
     """Max of |correlation| over the family, against the divisor bound.
 
-    For every q in q_values and every ordered pair of triples with
-    entries in 1..entry_max, computes
-    ratio = |corr| / (q^3 * (q,n,n') * sum_{f|(q,n-n')} f * (1+log q)^A).
-    Returns the fitted constant (max ratio) and the argmax row.
+    For every q in q_values and every ordered pair of triples t, t' with
+    entries in 1..entry_max, the ratio is
+    |S_q(t, t')| / (q^3 * (q,n,n') * sigma((q,n-n')) * (1+log q)^A)
+    with S_q(t, t') = sum'_h R_t(h/q) R_t'(h/q), n = abc and n' = a'b'c'.
+    Returns the fitted constant (max ratio) and the argmax row: the first
+    pair in row-major order within TIE_RTOL of a modulus' maximum, and the
+    first modulus with a strictly larger one.
+
+    Every factor of a ratio but (1 + log q)^A is multiplicative in q.  For
+    S_q this is Lemma 2: for q = q1*q2 coprime, h = h1*q2 + h2*q1 runs over
+    the units mod q as h1, h2 run over the units mod q1 and q2, and by CRT
+    R_t(h/q) = R_t(h1*q2^3/q1) * R_t(h2*q1^3/q2), where h1*q2^3 and h2*q1^3
+    again run over the units mod q1 and q2.  For q^3, (q,n,n') and
+    sigma((q,n-n')) it holds as gcd splits over coprime moduli and sigma is
+    multiplicative.  Hence ratio_q = prod_{p^e || q} F_{p^e} / (1+log q)^A
+    with F_{p^e} = |S_{p^e}| / (p^{3e} * (p^e,n,n') * sigma((p^e,n-n'))),
+    built once per prime power from one phi(p^e) x T table of R
+    (T = entry_max^3), its S rounded to integers by _exact_correlations.
+
+    A factor is kept only while a later q in q_values has it.  For
+    increasing q_values a kept F_{p^e} has 2 * p^e <= max q, so at most one
+    T x T float64 matrix per prime power <= max(q) / 2 is held.
     """
     triples = [
         (a, b, c)
@@ -510,18 +533,8 @@ def correlation_bound_scan(
         for b in range(1, entry_max + 1)
         for c in range(1, entry_max + 1)
     ]
-    prods = np.array([a * b * c for a, b, c in triples], dtype=np.int64)
     best = {"ratio": 0.0}
-    for q in q_values:
-        M = _unit_rows(q, triples)
-        G = np.abs(M.T @ M)
-        logfac = (1.0 + math.log(q)) ** log_power
-        gcd_qn = np.gcd(q, prods)
-        # sigma(gcd(q, n - n')) depends only on (n - n') mod q
-        sigma_gcd = np.array([sigma(math.gcd(q, r)) for r in range(q)], dtype=np.int64)
-        fsum = sigma_gcd[(prods[:, None] - prods[None, :]) % q]
-        denom = (q**3) * np.gcd.outer(gcd_qn, gcd_qn) * fsum * logfac
-        ratios = G / denom
+    for q, ratios in _correlation_ratios(q_values, triples, log_power):
         # mathematically tied pairs differ in the last bits: report the
         # first pair in row-major order within TIE_RTOL of the maximum
         near = ratios >= ratios.max() * (1.0 - TIE_RTOL)
@@ -534,6 +547,42 @@ def correlation_bound_scan(
                 "triple2": triples[j],
             }
     return best
+
+
+def _correlation_ratios(q_values, triples, log_power: int):
+    """Yield (q, the T x T ratios of correlation_bound_scan at q) for each q
+    in turn, as products of prime-power factors."""
+    prods = np.array([a * b * c for a, b, c in triples], dtype=np.int64)
+    diffs = prods[:, None] - prods[None, :]
+    factored = [factorize(q) for q in q_values]
+    last_use = {p**e: i for i, pes in enumerate(factored) for p, e in pes}
+    kept: dict[int, np.ndarray] = {}
+    for i, (q, pes) in enumerate(zip(q_values, factored)):
+        ratios = np.ones((len(triples), len(triples)))
+        for p, e in pes:
+            pe = p**e
+            factor = kept.pop(pe, None)
+            if factor is None:
+                factor = _correlation_factor(pe, triples, prods, diffs)
+            if last_use[pe] > i:
+                kept[pe] = factor
+            ratios *= factor
+        ratios /= (1.0 + math.log(q)) ** log_power
+        yield q, ratios
+
+
+def _correlation_factor(pe: int, triples, prods: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """F_{p^e}[t, t'] = |S_{p^e}(t, t')| / (p^{3e} * gcd(p^e, n, n') *
+    sigma(gcd(p^e, n - n'))), with S_{p^e} = M^T M rounded by
+    _exact_correlations, M = _unit_rows(p^e, triples), n = prods[t] and
+    n - n' = diffs[t, t']."""
+    M = _unit_rows(pe, triples)
+    S = _exact_correlations(pe, M.T @ M)
+    # gcd(p^e, n) is a power of p, so gcd(p^e, n, n') is the smaller of two
+    gcd_qn = np.gcd(pe, prods)
+    # sigma(gcd(p^e, n - n')) depends only on (n - n') mod p^e
+    sigma_gcd = np.array([sigma(math.gcd(pe, r)) for r in range(pe)], dtype=np.int64)
+    return np.abs(S) / (pe**3 * np.minimum.outer(gcd_qn, gcd_qn) * sigma_gcd[diffs % pe])
 
 
 def corr_identity_values(n: int, m: int, q: int, *, q_guard: int = 40) -> tuple[complex, complex]:

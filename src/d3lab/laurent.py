@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -151,8 +150,10 @@ class LaurentExpansion:
 
 
 @lru_cache(maxsize=None)
-def bernoulli_numbers(m_max: int) -> tuple[Fraction, ...]:
-    """B_0..B_m_max (B_1 = -1/2 convention), exact, by the defining recurrence."""
+def bernoulli_numbers(m_max: int) -> tuple:
+    """B_0..B_m_max (B_1 = -1/2 convention) as Fractions, by the defining recurrence."""
+    from fractions import Fraction  # a test oracle: the lab itself never loads it
+
     B = [Fraction(1)]
     for m in range(1, m_max + 1):
         acc = Fraction(0)

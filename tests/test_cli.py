@@ -129,12 +129,24 @@ class TestExitCodes:
         (["decomp-check", "--q", "5", "--x", "100"], "--k", "9"),
         (["variance", "--q", "5", "--x", "100"], "--k", "4"),
         (["scan"], "--k", "4"),
+        # a prime-power catalog needs a prime p and k >= 1; A(n) needs n >= 1
+        (["lemma3-check", "--k", "1"], "--p", "-3"),
+        (["lemma3-check", "--k", "1"], "--p", "4"),
+        (["lemma3-check", "--p", "3"], "--k", "0"),
+        (["asum", "--h", "1", "--q", "3"], "--n", "0"),
     ])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_lemma2_moduli_not_coprime_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "lemma2.out"
+        assert main(["lemma2-check", "--q1", "4", "--q2", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lemma2-check needs coprime moduli, got q1 = 4 and q2 = 6\n")
+        assert not out.exists()
 
     def test_sieve_beyond_64_bits_is_one_error_line(self, capsys):
         # d_60(746496) once wrapped int64 and printed a wrong sum with exit 0
@@ -651,17 +663,20 @@ class TestImport:
     def test_cli_loads_no_scipy_and_numpy_submodules_up_front(self):
         # scipy.special alone would add about 0.3 s to every command's start;
         # numpy 2 loads these submodules on first use, which would move that
-        # cost into the first command instead of the import
+        # cost into the first command instead of the import.  Fraction
+        # serves only the Bernoulli-number oracle, json only JSON reports
+        # and mainterm, so neither is loaded up front either
         script = (
             "import sys\n"
             "import d3lab.cli\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
             "print([m for m in ('numpy.fft', 'numpy.random', 'numpy.polynomial')"
             " if m not in sys.modules])\n"
+            "print([m for m in ('fractions', 'decimal', 'json') if m in sys.modules])\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
     def test_scan_and_voronoi_compare_load_no_mpmath(self, tmp_path):
         # mpmath is a test oracle only; the Stieltjes constants are a table

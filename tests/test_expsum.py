@@ -458,6 +458,45 @@ class TestBounds:
         best = correlation_bound_scan([1, 2], 3)
         assert (best["q"], best["triple"], best["triple2"]) == (1, (1, 1, 1), (1, 1, 1))
 
+    @given(
+        st.sets(st.integers(1, 60), max_size=10).map(lambda s: sorted(s | {30, 42, 60})),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_prime_power_factors_match_direct_ratios(self, q_values, entry_max, log_power):
+        # every ratio of the scan, a product of prime-power factors, against
+        # the ratio of the definition at q itself, from correlation_sums
+        t = np.array(list(np.ndindex(*(entry_max,) * 3))) + 1  # the scan's triples, in order
+        n = t.prod(axis=1)
+        rows, cols = np.divmod(np.arange(len(t) ** 2), len(t))
+        best = {"ratio": 0.0}
+        derived = expsum._correlation_ratios(q_values, [tuple(v) for v in t.tolist()], log_power)
+        for q, ratios in derived:
+            S = correlation_sums(q, t[rows], t[cols]).reshape(len(t), len(t))
+            sigma_of = np.zeros(q + 1, dtype=np.int64)
+            sigma_of[list(divisors(q))] = [sigma(d) for d in divisors(q)]
+            denom = (q**3 * np.gcd(np.gcd.outer(n, n), q)
+                     * sigma_of[np.gcd(np.subtract.outer(n, n), q)])
+            direct = np.abs(S) / denom / (1.0 + math.log(q)) ** log_power
+            np.testing.assert_allclose(ratios, direct, rtol=1e-12, atol=0, err_msg=str(q))
+            i, j = np.argwhere(direct >= direct.max() * (1.0 - expsum.TIE_RTOL))[0]
+            if direct[i, j] > best["ratio"]:
+                best = {"ratio": direct[i, j], "q": q,
+                        "triple": tuple(t[i].tolist()), "triple2": tuple(t[j].tolist())}
+        scan = correlation_bound_scan(q_values, entry_max, log_power=log_power)
+        assert scan["ratio"] == pytest.approx(best["ratio"], rel=1e-12)
+        assert [scan[k] for k in ("q", "triple", "triple2")] == [
+            best[k] for k in ("q", "triple", "triple2")]
+
+    def test_non_integer_prime_power_correlation_raises(self, monkeypatch):
+        # a correlation at q = 12 is the product of those at 4 and 3; each
+        # prime-power correlation must round to an integer
+        unit_rows = expsum._unit_rows
+        monkeypatch.setattr(expsum, "_unit_rows", lambda q, triples: unit_rows(q, triples) + 0.25)
+        with pytest.raises(ArithmeticError, match="q=4 is not an integer"):
+            correlation_bound_scan([12], 2)
+
     def test_critical_bound_fitted_constant(self):
         # |S| <= C * q * (q,b,b') * sum_{f | (q, ab-a'b')} f * (1+log q)^3
         # over the prime-power scan family; C is the fitted max ratio and
