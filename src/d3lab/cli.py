@@ -26,7 +26,6 @@ at any worker count.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import struct
@@ -36,7 +35,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # numpy 2 loads it on first use: load it here, at import
 
 from . import arith, expsum, mainterm, variance, voronoi
 from .arith import DivisorTable, ReducedFraction
@@ -100,6 +98,15 @@ def cache_path(cache_dir: str, k: int, limit: int) -> Path:
     return Path(cache_dir) / f"dk{k}_{limit}.d3pl"
 
 
+def _cache_digest(header: bytes, body: memoryview) -> bytes:
+    """The u64 blake2b checksum of a cache file: its header, then its body."""
+    import hashlib  # only the sieve cache hashes: commands without --cache-dir never load it
+
+    checksum = hashlib.blake2b(header, digest_size=8)
+    checksum.update(body)
+    return checksum.digest()
+
+
 def write_cache(table: DivisorTable, path: Path) -> None:
     """Binary layout: magic 'D3PL', u16 version, u8 k, u64 N, N x u32
     values, u64 blake2b checksum of everything before it.
@@ -114,8 +121,6 @@ def write_cache(table: DivisorTable, path: Path) -> None:
         raise OverflowError(f"a {table.values.dtype} table does not fit the 32-bit cache format")
     header = CACHE_MAGIC + struct.pack("<HBQ", CACHE_VERSION, table.k, table.limit)
     body = memoryview(table.values[1:].astype("<u4", copy=False))
-    checksum = hashlib.blake2b(header, digest_size=8)
-    checksum.update(body)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -123,7 +128,7 @@ def write_cache(table: DivisorTable, path: Path) -> None:
             with open(tmp, "wb") as fh:
                 fh.write(header)
                 fh.write(body)
-                fh.write(checksum.digest())
+                fh.write(_cache_digest(header, body))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -156,9 +161,7 @@ def read_cache(path: Path, k: int, limit: int) -> DivisorTable | None:
             digest = fh.read(9)  # the 8 checksum bytes and nothing after them
     except OSError:
         return None
-    checksum = hashlib.blake2b(header, digest_size=8)
-    checksum.update(body)
-    if checksum.digest() != digest:
+    if _cache_digest(header, body) != digest:
         return None
     return DivisorTable(k=k, limit=limit, values=values)
 
@@ -233,12 +236,15 @@ def _transpose(rows: list, width: int) -> list:
 
 def _cells(values: np.ndarray | list, is_float: bool):
     """One column's CSV cells: fmt12 for floats, str for everything else."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        # catalog columns repeat a few values: format each distinct one once
-        distinct, where = np.unique(values, return_inverse=True)
-        return np.array([str(v) for v in distinct.tolist()], dtype=object)[where].tolist()
     # "{:.12g}".format is fmt12 without a Python-level call per cell
-    return map("{:.12g}".format if is_float else str, _as_list(values))
+    fmt = "{:.12g}".format if is_float else str
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        # catalog columns repeat a few values: format each distinct one once,
+        # keyed on its bits, so that -0.0 and 0.0 keep their own cells
+        distinct, where = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+        cells = [fmt(v) for v in distinct.view(values.dtype).tolist()]
+        return np.array(cells, dtype=object)[where].tolist()
+    return map(fmt, _as_list(values))
 
 
 def _csv(meta: dict, names: list[str], columns) -> str:
@@ -395,11 +401,14 @@ def _cmd_csum(args, cfg: RunConfig) -> tuple[int, str]:
     return 0, f"{arith.ramanujan_sum(args.q, args.n)}\n"
 
 
-@_command("kloosterman", "Kloosterman sum S_{n,m}(q), direct evaluation",
-          _flag("n"), _flag("m"), Q)
+@_command("kloosterman", "Kloosterman sum S_{n,m}(q), direct evaluation, checked against "
+          "the FFT column of kloosterman_table", _flag("n"), _flag("m"), Q)
 def _cmd_kloosterman(args, cfg: RunConfig) -> tuple[int, str]:
     v = arith.kloosterman_sum(args.n, args.m, args.q)
-    return 0, f"{fmt12(v.real)} {fmt12(v.imag)}\n"
+    fft = float(arith.kloosterman_table(args.q, args.m)[args.n % args.q])
+    dev = abs(v - fft)
+    text = f"{fmt12(v.real)} {fmt12(v.imag)}\nfft: {fmt12(fft)}  |dev| = {fmt12(dev)}\n"
+    return (1 if dev > 1e-9 * (1 + abs(v)) else 0), text
 
 
 @_command("rsum", "triple exponential sum R_{a,b,c}(h/q): fast divisor reduction, "
@@ -447,8 +456,13 @@ def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
     q1, q2 = args.q1, args.q2
     if math.gcd(q1, q2) != 1:
         raise UsageError(f"lemma2-check needs coprime moduli, got q1 = {q1} and q2 = {q2}")
+    # numpy.random brings secrets, hashlib and OpenSSL's libcrypto, about
+    # 6 MB of RSS: only this command and a sampled lemma3-check catalog
+    # draw numbers, so only they load it
+    from numpy.random import default_rng
+
     # sample i is t1 then t2, the stream of drawing each triple in turn
-    draws = np.random.default_rng(cfg.seed).integers(0, q1 * q2, size=(args.samples, 2, 3))
+    draws = default_rng(cfg.seed).integers(0, q1 * q2, size=(args.samples, 2, 3))
     t1, t2 = draws[:, 0], draws[:, 1]
     rep = expsum.correlation_multiplicativity_check(q1, q2, t1, t2)
     failures = int(np.count_nonzero(~rep["passed"]))

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first use: load it here, at import
-import numpy.random  # numpy 2 loads it on first use: load it here, at import
 
 from .arith import (
     ReducedFraction,
@@ -480,13 +479,19 @@ def prime_power_catalog(
     sample of n_samples tuples.  The "brute" value is cq_pair_sum, the
     Ramanujan expansion of the definition (held to the definition by
     cq_pair_sum_bruteforce in the tests); both it and the closed form are
-    one batch over the catalog.
+    one batch over the catalog.  A p that is not prime or a k < 1 is a
+    ValueError before any tuple is drawn.
     """
+    _check_prime_power(p, k)
     q = p**k
     if q**4 <= n_samples:
         T = np.indices((q,) * 4).reshape(4, -1).T  # a slowest, b2 fastest
     else:
-        T = np.random.default_rng(seed).integers(0, q, size=(n_samples, 4))
+        # numpy.random and what it brings (secrets, hashlib, libcrypto) cost
+        # about 6 MB of RSS: it is loaded only where numbers are drawn
+        from numpy.random import default_rng
+
+        T = default_rng(seed).integers(0, q, size=(n_samples, 4))
     brute = cq_pair_sum(*T.T, q)
     cases, closed = cq_pair_sum_prime_power(T, p, k)
     for column in (T, cases, brute, closed):

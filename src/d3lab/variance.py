@@ -59,20 +59,23 @@ __all__ = [
 def progression_sums(q: int, x: float, table: DivisorTable) -> np.ndarray:
     """S_r = sum_{n <= x, n = r mod q} d_k(n) for r = 0..q-1, exact int64.
 
-    values[0..x] cut into rows of length q: the column sums of the whole
-    rows, a view of the table, plus the short last row, less values[0]
-    (n = 0 is not in the sum).  The table is unsigned, so the sums are
-    taken in int64 and the short row is cast to it.
+    values[0..x] cut into rows of width w = q * ceil(256 / q): the column
+    sums of the whole rows, a view of the table, plus the short last row,
+    less values[0] (n = 0 is not in the sum), folded from w down to q.
+    A small q alone would make a reduction whose inner loop is q elements
+    long.  The table is unsigned, so the sums are taken in int64 and the
+    short row is cast to it.
     """
     xi = int(x)
     if xi > table.limit:
         raise ValueError(f"sieve limit {table.limit} < x = {xi}")
     vals = table.values[: xi + 1]
-    whole = len(vals) - len(vals) % q
-    S = vals[:whole].reshape(-1, q).sum(axis=0, dtype=np.int64)
+    width = q * -(-256 // q)
+    whole = len(vals) - len(vals) % width
+    S = vals[:whole].reshape(-1, width).sum(axis=0, dtype=np.int64)
     S[: len(vals) - whole] += vals[whole:].astype(np.int64)
     S[0] -= int(vals[0])
-    return S
+    return fold_progression_sums(S, q)
 
 
 def fold_progression_sums(S: np.ndarray, d: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d3lab import expsum
+from d3lab import arith, expsum
 from d3lab.arith import divisors, euler_phi, sieve_dk
 from d3lab.cli import (
     _COMMANDS,
@@ -160,6 +160,19 @@ class TestExitCodes:
         code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")
         assert code == 0
         assert "parseval" in out.splitlines()[1]
+
+    def test_kloosterman_checked_against_fft_column(self, monkeypatch, capsys):
+        argv = ["kloosterman", "--n", "1", "--m", "2", "--q", "7"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "-2.35689586789 3.33066907388e-16"
+        assert lines[1].startswith("fft: -2.35689586789  |dev| = ")
+        # a column that disagrees with the direct sum fails the check
+        monkeypatch.setattr(arith, "kloosterman_table", lambda q, m: np.full(q, -2.3568))
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "-2.35689586789 3.33066907388e-16"
+        assert lines[1].startswith("fft: -2.3568  |dev| = ")
 
 
 # a quick argv for every subcommand
@@ -311,18 +324,24 @@ _CELLS = {
     "float": st.floats() | st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf]),
     "str": st.text(alphabet="abc_XYZ-09 ", max_size=6),
 }
+# small pools, so that long columns repeat their values as catalogs do
+_REPEATED_CELLS = {
+    "int": st.sampled_from([0, 1, -1, 7, 10**12, -(2**63), 2**63 - 1]),
+    "float": st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 7.0, 1 / 3]),
+    "str": st.sampled_from(["", "a", "b_X"]),
+}
 _DTYPES = {"int": np.int64, "float": np.float64}
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, cells=_CELLS, max_rows=6):
     """(meta, names, Python columns, the writer's columns): int and float
     columns are handed over as lists or as int64/float64 arrays."""
-    n = draw(st.integers(0, 6))
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    n = draw(st.integers(0, max_rows))
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
     values, columns = [], []
     for kind in kinds:
-        col = draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+        col = draw(st.lists(cells[kind], min_size=n, max_size=n))
         values.append(col)
         as_array = kind in _DTYPES and draw(st.booleans())
         columns.append(np.array(col, dtype=_DTYPES[kind]) if as_array else col)
@@ -331,14 +350,24 @@ def _tables(draw):
     return meta, names, values, columns
 
 
+def _assert_writers_match_oracles(table):
+    meta, names, values, columns = table
+    rows = list(zip(*values))
+    assert _csv(meta, names, columns) == _oracle_csv(meta, names, rows)
+    assert _rows_json(meta, names, columns) == _oracle_json(meta, names, rows)
+
+
 class TestTableWriter:
     @given(_tables())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_cell_rule(self, table):
-        meta, names, values, columns = table
-        rows = list(zip(*values))
-        assert _csv(meta, names, columns) == _oracle_csv(meta, names, rows)
-        assert _rows_json(meta, names, columns) == _oracle_json(meta, names, rows)
+        _assert_writers_match_oracles(table)
+
+    @given(_tables(_REPEATED_CELLS, max_rows=300))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_cell_rule_with_repeated_values(self, table):
+        # each distinct value is formatted once: 0.0 and -0.0 keep their cells
+        _assert_writers_match_oracles(table)
 
     def test_non_finite_floats_are_strict_json(self):
         cells = [math.nan, math.inf, -math.inf]
@@ -659,39 +688,56 @@ class TestConfig:
         assert code == 0 and out.startswith("# k=3")
 
 
+# modules that only some commands may load: numpy.random draws samples and
+# brings secrets, hashlib and OpenSSL's libcrypto (about 6 MB of RSS);
+# hashlib alone serves the sieve cache; mpmath is a test oracle only (the
+# Stieltjes constants are a table)
+_LOADED_ON_USE = ("numpy.random", "secrets", "hashlib", "mpmath")
+
+
 class TestImport:
     def test_cli_loads_no_scipy_and_numpy_submodules_up_front(self):
-        # scipy.special alone would add about 0.3 s to every command's start;
-        # numpy 2 loads these submodules on first use, which would move that
-        # cost into the first command instead of the import.  Fraction
-        # serves only the Bernoulli-number oracle, json only JSON reports
-        # and mainterm, so neither is loaded up front either
+        # scipy.special alone would add about 0.3 s to every command's start.
+        # numpy 2 loads fft and polynomial on first use; every workload's
+        # first command needs one of them, so they load at import.  The
+        # modules of _LOADED_ON_USE, Fraction (the Bernoulli-number oracle)
+        # and json (JSON reports and mainterm) serve only some commands, so
+        # none of them is loaded up front
         script = (
             "import sys\n"
             "import d3lab.cli\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
-            "print([m for m in ('numpy.fft', 'numpy.random', 'numpy.polynomial')"
-            " if m not in sys.modules])\n"
+            "print([m for m in ('numpy.fft', 'numpy.polynomial') if m not in sys.modules])\n"
             "print([m for m in ('fractions', 'decimal', 'json') if m in sys.modules])\n"
+            f"print([m for m in {(*_LOADED_ON_USE, '_hashlib')!r} if m in sys.modules])\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]"]
 
-    def test_scan_and_voronoi_compare_load_no_mpmath(self, tmp_path):
-        # mpmath is a test oracle only; the Stieltjes constants are a table
+    @pytest.mark.parametrize("argv, loads", [
+        (["--threads", "1", "scan"], ()),
+        (["kernel", "--x-min", "1", "--x-max", "1e3", "--points", "5"], ()),
+        (["wtransform", "--q", "10", "--x", "1e4", "--Y", "1e2", "--n", "1"], ()),
+        (["voronoi-compare", "--x", "1e4", "--Y", "1e3", "--q", "5"], ()),
+        # a sampled catalog (q^4 > 10^4) and lemma2-check draw their inputs
+        (["lemma3-check", "--p", "2", "--k", "4"], ("numpy.random", "secrets", "hashlib")),
+        (["lemma2-check", "--q1", "4", "--q2", "15", "--samples", "3"],
+         ("numpy.random", "secrets", "hashlib")),
+        (["--cache-dir", "{tmp}", "sieve", "--n", "1000"], ("hashlib",)),
+    ], ids=["scan", "kernel", "wtransform", "voronoi-compare", "lemma3-check",
+            "lemma2-check", "sieve-cache"])
+    def test_command_loads_only_the_modules_it_uses(self, argv, loads, tmp_path):
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
         script = (
             "import sys\n"
             "from d3lab.cli import main\n"
-            f"out = {str(tmp_path)!r}\n"
-            "assert main(['--threads', '1', 'scan', '--out', out + '/scan.csv']) == 0\n"
-            "assert main(['voronoi-compare', '--x', '1e4', '--Y', '1e3', '--q', '5',"
-            " '--out', out + '/vc.csv']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'mpmath'))\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print([m for m in {_LOADED_ON_USE!r} if m in sys.modules])\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
+        assert proc.stdout.splitlines() == [str([m for m in _LOADED_ON_USE if m in loads])]
 
 
 class TestLayerTrace:
@@ -723,6 +769,7 @@ class TestHelp:
             ("lemma2-check", "multiplicativity"),
             ("lemma3-check", "closed form"),
             ("kernel", "kernel"),
+            ("kloosterman", "FFT column"),
             ("variance", "Parseval"),
         ):
             code, out, _ = run_cli(name, "--help")

@@ -436,6 +436,16 @@ class TestPairSum:
             with pytest.raises(ValueError):
                 cq_pair_sum_prime_power(np.array([[0, 0, 1, 1]], dtype=np.int64), p, k)
 
+    @pytest.mark.parametrize("p, k", [(-3, 1), (4, 1), (2, 0)])
+    def test_catalog_checks_prime_power_first(self, p, k, monkeypatch):
+        # refused before a tuple is drawn or a pair sum computed
+        def reached(*args, **kw):
+            raise AssertionError("cq_pair_sum reached")
+
+        monkeypatch.setattr(expsum, "cq_pair_sum", reached)
+        with pytest.raises(ValueError, match="prime"):
+            prime_power_catalog(p, k)
+
 
 class TestBounds:
     def test_ratio_examples(self):

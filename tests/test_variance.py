@@ -78,6 +78,14 @@ class TestProgressionSums:
         (1, 5000),
         (12, 10**5),  # x = table.limit
         (13, 0),
+        # the sums run over rows of width q * ceil(256 / q), folded to q
+        (7, 2589),  # x + 1 = 10 wide rows of 259
+        (2, 2590),  # a short last wide row
+        (3, 257),  # x < the wide row of 258
+        (1, 255),  # x + 1 = one wide row of 256
+        (1, 10**5),
+        (257, 5139),  # q > 256 is its own wide row: x + 1 = 20 rows
+        (300, 10**4),
     ])
     def test_matches_definition_at_the_row_edges(self, d3_table_1e5, q, x):
         # values[0] is unused: a table that holds a value there must not see it
