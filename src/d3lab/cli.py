@@ -85,7 +85,10 @@ class RunConfig:
         return RunConfig(**kw)
 
     def workers(self) -> int:
-        """Scan worker processes: threads, or one per CPU when it is 0."""
+        """Scan worker processes: threads, or one per CPU when it is 0.
+        variance.exponent_scan forks them, one pipe each, and gives each an
+        interleaved share of the grid; where os.fork is missing it scans
+        serially."""
         return self.threads or os.cpu_count() or 1
 
 
@@ -396,9 +399,13 @@ def _cmd_sieve(args, cfg: RunConfig) -> tuple[int, str]:
     return 0, f"d_{args.k} sieved to {table.limit}; sum = {table.prefix_sum(table.limit)}\n"
 
 
-@_command("csum", "Ramanujan sum c_q(n), exact divisor formula", Q, _flag("n"))
+@_command("csum", "Ramanujan sum c_q(n), exact divisor formula, checked against the "
+          "brute-force sum of e(an/q) over the units a", Q, _flag("n"))
 def _cmd_csum(args, cfg: RunConfig) -> tuple[int, str]:
-    return 0, f"{arith.ramanujan_sum(args.q, args.n)}\n"
+    v = arith.ramanujan_sum(args.q, args.n)
+    brute = arith.ramanujan_sum_bruteforce(args.q, args.n)
+    dev = abs(v - brute)
+    return (1 if dev else 0), f"{v}\nbrute: {brute}  |dev| = {dev}\n"
 
 
 @_command("kloosterman", "Kloosterman sum S_{n,m}(q), direct evaluation, checked against "
@@ -675,7 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--cache-dir", help="directory for binary sieve caches")
-    ap.add_argument("--threads", type=int, help="worker processes for scans (0 = auto)")
+    ap.add_argument("--threads", type=int,
+                    help="worker processes for scans, forked with one pipe each and given "
+                    "interleaved shares of the grid; serial where os.fork is missing "
+                    "(0 = one per CPU)")
     ap.add_argument("--format", choices=("csv", "json"), help="report format")
     ap.add_argument("--seed", type=int, help="seed for sampled scans")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -121,32 +121,45 @@ def restricted_series_laurent(
     """Laurent expansion of D_{q,delta}(s) around s = 1 (pole order <= k),
     through degree hi: by default the principal part only.
 
-    The local factors of each prime are cached across moduli; they are
-    multiplied into the zeta power in the same order for every (q, delta).
-    Coefficient m of every product, inverse and polynomial depends only on
-    the operands' coefficients <= m, so a smaller hi gives the same bits
-    in the degrees it keeps.
+    The series is a fold: zeta^k, then delta^{-s}, then one step per p | q
+    that depends on (p, e_delta(p), whether e_delta(p) = e_q(p)) alone,
+    so D_{2,1}, D_{4,1} and D_{8,1} are one fold.  _series_prefix shares
+    the prefixes, each the same product of the same operands, whatever
+    (q, delta) meets it first.  Coefficient m of every product, inverse
+    and polynomial depends only on the operands' coefficients <= m, so a
+    smaller hi gives the same bits in the degrees it keeps.
     """
     if q < 1 or delta < 1 or q % delta != 0:
         raise ValueError(f"delta = {delta} must divide q = {q}")
-    n = hi + k  # the analytic factors' degree: hi against a pole of order k
-    out = zeta_power_laurent(k, hi + 1)
-    out = out * LaurentExpansion.from_exp(-math.log(delta), n).scale(1.0 / delta)
+    steps = []
     for p, e_q in factorize(q):
         e_d = 0
         dd = delta
         while dd % p == 0:
             dd //= p
             e_d += 1
-        out = out * _one_minus_p_s_k(p, k, n)
-        if e_d < e_q:
-            out = out.scale(float(_dk_prime_power(k, e_d)))
-        else:
-            numer, inverse = _top_class_factor(p, e_d, k, n)
-            out = out * numer * inverse
+        steps.append((p, e_d, e_d == e_q))
+    out = _series_prefix(k, hi, delta, tuple(steps))
     if out.hi < hi:
         raise AssertionError("truncation bookkeeping lost required orders")
     return LaurentExpansion(out.lo, out.coeffs[: hi - out.lo + 1])
+
+
+@lru_cache(maxsize=4096)
+def _series_prefix(k: int, hi: int, delta: int, steps: tuple) -> LaurentExpansion:
+    """zeta^k delta^{-s} times the local factors of steps, in their order:
+    (p, e, top) is (1 - p^{-s})^k times d_k(p^e) when not top, and times
+    sum_j d_k(p^{e+j}) p^{-js} over (1 - p^{-s})^k when p^e || q too."""
+    n = hi + k  # the analytic factors' degree: hi against a pole of order k
+    if not steps:
+        out = zeta_power_laurent(k, hi + 1)
+        return out * LaurentExpansion.from_exp(-math.log(delta), n).scale(1.0 / delta)
+    p, e_d, top = steps[-1]
+    out = _series_prefix(k, hi, delta, steps[:-1]) * _one_minus_p_s_k(p, k, n)
+    if not top:
+        return out.scale(float(_dk_prime_power(k, e_d)))
+    numer, inverse = _top_class_factor(p, e_d, k, n)
+    return out * numer * inverse
 
 
 def restricted_series_eval(q: int, delta: int, s: complex, k: int = 3) -> complex:

@@ -28,6 +28,8 @@ and cli.py writes them as CSV or JSON with every other table.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -340,35 +342,74 @@ def exponent_scan(
 ) -> list[VarianceReport]:
     """VarianceReport per grid point, deterministic grid order.
 
-    Grid points are independent; with workers > 1 they are dispatched to
-    a process pool, whose initializer hands every worker this table, and
-    merged back in sorted order, so output bytes do not depend on the
-    worker count.
+    Grid points are independent.  With workers > 1 (at most one per
+    point) the scan forks that many processes, each with one pipe: worker
+    w reads the parent's table through the fork, scans the interleaved
+    share grid[w::workers] of the sorted grid and pickles its reports, or
+    the exception it raised, to its pipe.  The parent reads every pipe to
+    EOF, reaps every child even when one fails, re-raises a worker's
+    exception, and merges the shares back into grid order, so output
+    bytes do not depend on the worker count.  A worker that exits without
+    a result is a ChildProcessError.  Where os.fork does not exist the
+    scan is serial.
     """
     grid = sorted(set((int(x), int(q)) for x, q in grid))
-    if workers <= 1:
+    workers = min(workers, len(grid))
+    if workers <= 1 or not hasattr(os, "fork"):
         return [variance_report(q, float(x), table, k) for x, q in grid]
-    from concurrent.futures import ProcessPoolExecutor
+    pids, fds = [], []
+    try:
+        for w in range(workers):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _scan_worker(grid[w::workers], table, k, fds)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end is the worker's alone
+        blobs = [_read_to_eof(r) for r in fds]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    reports = [None] * len(grid)
+    for w, (blob, status) in enumerate(zip(blobs, statuses)):
+        try:
+            kind, share = pickle.loads(blob)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"scan worker {w} exited with status {code} "
+                                    "and no result") from None
+        if kind == "err":
+            raise share
+        reports[w::workers] = share
+    return reports
 
-    tasks = [(x, q, k) for x, q in grid]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_scan_worker, initargs=(table,)
-    ) as pool:
-        return list(pool.map(_scan_worker, tasks, chunksize=max(1, len(grid) // (4 * workers))))
+
+def _scan_worker(share, table: DivisorTable, k: int, fds: list[int]) -> None:
+    """A forked worker: pickle ("ok", reports) of its share, or ("err",
+    exception), to the write end fds[-1], and leave through os._exit, so
+    that it never returns into the caller's stack, runs no atexit hook
+    and flushes no inherited stdio."""
+    code = 1
+    try:
+        for fd in fds[:-1]:  # the read ends, the worker's own among them
+            os.close(fd)
+        try:
+            result = ("ok", [variance_report(q, float(x), table, k) for x, q in share])
+        except Exception as exc:
+            result = ("err", exc)
+        with os.fdopen(fds[-1], "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
 
 
-_worker_table: DivisorTable | None = None
-
-
-def _init_scan_worker(table: DivisorTable) -> None:
-    """Pool initializer: every worker reads the parent's table."""
-    global _worker_table
-    _worker_table = table
-
-
-def _scan_worker(args) -> VarianceReport:
-    x, q, k = args
-    return variance_report(q, float(x), _worker_table, k)
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def fit_log_slopes(reports: list[VarianceReport]) -> dict:

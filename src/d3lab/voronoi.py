@@ -434,11 +434,12 @@ def _ramp_sum_moments(s, logt, wn, log_lo, log_hi) -> np.ndarray:
     real_rows = np.exp(np.multiply.outer(-side * (np.arange(a.max() + 1) + r0), d)) * wn
     fine = np.exp(np.multiply.outer(-1j * side * (np.arange(16) + i0), d))
     coarse = np.exp(np.multiply.outer(-16j * side * np.arange(u.max() + 1), d))
-    # powers[k, j] = d_k^j / j!, complex so that no slab's product casts it
+    # powers[k, j] = d_k^j / j!, real: each slab is two real products, not
+    # one complex product whose right operand has zero imaginary parts
     steps = np.empty((len(d), _MOMENT_TERMS))
     steps[:, 0] = 1.0
     steps[:, 1:] = d[:, None] / np.arange(1, _MOMENT_TERMS)
-    powers = np.cumprod(steps, axis=1).astype(np.complex128)
+    powers = np.cumprod(steps, axis=1)
     moments = np.empty((_MOMENT_TERMS, len(keys)), dtype=np.complex128)
     rows = max(1, _MOMENT_SLAB // len(d))
     slab = np.empty((rows, len(d)), dtype=np.complex128)
@@ -447,7 +448,8 @@ def _ramp_sum_moments(s, logt, wn, log_lo, log_hi) -> np.ndarray:
         e = slab[: len(a[c])]
         np.multiply(real_rows[a[c]], fine[v[c]], out=e)
         e *= coarse[u[c]]
-        moments[:, c] = (e @ powers).T
+        moments.real[:, c] = (e.real @ powers).T
+        moments.imag[:, c] = (e.imag @ powers).T
     z = s0[cell] - s
     acc = moments[-1].take(cell)
     tmp = np.empty_like(acc)

@@ -258,6 +258,24 @@ class TestKloosterman:
             with pytest.raises(ValueError):
                 table[1] = 7
 
+    @given(st.integers(1, 2000))
+    @example(1)
+    @example(2000)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_units_and_inverses(self, q):
+        units, inverses, _ = _unit_roots(q)
+        assert units.tolist() == [a for a in range(q) if math.gcd(a, q) == 1]
+        assert inverses.tolist() == [pow(a, -1, q) for a in units.tolist()]
+
+    def test_inverses_at_a_large_prime(self):
+        q = 100003  # q^2 is beyond 32 bits
+        units, inverses, _ = _unit_roots.__wrapped__(q)
+        assert units.tolist() == list(range(1, q))
+        assert inverses.tolist() == [pow(a, -1, q) for a in range(1, q)]
+        # beyond q^2 < 2^63 the int64 products would overflow: refused
+        with pytest.raises(ValueError, match="overflow"):
+            _unit_roots.__wrapped__(2**32)
+
     def test_real_valued(self):
         for q in (7, 16, 45):
             for n, m in ((1, 1), (2, 5), (0, 3)):

@@ -52,7 +52,13 @@ class TestExitCodes:
 
     def test_csum_example(self):
         code, out, _ = run_cli("csum", "--q", "6", "--n", "3")
-        assert code == 0 and out.strip() == "-2"
+        assert code == 0 and out.splitlines() == ["-2", "brute: -2  |dev| = 0"]
+
+    def test_csum_checked_against_bruteforce(self, monkeypatch, capsys):
+        # an oracle that disagrees with the divisor formula fails the check
+        monkeypatch.setattr(arith, "ramanujan_sum_bruteforce", lambda q, n: -1)
+        assert main(["csum", "--q", "6", "--n", "3"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["-2", "brute: -1  |dev| = 1"]
 
     def test_rsum_agreement(self):
         code, out, _ = run_cli("rsum", "--a", "1", "--b", "1", "--c", "1", "--h", "1", "--q", "2")
@@ -769,6 +775,7 @@ class TestHelp:
             ("lemma2-check", "multiplicativity"),
             ("lemma3-check", "closed form"),
             ("kernel", "kernel"),
+            ("csum", "brute-force"),
             ("kloosterman", "FFT column"),
             ("variance", "Parseval"),
         ):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d3lab.arith import DivisorTable, divisors, sieve_dk
-from d3lab.cli import fmt12
+from d3lab import variance
+from d3lab.cli import fmt12, main
 from d3lab.mainterm import mainterm_expsum
 from d3lab.variance import (
     bound_bhs,
@@ -320,3 +322,55 @@ class TestBoundsAndScan:
         serial = exponent_scan(grid, d3_table_1e4, workers=1)
         parallel = exponent_scan(grid, d3_table_1e4, workers=3)
         assert serial == parallel
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedScan:
+    GRID = [(10**3, 5), (10**3, 12), (10**4, 30)]
+
+    def failing_report(self, monkeypatch, fail):
+        """variance_report that calls fail() for q = 12, in a worker only."""
+        parent, real = os.getpid(), variance.variance_report
+
+        def report(q, x, table, k=3):
+            if q == 12 and os.getpid() != parent:
+                fail()
+            return real(q, x, table, k)
+
+        monkeypatch.setattr(variance, "variance_report", report)
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch, d3_table_1e4):
+        def fail():
+            raise ValueError("no report for q = 12")
+
+        self.failing_report(monkeypatch, fail)
+        with pytest.raises(ValueError, match="no report for q = 12"):
+            exponent_scan(self.GRID, d3_table_1e4, workers=2)
+        assert_no_child_left()
+
+    def test_worker_without_result_is_child_process_error(self, monkeypatch, capsys,
+                                                          d3_table_1e4):
+        self.failing_report(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="status 3"):
+            exponent_scan(self.GRID, d3_table_1e4, workers=2)
+        assert_no_child_left()
+        argv = ["--threads", "2", "scan", "--grid", "1e3:5,1e3:12,2e3:30"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: scan worker 1 exited with status 3")
+        assert_no_child_left()
+
+    def test_more_workers_than_points(self, d3_table_1e4):
+        serial = exponent_scan(self.GRID, d3_table_1e4, workers=1)
+        assert exponent_scan(self.GRID, d3_table_1e4, workers=8) == serial
+        assert_no_child_left()
+
+    def test_serial_without_fork(self, monkeypatch, d3_table_1e4):
+        serial = exponent_scan(self.GRID, d3_table_1e4, workers=1)
+        monkeypatch.delattr(os, "fork")
+        assert exponent_scan(self.GRID, d3_table_1e4, workers=2) == serial
