@@ -376,14 +376,12 @@ def _window(args) -> voronoi.SmoothWindow:
 
 Q = _flag("q", _positive_int)
 X = _flag("x", _positive_float)
-SIEVE_X = _flag("x", _float_at_least(1.0))  # also the sieve limit
 Y = _flag("Y", _float_at_least(1.0))
-# --k of each command, default 3: a sieve needs k >= 2, main terms need the
-# Stieltjes constants of zeta^k, and a variance report needs bounds for k
+# --k of each command, default 3: a sieve needs k >= 2 and main terms need
+# the Stieltjes constants of zeta^k; Delta and the scan need both
 SIEVE_K = _flag("k", _int_in(arith.K_MIN), default=3)
 MAIN_K = _flag("k", _int_in(1, mainterm.K_MAX), default=3)
 DELTA_K = _flag("k", _int_in(arith.K_MIN, mainterm.K_MAX), default=3)
-REPORT_K = _flag("k", _int_in(min(variance.BOUNDED_K), max(variance.BOUNDED_K)), default=3)
 N_MAX = _flag("n-max", _nonnegative_int, default=0)
 FORCE = ("--force", {"action": "store_true", "help": "override cost guards"})
 # The "c" meta cell of kernel and wtransform: the abscissa of U's defining
@@ -610,23 +608,6 @@ def _variance_table(reports: list, fmt: str) -> tuple[list[str], list[list]]:
     return names, [[getattr(r, name.lower()) for r in reports] for name in names]
 
 
-@_command("variance", "one variance report row with Parseval and decomposition checks",
-          Q, SIEVE_X, REPORT_K)
-def _cmd_variance(args, cfg: RunConfig) -> tuple[int, str]:
-    table = load_or_build_table(cfg, args.k, int(args.x))
-    rep = variance.variance_report(args.q, args.x, table, args.k)
-    ok = rep.parseval_dev <= IDENTITY_TOL and rep.decomp_dev <= IDENTITY_TOL
-    return (0 if ok else 1), _table(cfg.fmt, {"k": args.k}, *_variance_table([rep], cfg.fmt))
-
-
-@_command("decomp-check", "divisor decomposition of the full variance into reduced levels",
-          Q, SIEVE_X, DELTA_K)
-def _cmd_decomp_check(args, cfg: RunConfig) -> tuple[int, str]:
-    table = load_or_build_table(cfg, args.k, int(args.x))
-    dev = variance.divisor_decomposition_check(args.q, args.x, table, args.k)
-    return (0 if dev <= IDENTITY_TOL else 1), fmt12(dev) + "\n"
-
-
 def _parse_grid(text: str) -> list[tuple[int, int]]:
     """--grid "x:q,x:q,...": (x, q) points with x, q >= 1; x may be written 1e4."""
     grid = []
@@ -644,9 +625,11 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return grid
 
 
-@_command("scan", "variance scan over an (x, q) grid with fitted slopes",
+@_command("scan", "variance report per (x, q) grid point, each checked by the Parseval "
+          "and divisor-decomposition identities, with the slopes the grid determines "
+          "(nan where it does not); bounds and ratios are nan for k >= 4",
           _flag("grid", _parse_grid, required=False,
-                help="comma list x:q, e.g. 1e4:22,1e4:100"), REPORT_K)
+                help="comma list x:q, e.g. 1e4:22,1e4:100"), DELTA_K)
 def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
     grid = args.grid or variance.default_grid()
     xmax = max(x for x, _ in grid)

@@ -171,10 +171,6 @@ def bound_bhs(x: float, q: int) -> float:
     return math.inf
 
 
-# the k whose moments have reference bounds: the only k of a variance report
-BOUNDED_K = (2, 3)
-
-
 def bound_second_moment(x: float, q: int, k: int) -> float:
     """Second-moment bound: x q^{3/2} for k=3, x for k=2 (Blomer form)."""
     if k == 3:
@@ -227,7 +223,8 @@ def variance_report(
     k: int = 3,
 ) -> VarianceReport:
     """All aggregates at one (x, q), with the Parseval and divisor
-    decomposition deviations recorded.
+    decomposition deviations recorded.  The reference bounds, and the
+    ratios to them, exist for k = 2 and 3 only; for k >= 4 they are nan.
 
     Hermitian sanity (aggregates real and nonnegative) is asserted here;
     all reductions are fixed-order compensated sums.
@@ -248,9 +245,12 @@ def variance_report(
     v1_all = math.fsum(np.abs(E).tolist())
     parseval_dev = abs(v2_e - v2_all / q) / max(v2_e, 1e-300)
 
-    b1 = bound_second_moment(float(x), q, k)
-    b2 = bound_first_moment(float(x), q, k)
-    bn = bound_nguyen(float(x), q) if k == 3 else bound_bhs(float(x), q)
+    if k in (2, 3):
+        b1 = bound_second_moment(float(x), q, k)
+        b2 = bound_first_moment(float(x), q, k)
+        bn = bound_nguyen(float(x), q) if k == 3 else bound_bhs(float(x), q)
+    else:  # no reference bound for k >= 4: the bounds, and so the ratios, are nan
+        b1 = b2 = bn = math.nan
     return VarianceReport(
         x=float(x),
         q=q,
@@ -413,14 +413,26 @@ def _read_to_eof(fd: int) -> bytes:
 
 
 def fit_log_slopes(reports: list[VarianceReport]) -> dict:
-    """Least-squares slopes of log ratio2 and log ratio1 against (log x, log q)."""
+    """Least-squares slopes of log ratio2 and log ratio1 against (log x, log q).
+
+    A coefficient is nan where the grid does not determine it, that is where
+    its unit vector lies outside the row space of the design: deleting its
+    column then leaves lstsq's rank as it is.  All three are nan for a ratio
+    that is not finite somewhere (k >= 4); the rest are lstsq's solution.
+    """
     X = np.array([[1.0, math.log(r.x), math.log(r.q)] for r in reports])
     out = {}
     for name, vals in (
         ("ratio2", [r.ratio2 for r in reports]),
         ("ratio1", [r.ratio1 for r in reports]),
     ):
-        y = np.log(np.maximum(vals, 1e-300))
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        beta = np.full(3, math.nan)
+        if np.all(np.isfinite(vals)):
+            y = np.log(np.maximum(vals, 1e-300))
+            fit, _, rank, sv = np.linalg.lstsq(X, y, rcond=None)
+            cutoff = sv[0] * np.finfo(float).eps * max(X.shape)
+            for j in range(3):
+                if np.linalg.matrix_rank(np.delete(X, j, axis=1), tol=cutoff) < rank:
+                    beta[j] = fit[j]
         out[name] = {"intercept": float(beta[0]), "slope_x": float(beta[1]), "slope_q": float(beta[2])}
     return out

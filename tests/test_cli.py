@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d3lab import arith, expsum
+from d3lab import arith, expsum, variance
 from d3lab.arith import divisors, euler_phi, sieve_dk
 from d3lab.cli import (
     _COMMANDS,
@@ -118,23 +118,24 @@ class TestExitCodes:
         (["delta", "--q", "5"], "--x", "0"),
         (["delta", "--q", "5"], "--x", "-3"),
         (["delta", "--q", "5"], "--x", "nan"),
-        (["variance", "--q", "5"], "--x", "inf"),
+        (["delta", "--q", "5"], "--x", "inf"),
         (["sieve"], "--n", "-5"),
         (["wtransform", "--q", "10", "--x", "1e4"], "--Y", "0"),
         (["sieve"], "--n", "0.5"),
-        (["variance", "--q", "5"], "--x", "0.5"),
-        (["decomp-check", "--q", "5"], "--x", "0.5"),
+        # the scan's x is its sieve limit, >= 1
+        (["scan"], "--grid", "0.5:5"),
+        (["scan"], "--grid", "inf:5"),
         (["mainterm", "--q", "6", "--a", "1"], "--x", "0.5"),
         (["mainterm", "--q", "6", "--a", "1"], "--x", "1.9"),
         (["wtransform", "--q", "3", "--x", "1e3", "--n", "1"], "--Y", "0.5"),
-        # --k: a sieve needs k >= 2, main terms k <= 8, variance reports k in {2, 3}
+        # --k: a sieve needs k >= 2, main terms k <= 8, delta and scan k in 2..8
         (["sieve", "--n", "100"], "--k", "1"),
         (["mainterm", "--q", "6", "--a", "1", "--x", "1e4"], "--k", "0"),
         (["mainterm", "--q", "6", "--a", "1", "--x", "1e4"], "--k", "9"),
         (["delta", "--q", "5", "--x", "100"], "--k", "1"),
-        (["decomp-check", "--q", "5", "--x", "100"], "--k", "9"),
-        (["variance", "--q", "5", "--x", "100"], "--k", "4"),
-        (["scan"], "--k", "4"),
+        (["scan"], "--k", "9"),
+        (["scan"], "--k", "1"),
+        (["delta", "--q", "5", "--x", "100"], "--k", "9"),
         # a prime-power catalog needs a prime p and k >= 1; A(n) needs n >= 1
         (["lemma3-check", "--k", "1"], "--p", "-3"),
         (["lemma3-check", "--k", "1"], "--p", "4"),
@@ -162,10 +163,14 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert line.startswith("error: d_60(n) reaches ") and line.endswith("beyond 64 bits")
 
-    def test_variance_passes(self):
-        code, out, _ = run_cli("--format", "csv", "variance", "--q", "12", "--x", "2000")
-        assert code == 0
-        assert "parseval" in out.splitlines()[1]
+    def test_deleted_commands_are_unknown(self, capsys):
+        # scan prints the row of variance and the decomp_dev cell of decomp-check
+        assert len(_COMMANDS) == 16
+        for name in ("variance", "decomp-check"):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--q", "5", "--x", "1000"])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
     def test_kloosterman_checked_against_fft_column(self, monkeypatch, capsys):
         argv = ["kloosterman", "--n", "1", "--m", "2", "--q", "7"]
@@ -199,8 +204,6 @@ _SMALL_ARGV = {
     "voronoi-compare": ["voronoi-compare", "--q", "3", "--x", "1e3", "--Y", "1e2",
                         "--n-max", "3"],
     "delta": ["delta", "--q", "5", "--x", "1000"],
-    "variance": ["variance", "--q", "5", "--x", "1000"],
-    "decomp-check": ["decomp-check", "--q", "5", "--x", "1000"],
     "scan": ["scan", "--grid", "1000:5"],
 }
 
@@ -223,7 +226,7 @@ class TestOut:
             # beyond the sieve budget, refused before anything is sieved
             (1, ["scan", "--grid", "6e7:5"], "exceeds budget"),
             (1, ["sieve", "--n", "1e9"], "exceeds budget"),
-            (1, ["variance", "--q", "5", "--x", "6e7"], "exceeds budget"),
+            (1, ["scan", "--grid", "1e3:7,6e7:5"], "exceeds budget"),
             (1, ["corr", "--triple", "1,1,1", "--triple2", "1,1,1", "--q", "99"], "guard"),
             # a d_k beyond 64 bits
             (1, ["sieve", "--k", "60", "--n", "1e6"], "beyond 64 bits"),
@@ -491,9 +494,38 @@ class TestScanReference:
         assert f"grid point {grid!r}" in capsys.readouterr().err
 
 
+class TestScanWithoutBounds:
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_scan_checks_k_beyond_the_bounds(self, k, tmp_path):
+        # k >= 4 has no reference bound: the bound and ratio cells are nan
+        # (null in JSON), and so are the slopes; the identities are checked
+        texts = {}
+        for threads, fmt in (("1", "csv"), ("2", "csv"), ("1", "json")):
+            out = tmp_path / f"scan{threads}.{fmt}"
+            assert main(["--threads", threads, "--format", fmt, "scan", "--k", str(k),
+                         "--grid", "3000:7,3000:12,6000:30", "--out", str(out)]) == 0
+            texts[threads, fmt] = out.read_text()
+        assert texts["1", "csv"] == texts["2", "csv"]
+        lines = texts["1", "csv"].splitlines()
+        assert {"# slope2_x=nan", "# slope2_q=nan", f"# k={k}"} <= set(lines)
+        header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
+        json_rows = _strict_json(texts["1", "json"])["rows"]
+        assert len(body) == len(json_rows) == 3
+        table = sieve_dk(k, 6000)
+        unbounded = ["bound_thm1", "bound_thm2", "bound_nguyen", "ratio2", "ratio1"]
+        for cells, json_row in zip(body, json_rows):
+            row = dict(zip(header, cells))
+            assert float(row["parseval_dev"]) <= 1e-9 and float(row["decomp_dev"]) <= 1e-9
+            assert [row[name] for name in unbounded] == ["nan"] * 5
+            assert [json_row[name] for name in unbounded] == [None] * 5
+            # the cell the standalone check, without the report's sums, prints
+            dev = variance.divisor_decomposition_check(int(row["q"]), float(row["x"]), table, k)
+            assert row["decomp_dev"] == fmt12(dev)
+
+
 class TestReportJson:
     @pytest.mark.parametrize("argv", [
-        ["variance", "--q", "30", "--x", "1e4"],
+        ["scan", "--grid", "1e4:30"],
         ["scan", "--grid", "1e4:465"],
         ["kernel", "--x-max", "10", "--points", "3"],
         ["delta", "--q", "30", "--x", "1e4"],
@@ -505,13 +537,14 @@ class TestReportJson:
         assert _strict_json(out.read_text())["rows"]
 
     def test_variance_json_mirrors_csv(self, tmp_path):
-        argv = ["variance", "--q", "30", "--x", "1e4"]
+        argv = ["scan", "--grid", "1e4:30"]
         texts = {}
         for fmt in ("csv", "json"):
             out = tmp_path / f"variance.{fmt}"
             assert main(["--format", fmt, *argv, "--out", str(out)]) == 0
             texts[fmt] = out.read_text()
-        header, cells = [line.split(",") for line in texts["csv"].splitlines()[1:]]
+        header, cells = [line.split(",") for line in texts["csv"].splitlines()
+                         if not line.startswith("# ")]
         assert len(header) == 13
         (row,) = _strict_json(texts["json"])["rows"]
         assert set(row) == {*header, "V1_all", "k", "Y_param"}
@@ -689,9 +722,9 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("format = json\n")
         code = main(["--config", str(cfg_file), "--format", "csv",
-                     "variance", "--q", "3", "--x", "1000"])
+                     "scan", "--grid", "1000:3"])
         out = capsys.readouterr().out
-        assert code == 0 and out.startswith("# k=3")
+        assert code == 0 and "# k=3" in out.splitlines()
 
 
 # modules that only some commands may load: numpy.random draws samples and
@@ -770,14 +803,17 @@ class TestLayerTrace:
 
 
 class TestHelp:
-    def test_subcommands_document_their_check(self):
+    def test_subcommands_document_their_check(self, capsys):
         for name, needle in (
             ("lemma2-check", "multiplicativity"),
             ("lemma3-check", "closed form"),
             ("kernel", "kernel"),
             ("csum", "brute-force"),
             ("kloosterman", "FFT column"),
-            ("variance", "Parseval"),
+            ("scan", "Parseval"),
+            ("scan", "divisor-decomposition"),
         ):
-            code, out, _ = run_cli(name, "--help")
-            assert code == 0 and needle in out
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            assert needle in " ".join(capsys.readouterr().out.split())

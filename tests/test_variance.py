@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,6 +257,49 @@ class TestReports:
         assert r.bound_thm1 == 1e4
         assert r.bound_thm2 == pytest.approx(math.sqrt(1e4 * 12))
 
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    def test_no_bounds_beyond_k3(self, k):
+        # the identities still hold; the report's decomp_dev is the standalone
+        # check's, bit for bit
+        table = sieve_dk(k, 10**4)
+        for q in (5, 12, 30, 97):
+            r = variance_report(q, 1e4, table, k)
+            bounds = (r.bound_thm1, r.bound_thm2, r.bound_nguyen, r.ratio2, r.ratio1)
+            assert all(math.isnan(v) for v in bounds)
+            assert r.parseval_dev <= 1e-9 and r.decomp_dev <= 1e-9
+            assert r.decomp_dev.hex() == divisor_decomposition_check(q, 1e4, table, k).hex()
+
+
+# the slopes each grid shape determines: (slope_x, slope_q)
+_DETERMINED = {"point": (False, False), "one_x": (False, True), "one_q": (True, False),
+               "collinear": (False, False), "full": (True, True)}
+
+
+@st.composite
+def _shaped_grids(draw):
+    """(shape, points): a grid of one of the shapes of _DETERMINED."""
+    shape = draw(st.sampled_from(sorted(_DETERMINED)))
+    xs, qs = st.integers(1, 10**7), st.integers(1, 10**5)
+
+    def several(values):
+        return draw(st.lists(values, min_size=2, max_size=8, unique=True))
+
+    if shape == "point":
+        return shape, [(draw(xs), draw(qs))]
+    if shape == "one_x":
+        x = draw(xs)
+        return shape, [(x, q) for q in several(qs)]
+    if shape == "one_q":
+        q = draw(qs)
+        return shape, [(x, q) for x in several(xs)]
+    if shape == "collinear":
+        # x = s m^2 and q = r m: log q = log r - (log s)/2 + (log x)/2
+        s, r = draw(st.integers(1, 100)), draw(st.integers(1, 100))
+        return shape, [(s * m * m, r * m) for m in several(st.integers(1, 300))]
+    (x1, x2), (q1, q2) = several(xs)[:2], several(qs)[:2]
+    extra = draw(st.lists(st.tuples(xs, qs), max_size=5))
+    return shape, [(x1, q1), (x1, q2), (x2, q1), *extra]
+
 
 class TestBoundsAndScan:
     def test_nguyen_branches(self):
@@ -284,6 +328,28 @@ class TestBoundsAndScan:
         assert [(int(r.x), r.q) for r in reports] == sorted(grid)
         slopes = fit_log_slopes(reports)
         assert abs(slopes["ratio2"]["slope_x"]) < 2.0
+
+    @given(_shaped_grids(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_slopes_only_where_the_grid_determines_them(self, grid, data):
+        shape, points = grid
+        ratios = st.lists(st.floats(1e-6, 1e6), min_size=len(points), max_size=len(points))
+        r2, r1 = data.draw(ratios), data.draw(ratios)
+        # a ratio that is nan at one point (no bound, k >= 4) leaves no coefficient
+        if data.draw(st.booleans()):
+            r2[data.draw(st.integers(0, len(points) - 1))] = math.nan
+        reports = [SimpleNamespace(x=float(x), q=q, ratio2=a, ratio1=b)
+                   for (x, q), a, b in zip(points, r2, r1)]
+        slopes = fit_log_slopes(reports)
+
+        def finite(fit):
+            return math.isfinite(fit["slope_x"]), math.isfinite(fit["slope_q"])
+
+        assert finite(slopes["ratio1"]) == _DETERMINED[shape]
+        if all(map(math.isfinite, r2)):
+            assert finite(slopes["ratio2"]) == _DETERMINED[shape]
+        else:
+            assert all(math.isnan(v) for v in slopes["ratio2"].values())
 
     def test_theorem1_fitted_constant_stable(self, d3_table_1e5):
         # V2_all <= C * x q^{3/2} (1+log x)^A with A fitted (capped at 6);
