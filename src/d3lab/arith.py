@@ -297,18 +297,11 @@ def sigma(n: int) -> int:
 
 
 def mod_inverse(a: int, q: int) -> int:
-    """Inverse of a mod q by extended Euclid; loud failure if absent."""
-    if q == 1:
-        return 0
-    r0, r1 = q, a % q
-    s0, s1 = 0, 1
-    while r1:
-        t = r0 // r1
-        r0, r1 = r1, r0 - t * r1
-        s0, s1 = s1, s0 - t * s1
-    if r0 != 1:
-        raise ValueError(f"{a} is not invertible mod {q} (gcd = {r0})")
-    return s0 % q
+    """Inverse of a mod q (0 for q = 1); loud failure if absent."""
+    try:
+        return pow(a, -1, q)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible mod {q} (gcd = {math.gcd(a, q)})") from None
 
 
 @dataclass(frozen=True)
@@ -352,19 +345,17 @@ def unit_phase(a: int, q: int) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-def round_to_integer(value: complex, tol: float = 1e-6, scale: float = 1.0) -> int:
+def round_to_integer(value: complex) -> int:
     """Round a numerically-integer complex value to the exact integer.
 
-    Tolerance is absolute for scale=1; callers of large aggregates pass
-    scale = 1 + |value| to absorb float accumulation.  Failure signals a
-    bug in an identity that should be exact.
+    The tolerance is an absolute 1e-6 on each part.  Failure signals a bug
+    in an identity that should be exact.
     """
-    bound = tol * scale
-    if abs(value.imag) > bound:
-        raise ArithmeticError(f"imaginary part {value.imag} exceeds {bound}")
+    if abs(value.imag) > 1e-6:
+        raise ArithmeticError(f"imaginary part {value.imag} exceeds 1e-06")
     nearest = round(value.real)
-    if abs(value.real - nearest) > bound:
-        raise ArithmeticError(f"{value.real} is not an integer to within {bound}")
+    if abs(value.real - nearest) > 1e-6:
+        raise ArithmeticError(f"{value.real} is not an integer to within 1e-06")
     return int(nearest)
 
 

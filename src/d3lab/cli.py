@@ -9,7 +9,8 @@ UsageError into one ``error:`` line and exit 2, and a refused cost
 (a cost guard, the sieve budget arith.MAX_SIEVE_LIMIT, a table beyond
 64 bits) or a failed computation into one ``error:`` line and exit 1.
 A refused request writes nothing; a failed check (exit 1) still writes
-its report.
+its report.  The cost guards are expsum's constants; ``--force`` lifts
+those of rsum and corr, and rsum refuses past its guard without it.
 
 Global flags go before the subcommand.  A ``--config`` file holds flat
 ``key=value`` lines with the keys cache_dir, threads, format and seed;
@@ -417,18 +418,15 @@ def _cmd_kloosterman(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("rsum", "triple exponential sum R_{a,b,c}(h/q): fast divisor reduction, "
-          "checked against the brute-force oracle when feasible",
-          *map(_flag, "abch"), Q, FORCE)
+          "checked against the brute-force oracle, whose cost guard refuses "
+          f"q > {expsum.BRUTE_Q_GUARD} without --force", *map(_flag, "abch"), Q, FORCE)
 def _cmd_rsum(args, cfg: RunConfig) -> tuple[int, str]:
     pt = ReducedFraction.reduce(args.h, args.q)
     fast = expsum.r_sum_fast(args.a, args.b, args.c, pt)
-    text = f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}\n"
-    q_guard = 10**9 if args.force else 200
-    if args.q > q_guard:
-        return 0, text
-    brute = expsum.r_sum_bruteforce(args.a, args.b, args.c, pt, q_guard=q_guard)
+    brute = expsum.r_sum_bruteforce(args.a, args.b, args.c, pt, force=args.force)
     dev = abs(fast - brute)
-    text += f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}\n"
+    text = (f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}\n"
+            f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}\n")
     return (1 if dev > 1e-6 else 0), text
 
 
@@ -446,11 +444,11 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
-@_command("corr", "correlation of two triple sums over reduced residues",
+@_command("corr", "correlation of two triple sums over reduced residues; its cost guard "
+          f"refuses q > {expsum.CORRELATION_Q_GUARD} without --force",
           _flag("triple", _parse_triple), _flag("triple2", _parse_triple), Q, FORCE)
 def _cmd_corr(args, cfg: RunConfig) -> tuple[int, str]:
-    v = expsum.correlation_sums(args.q, args.triple, args.triple2,
-                                q_guard=10**9 if args.force else 60)
+    v = expsum.correlation_sums(args.q, args.triple, args.triple2, force=args.force)
     return 0, fmt12(v[0]) + "\n"
 
 
@@ -506,8 +504,8 @@ def _cmd_lemma3_check(args, cfg: RunConfig) -> tuple[int, str]:
           _flag("entry-max", _positive_int, default=4))
 def _cmd_correlation_bound_scan(args, cfg: RunConfig) -> tuple[int, str]:
     best = expsum.correlation_bound_scan(list(range(1, args.q_max + 1)), args.entry_max)
-    return 0, (f"max ratio (log power 3): {fmt12(best['ratio'])} at q={best.get('q')}, "
-               f"triples {best.get('triple')} x {best.get('triple2')}\n")
+    return 0, (f"max ratio (log power {expsum.LOG_POWER}): {fmt12(best['ratio'])} "
+               f"at q={best.get('q')}, triples {best.get('triple')} x {best.get('triple2')}\n")
 
 
 @_command("corr-identity", "measured deviation of the coprime correlation identity "

@@ -12,7 +12,8 @@ double sum
 
 with its prime-power closed-form evaluation.  Brute-force paths are exact
 (phase residues are counted in integers before a single length-q complex
-sum) and act as oracles for the fast reductions.
+sum) and act as oracles for the fast reductions.  Each costly path refuses
+a q past its guard, one module constant (*_Q_GUARD), with a GuardError.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ __all__ = [
 
 # relative gap below which correlation_bound_scan treats two ratios as tied
 TIE_RTOL = 1e-12
+# Cost guards, the largest q of each oracle.  They are read at call time;
+# force=True lifts those of r_sum_bruteforce and correlation_sums.
+BRUTE_Q_GUARD = 200  # r_sum_bruteforce: q^3 phase residues
+TABLE_Q_GUARD = 64  # r_sum_bruteforce_table: one q^3 complex tensor
+CORRELATION_Q_GUARD = 60  # correlation_sums, and q1*q2 in its multiplicativity check
+PAIR_SUM_Q_GUARD = 500  # cq_pair_sum and cq_pair_sum_bruteforce
+IDENTITY_Q_GUARD = 40  # corr_identity_values
+# the reduced pairs (h, h2) on which the splitting identity is sampled
+SPLITTING_SAMPLES = 4
+# prime_power_catalog is exhaustive while q^4 <= CATALOG_SAMPLES, else it
+# draws CATALOG_SAMPLES tuples
+CATALOG_SAMPLES = 10_000
+# A in the (1 + log q)^A of Lemma 4's bound, which correlation_bound_scan fits
+LOG_POWER = 3
 
 
 class GuardError(RuntimeError):
@@ -98,17 +113,17 @@ def ordered_triples(n: int) -> list[tuple[int, int, int]]:
 
 
 def r_sum_bruteforce(
-    a: int, b: int, c: int, point: ReducedFraction, *, q_guard: int = 200
+    a: int, b: int, c: int, point: ReducedFraction, *, force: bool = False
 ) -> complex:
     """Triple-loop evaluation of R_{a,b,c}(h/q), exact phase counting.
 
     The q^3 phase residues (ax + by + cz - h*x*y*z) mod q are tallied in
     integers; only the final length-q sum of counts times e(r/q) is
     floating point.  R is real, so the imaginary residue is asserted
-    away.
+    away.  q > BRUTE_Q_GUARD is a GuardError unless force is set.
     """
     h, q = point.h, point.q
-    _require(q <= q_guard, f"q={q} exceeds brute-force guard {q_guard}; use r_sum_fast")
+    _require(force or q <= BRUTE_Q_GUARD, f"q={q} exceeds brute-force guard {BRUTE_Q_GUARD}")
     x = np.arange(1, q + 1, dtype=np.int64)
     counts = np.zeros(q, dtype=np.int64)
     xy = np.add.outer(a * x, b * x)          # a*x + b*y
@@ -127,14 +142,14 @@ def _phase_combine(counts: np.ndarray, q: int) -> complex:
     return complex(np.sum(counts * np.exp(2j * np.pi * r / q)))
 
 
-def r_sum_bruteforce_table(point: ReducedFraction, *, q_guard: int = 64) -> np.ndarray:
+def r_sum_bruteforce_table(point: ReducedFraction) -> np.ndarray:
     """R_{a,b,c}(h/q) for every residue triple, via one 3-D inverse FFT.
 
     R(a,b,c) is the 3-D Fourier transform of the phase tensor
     e(-h*x*y*z/q) at frequency (a,b,c).
     """
     h, q = point.h, point.q
-    _require(q <= q_guard, f"q={q} exceeds table guard {q_guard}")
+    _require(q <= TABLE_Q_GUARD, f"q={q} exceeds table guard {TABLE_Q_GUARD}")
     x = np.arange(q, dtype=np.int64)
     xyz = x[:, None, None] * x[None, :, None] * x[None, None, :]
     F = np.exp(-2j * np.pi * ((h * xyz) % q) / q)
@@ -254,35 +269,39 @@ def _exact_correlations(q: int, total: np.ndarray) -> np.ndarray:
     return exact
 
 
-def correlation_sums(q: int, triples, triples2, *, q_guard: int = 60) -> np.ndarray:
+def correlation_sums(q: int, triples, triples2, *, force: bool = False) -> np.ndarray:
     """sum'_{h mod q} R_t(h/q) * R_t'(h/q) for each row t, t' of the n x 3
     arrays triples and triples2 (R is real), from one _unit_rows table.
 
     The sums are integers held as float64, not int64: phi(q) * R_{0,0,0}^2
-    passes 2^63 at q = 2700, which corr --force reaches.
+    passes 2^63 at q = 2700, which corr --force reaches.  q beyond
+    CORRELATION_Q_GUARD is a GuardError unless force is set.
     """
-    _require(q <= q_guard, f"q={q} exceeds correlation guard {q_guard}")
+    _require(force or q <= CORRELATION_Q_GUARD,
+             f"q={q} exceeds correlation guard {CORRELATION_Q_GUARD}")
     return _integer_correlations(q, _paired_unit_rows(q, triples, triples2))
 
 
 def correlation_multiplicativity_check(
-    q1: int, q2: int, triples, triples2, *, splitting_samples: int = 4
+    q1: int, q2: int, triples, triples2
 ) -> dict[str, np.ndarray]:
     """Check S(q1*q2) = S(q1) * S(q2) for coprime moduli, one row per pair
     of rows of the n x 3 arrays triples and triples2.
 
     Also verifies the underlying splitting identity
     R((h*q2 + h2*q1)/(q1*q2)) = R(h*q2^3 / q1) * R(h2*q1^3 / q2)
-    for each triple on the first few reduced pairs (h, h2): the right side
-    from the tables at q1 and q2, the left side from r_sum_fast, which
-    reads another twist column, so the two R routes are held to each other.
+    for each triple on the first SPLITTING_SAMPLES reduced pairs (h, h2):
+    the right side from the tables at q1 and q2, the left side from
+    r_sum_fast, which reads another twist column, so the two R routes are
+    held to each other.
     Returns one column per field: the sums s12, s1, s2, their deviation
     |s12 - s1*s2| and its tolerance, the splitting deviation and whether
     the row passed.
     """
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
-    _require(q1 * q2 <= 60, f"q1*q2={q1*q2} exceeds guard 60")
+    _require(q1 * q2 <= CORRELATION_Q_GUARD,
+             f"q1*q2={q1*q2} exceeds guard {CORRELATION_Q_GUARD}")
     moduli = (q1 * q2, q1, q2)
     tables = [_paired_unit_rows(q, triples, triples2) for q in moduli]
     s12, s1, s2 = (_integer_correlations(q, M) for q, M in zip(moduli, tables))
@@ -291,7 +310,7 @@ def correlation_multiplicativity_check(
 
     n = len(s12)
     pairs = [(u, u2) for u in _units(q1).tolist() for u2 in _units(q2).tolist()]
-    h, h2 = np.array(pairs[:splitting_samples], dtype=np.int64).reshape(-1, 2).T
+    h, h2 = np.array(pairs[:SPLITTING_SAMPLES], dtype=np.int64).reshape(-1, 2).T
     points = [ReducedFraction.reduce(v, q1 * q2) for v in (h * q2 + h2 * q1).tolist()]
     t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist()
     lhs = np.array([[r_sum_fast(a, b, c, pt).real for a, b, c in t] for pt in points],
@@ -324,9 +343,7 @@ def cq_table(q: int) -> np.ndarray:
     return out
 
 
-def cq_pair_sum_bruteforce(
-    a: int, a2: int, b: int, b2: int, q: int, *, q_guard: int = 500
-) -> int:
+def cq_pair_sum_bruteforce(a: int, a2: int, b: int, b2: int, q: int) -> int:
     """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X'), exact integer.
 
     The residues aX - a2X' and bX - b2X' are formed over the phi(q)^2
@@ -334,7 +351,7 @@ def cq_pair_sum_bruteforce(
     in integers, so the only float step is a final length-q combination
     with e(r/q).
     """
-    _require(q <= q_guard, f"q={q} exceeds pair-sum guard {q_guard}")
+    _require(q <= PAIR_SUM_Q_GUARD, f"q={q} exceeds pair-sum guard {PAIR_SUM_Q_GUARD}")
     if q == 1:
         return 1
     X = _units(q)[:, None]
@@ -351,7 +368,7 @@ def cq_pair_sum_bruteforce(
 _PAIR_CHUNK = 1 << 15
 
 
-def cq_pair_sum(a, a2, b, b2, q: int, *, q_guard: int = 500):
+def cq_pair_sum(a, a2, b, b2, q: int):
     """S = sum'_{X,X'} e((aX - a2 X')/q) * c_q(bX - b2 X') by the Ramanujan expansion.
 
     Writing c_q(m) = sum'_{r mod q} e(rm/q) and summing over X and X' first,
@@ -364,7 +381,7 @@ def cq_pair_sum(a, a2, b, b2, q: int, *, q_guard: int = 500):
     evaluated in row chunks of at most _PAIR_CHUNK gathered elements.
     cq_pair_sum_bruteforce evaluates the definition and is the oracle.
     """
-    _require(q <= q_guard, f"q={q} exceeds pair-sum guard {q_guard}")
+    _require(q <= PAIR_SUM_Q_GUARD, f"q={q} exceeds pair-sum guard {PAIR_SUM_Q_GUARD}")
     args = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) % q for v in (a, a2, b, b2)))
     a, a2, b, b2 = (v.ravel() for v in args)
     units, cq = _units(q), cq_table(q)
@@ -466,17 +483,11 @@ class PrimePowerCatalog(NamedTuple):
     closed: np.ndarray
 
 
-def prime_power_catalog(
-    p: int,
-    k: int,
-    *,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> PrimePowerCatalog:
+def prime_power_catalog(p: int, k: int, *, seed: int = 0) -> PrimePowerCatalog:
     """Closed form vs the exact pair sum over (a, a2, b, b2) mod p^k.
 
-    Exhaustive when q^4 <= n_samples, otherwise a seeded deterministic
-    sample of n_samples tuples.  The "brute" value is cq_pair_sum, the
+    Exhaustive when q^4 <= CATALOG_SAMPLES, otherwise a seeded deterministic
+    sample of CATALOG_SAMPLES tuples.  The "brute" value is cq_pair_sum, the
     Ramanujan expansion of the definition (held to the definition by
     cq_pair_sum_bruteforce in the tests); both it and the closed form are
     one batch over the catalog.  A p that is not prime or a k < 1 is a
@@ -484,14 +495,14 @@ def prime_power_catalog(
     """
     _check_prime_power(p, k)
     q = p**k
-    if q**4 <= n_samples:
+    if q**4 <= CATALOG_SAMPLES:
         T = np.indices((q,) * 4).reshape(4, -1).T  # a slowest, b2 fastest
     else:
         # numpy.random and what it brings (secrets, hashlib, libcrypto) cost
         # about 6 MB of RSS: it is loaded only where numbers are drawn
         from numpy.random import default_rng
 
-        T = default_rng(seed).integers(0, q, size=(n_samples, 4))
+        T = default_rng(seed).integers(0, q, size=(CATALOG_SAMPLES, 4))
     brute = cq_pair_sum(*T.T, q)
     cases, closed = cq_pair_sum_prime_power(T, p, k)
     for column in (T, cases, brute, closed):
@@ -504,15 +515,14 @@ def prime_power_catalog(
 # ---------------------------------------------------------------------------
 
 
-def correlation_bound_scan(
-    q_values: list[int], entry_max: int, *, log_power: int = 3
-) -> dict:
+def correlation_bound_scan(q_values: list[int], entry_max: int) -> dict:
     """Max of |correlation| over the family, against the divisor bound.
 
     For every q in q_values and every ordered pair of triples t, t' with
     entries in 1..entry_max, the ratio is
     |S_q(t, t')| / (q^3 * (q,n,n') * sigma((q,n-n')) * (1+log q)^A)
-    with S_q(t, t') = sum'_h R_t(h/q) R_t'(h/q), n = abc and n' = a'b'c'.
+    with A = LOG_POWER, S_q(t, t') = sum'_h R_t(h/q) R_t'(h/q), n = abc and
+    n' = a'b'c'.
     Returns the fitted constant (max ratio) and the argmax row: the first
     pair in row-major order within TIE_RTOL of a modulus' maximum, and the
     first modulus with a strictly larger one.
@@ -539,7 +549,7 @@ def correlation_bound_scan(
         for c in range(1, entry_max + 1)
     ]
     best = {"ratio": 0.0}
-    for q, ratios in _correlation_ratios(q_values, triples, log_power):
+    for q, ratios in _correlation_ratios(q_values, triples, LOG_POWER):
         # mathematically tied pairs differ in the last bits: report the
         # first pair in row-major order within TIE_RTOL of the maximum
         near = ratios >= ratios.max() * (1.0 - TIE_RTOL)
@@ -590,14 +600,14 @@ def _correlation_factor(pe: int, triples, prods: np.ndarray, diffs: np.ndarray) 
     return np.abs(S) / (pe**3 * np.minimum.outer(gcd_qn, gcd_qn) * sigma_gcd[diffs % pe])
 
 
-def corr_identity_values(n: int, m: int, q: int, *, q_guard: int = 40) -> tuple[complex, complex]:
+def corr_identity_values(n: int, m: int, q: int) -> tuple[complex, complex]:
     """Both sides of the coprime correlation identity:
 
     LHS = sum'_h A_{h/q}(n) conj(A_{h/q}(m)), RHS = q^3 c_q(n-m) d_3(n) d_3(m).
     """
     if math.gcd(n, q) != 1:
         raise ValueError("requires gcd(n, q) = 1")
-    _require(q <= q_guard, f"q={q} exceeds guard {q_guard}")
+    _require(q <= IDENTITY_Q_GUARD, f"q={q} exceeds guard {IDENTITY_Q_GUARD}")
     tn, tm = ordered_triples(n), ordered_triples(m)
     M = _unit_rows(q, tn + tm)
     lhs = complex(np.vdot(M[:, len(tn):].sum(axis=1), M[:, : len(tn)].sum(axis=1)))

@@ -104,7 +104,7 @@ class TestCriterion02RSumSuite:
             direct = np.array([kloosterman_sum(1, m, q).real for m in range(q)])
             for i, hbar in enumerate(_units(q).tolist()):
                 pt = ReducedFraction.reduce(pow(hbar, -1, q), q)
-                brute = r_sum_bruteforce_table(pt, q_guard=64).ravel()
+                brute = r_sum_bruteforce_table(pt).ravel()
                 worst_eq = max(worst_eq, float(np.max(np.abs(rows[i] - brute))))
                 if q == 1:
                     continue

@@ -65,6 +65,18 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[0].startswith("fast: 2")
 
+    def test_rsum_refuses_past_its_guard(self, capsys):
+        # past the oracle's guard rsum prints nothing, not an unchecked value
+        assert expsum.BRUTE_Q_GUARD < 211
+        argv = ["rsum", "--a", "1", "--b", "2", "--c", "3", "--h", "1", "--q", "211"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert main([*argv, "--force"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "fast: 2740.50861466 0" and lines[1].startswith("brute: 2740.50861466 ")
+        assert len(lines) == 2
+
     def test_lemma2_without_samples(self, tmp_path):
         # no samples: the header alone, and nothing failed
         out = tmp_path / "lemma2.out"
@@ -809,6 +821,8 @@ class TestHelp:
             ("lemma3-check", "closed form"),
             ("kernel", "kernel"),
             ("csum", "brute-force"),
+            ("rsum", f"refuses q > {expsum.BRUTE_Q_GUARD} without --force"),
+            ("corr", f"refuses q > {expsum.CORRELATION_Q_GUARD} without --force"),
             ("kloosterman", "FFT column"),
             ("scan", "Parseval"),
             ("scan", "divisor-decomposition"),

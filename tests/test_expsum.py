@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from d3lab.expsum import (
     prime_power_catalog,
     correlation_bound_scan,
     ordered_triples,
-    round_to_integer,
     r_sum_bruteforce,
     r_sum_bruteforce_table,
     r_sum_fast,
@@ -178,7 +178,8 @@ class TestCorrelation:
             for h in reduced(q):
                 pt = ReducedFraction.reduce(h, q)
                 direct += r_sum_bruteforce(*t1, pt) * np.conj(r_sum_bruteforce(*t2, pt))
-            expect = round_to_integer(direct, scale=1.0 + abs(direct))
+            expect = round(direct.real)
+            assert max(abs(direct.imag), abs(direct.real - expect)) <= 1e-6 * (1 + abs(direct))
             by_q.setdefault(q, []).append((t1, t2, expect))
         for q, cases in by_q.items():
             t1, t2, expect = zip(*cases)
@@ -196,10 +197,11 @@ class TestCorrelation:
         s = correlation_sums(12, [(1, 2, 3), (2, 0, 5)], [(2, 0, 5), (1, 2, 3)])
         assert s[0] == s[1]
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(GuardError):
             correlation_sums(61, [(1, 1, 1)], [(1, 1, 1)])
-        assert correlation_sums(61, [(1, 1, 1)], [(1, 1, 1)], q_guard=61).shape == (1,)
+        monkeypatch.setattr(expsum, "CORRELATION_Q_GUARD", 61)
+        assert correlation_sums(61, [(1, 1, 1)], [(1, 1, 1)]).shape == (1,)
         with pytest.raises(ValueError):
             correlation_sums(5, [(1, 1, 1), (1, 2, 3)], [(1, 1, 1)])
 
@@ -228,7 +230,7 @@ class TestCorrelation:
                 split = one["splitting_deviation"][0]
                 assert abs(batch["splitting_deviation"][i] - split) <= 1e-12, (q1, q2, i)
 
-    def test_splitting_identity_matches_scalar_sums(self):
+    def test_splitting_identity_matches_scalar_sums(self, monkeypatch):
         # the splitting rows read from the tables against r_sum_fast
         q1, q2, t = 4, 15, (3, 7, 11)
         lhs_rhs = [
@@ -239,7 +241,8 @@ class TestCorrelation:
         ]
         for samples in (1, 4, len(lhs_rhs)):
             expect = max(abs(l - r) / (1 + abs(l)) for l, r in lhs_rhs[:samples])
-            rep = correlation_multiplicativity_check(q1, q2, [t], [t], splitting_samples=samples)
+            monkeypatch.setattr(expsum, "SPLITTING_SAMPLES", samples)
+            rep = correlation_multiplicativity_check(q1, q2, [t], [t])
             assert abs(rep["splitting_deviation"][0] - expect) <= 1e-12, samples
 
     def test_splitting_identity_reads_scalar_route(self, monkeypatch):
@@ -375,7 +378,7 @@ class TestPairSum:
         assert cat.brute.shape == ((p**k) ** 4,)
         assert np.array_equal(cat.brute, cat.closed)
 
-    def test_catalog_columns(self):
+    def test_catalog_columns(self, monkeypatch):
         # exhaustive order (a slowest, b2 fastest), int64, read-only
         cat = prime_power_catalog(2, 2)
         assert cat.q == 4 and cat.tuples.shape == (256, 4)
@@ -391,7 +394,8 @@ class TestPairSum:
                               prime_power_catalog(2, 5, seed=1).tuples)
         assert not np.array_equal(prime_power_catalog(2, 5, seed=1).tuples,
                                   prime_power_catalog(2, 5, seed=2).tuples)
-        assert prime_power_catalog(2, 5, n_samples=7).tuples.shape == (7, 4)
+        monkeypatch.setattr(expsum, "CATALOG_SAMPLES", 7)
+        assert prime_power_catalog(2, 5).tuples.shape == (7, 4)
 
     def test_second_case_formula(self):
         # p^2 | Q requires k >= 2 with small gcd(q, b, b2)
@@ -448,13 +452,15 @@ class TestPairSum:
 
 
 class TestBounds:
-    def test_ratio_examples(self):
+    def test_ratio_examples(self, monkeypatch):
         # entries 1..1 leave the one pair (1, 1, 1) x (1, 1, 1)
-        assert correlation_bound_scan([2], 1, log_power=0)["ratio"] == pytest.approx(1 / 6)
-        assert correlation_bound_scan([1], 1, log_power=0)["ratio"] == pytest.approx(1)
+        monkeypatch.setattr(expsum, "LOG_POWER", 0)
+        assert correlation_bound_scan([2], 1)["ratio"] == pytest.approx(1 / 6)
+        assert correlation_bound_scan([1], 1)["ratio"] == pytest.approx(1)
 
-    def test_small_scan_golden(self):
-        best = correlation_bound_scan(list(range(1, 25)), 4, log_power=0)
+    def test_small_scan_golden(self, monkeypatch):
+        monkeypatch.setattr(expsum, "LOG_POWER", 0)
+        best = correlation_bound_scan(list(range(1, 25)), 4)
         assert best["ratio"] == pytest.approx(2.5, abs=1e-9)
         assert best["q"] == 6
 
@@ -494,7 +500,8 @@ class TestBounds:
             if direct[i, j] > best["ratio"]:
                 best = {"ratio": direct[i, j], "q": q,
                         "triple": tuple(t[i].tolist()), "triple2": tuple(t[j].tolist())}
-        scan = correlation_bound_scan(q_values, entry_max, log_power=log_power)
+        with mock.patch.object(expsum, "LOG_POWER", log_power):
+            scan = correlation_bound_scan(q_values, entry_max)
         assert scan["ratio"] == pytest.approx(best["ratio"], rel=1e-12)
         assert [scan[k] for k in ("q", "triple", "triple2")] == [
             best[k] for k in ("q", "triple", "triple2")]
@@ -507,15 +514,16 @@ class TestBounds:
         with pytest.raises(ArithmeticError, match="q=4 is not an integer"):
             correlation_bound_scan([12], 2)
 
-    def test_critical_bound_fitted_constant(self):
+    def test_critical_bound_fitted_constant(self, monkeypatch):
         # |S| <= C * q * (q,b,b') * sum_{f | (q, ab-a'b')} f * (1+log q)^3
         # over the prime-power scan family; C is the fitted max ratio and
         # stays well below 1 (deterministic seeded family)
+        monkeypatch.setattr(expsum, "CATALOG_SAMPLES", 2000)
         worst = 0.0
         for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
             q = p**k
             logfac = (1.0 + math.log(q)) ** 3
-            cat = prime_power_catalog(p, k, n_samples=2000, seed=3)
+            cat = prime_power_catalog(p, k, seed=3)
             for (a, a2, b, b2), s in zip(cat.tuples.tolist(), cat.brute.tolist()):
                 denom = (
                     q
@@ -537,3 +545,50 @@ class TestBounds:
             corr_identity_values(2, 1, 4)
         with pytest.raises(GuardError):
             corr_identity_values(1, 1, 41)
+
+
+# each cost guard, a call at modulus q, and the first costly step of that call
+_GUARDED = [
+    pytest.param("BRUTE_Q_GUARD", lambda q: r_sum_bruteforce(1, 2, 3, ReducedFraction(1, q)),
+                 np, "bincount", id="r_sum_bruteforce"),
+    pytest.param("TABLE_Q_GUARD", lambda q: r_sum_bruteforce_table(ReducedFraction(1, q)),
+                 np.fft, "ifftn", id="r_sum_bruteforce_table"),
+    pytest.param("CORRELATION_Q_GUARD", lambda q: correlation_sums(q, [(1, 1, 1)], [(1, 2, 3)]),
+                 expsum, "_paired_unit_rows", id="correlation_sums"),
+    pytest.param("CORRELATION_Q_GUARD",
+                 lambda q: correlation_multiplicativity_check(1, q, [(1, 1, 1)], [(1, 2, 3)]),
+                 expsum, "_paired_unit_rows", id="correlation_multiplicativity_check"),
+    pytest.param("PAIR_SUM_Q_GUARD", lambda q: cq_pair_sum(1, 2, 3, 4, q),
+                 expsum, "_units", id="cq_pair_sum"),
+    pytest.param("PAIR_SUM_Q_GUARD", lambda q: cq_pair_sum_bruteforce(1, 2, 3, 4, q),
+                 expsum, "_units", id="cq_pair_sum_bruteforce"),
+    pytest.param("IDENTITY_Q_GUARD", lambda q: corr_identity_values(1, 1, q),
+                 expsum, "_unit_rows", id="corr_identity_values"),
+]
+
+
+class TestCostGuards:
+    @pytest.mark.parametrize("name, call, owner, costly", _GUARDED)
+    def test_guard_refuses_before_any_work(self, name, call, owner, costly, monkeypatch):
+        guard = getattr(expsum, name)
+        call(guard)  # the guard itself is taken
+
+        def reached(*args, **kw):
+            raise AssertionError(f"{costly} reached")
+
+        monkeypatch.setattr(owner, costly, reached)
+        with pytest.raises(GuardError, match=f"guard {guard}$"):
+            call(guard + 1)
+
+    def test_force_lifts_the_overridable_guards(self):
+        pt = ReducedFraction(1, 211)
+        with pytest.raises(GuardError):
+            r_sum_bruteforce(1, 2, 3, pt)
+        brute = r_sum_bruteforce(1, 2, 3, pt, force=True)
+        assert brute == pytest.approx(r_sum_fast(1, 2, 3, pt), abs=1e-6)
+        with pytest.raises(GuardError):
+            correlation_sums(61, [(1, 1, 1)], [(1, 2, 3)])
+        got = correlation_sums(61, [(1, 1, 1)], [(1, 2, 3)], force=True)
+        direct = sum(r_sum_fast(1, 1, 1, ReducedFraction(h, 61)).real
+                     * r_sum_fast(1, 2, 3, ReducedFraction(h, 61)).real for h in range(1, 61))
+        assert got.tolist() == [round(direct)]
