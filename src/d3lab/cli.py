@@ -2,15 +2,17 @@
 
 Each subcommand is declared once, beside its handler, by ``_command``
 (its name, help text and flags), and ``build_parser`` loops over that
-table.  A handler returns its exit code and its report text; ``main``
-alone writes the text, to ``--out`` when it is given and to stdout
-otherwise.  A handler refuses a request by raising: ``main`` turns a
-UsageError into one ``error:`` line and exit 2, and a refused cost
-(a cost guard, the sieve budget arith.MAX_SIEVE_LIMIT, a table beyond
-64 bits) or a failed computation into one ``error:`` line and exit 1.
+table; a call that names a subcommand builds that one alone.  A handler
+returns its exit code and its report text; ``main`` alone writes the
+text, to ``--out`` when it is given and to stdout otherwise.  A handler
+refuses a request by raising: ``main`` turns a UsageError into one
+``error:`` line and exit 2, and a refused cost (a cost guard, the sieve
+budget arith.MAX_SIEVE_LIMIT, a table beyond 64 bits) or a failed
+computation into one ``error:`` line and exit 1.
 A refused request writes nothing; a failed check (exit 1) still writes
 its report.  The cost guards are expsum's constants; ``--force`` lifts
-those of rsum and corr, and rsum refuses past its guard without it.
+those of rsum, corr, csum and kloosterman, and each of these refuses
+past its guard without it.
 
 Global flags go before the subcommand.  A ``--config`` file holds flat
 ``key=value`` lines with the keys cache_dir, threads, format and seed;
@@ -399,8 +401,11 @@ def _cmd_sieve(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("csum", "Ramanujan sum c_q(n), exact divisor formula, checked against the "
-          "brute-force sum of e(an/q) over the units a", Q, _flag("n"))
+          "brute-force sum of e(an/q) over the units a, whose cost guard refuses "
+          f"q > {expsum.RAMANUJAN_Q_GUARD} without --force", Q, _flag("n"), FORCE)
 def _cmd_csum(args, cfg: RunConfig) -> tuple[int, str]:
+    if args.q > expsum.RAMANUJAN_Q_GUARD and not args.force:
+        raise expsum.GuardError(f"q={args.q} exceeds Ramanujan-sum guard {expsum.RAMANUJAN_Q_GUARD}")
     v = arith.ramanujan_sum(args.q, args.n)
     brute = arith.ramanujan_sum_bruteforce(args.q, args.n)
     dev = abs(v - brute)
@@ -408,8 +413,11 @@ def _cmd_csum(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 @_command("kloosterman", "Kloosterman sum S_{n,m}(q), direct evaluation, checked against "
-          "the FFT column of kloosterman_table", _flag("n"), _flag("m"), Q)
+          "the FFT column of kloosterman_table; both are O(q), and the cost guard refuses "
+          f"q > {expsum.KLOOSTERMAN_Q_GUARD} without --force", _flag("n"), _flag("m"), Q, FORCE)
 def _cmd_kloosterman(args, cfg: RunConfig) -> tuple[int, str]:
+    if args.q > expsum.KLOOSTERMAN_Q_GUARD and not args.force:
+        raise expsum.GuardError(f"q={args.q} exceeds Kloosterman guard {expsum.KLOOSTERMAN_Q_GUARD}")
     v = arith.kloosterman_sum(args.n, args.m, args.q)
     fft = float(arith.kloosterman_table(args.q, args.m)[args.n % args.q])
     dev = abs(v - fft)
@@ -650,10 +658,40 @@ def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The d3lab parser, built once per process from ``_COMMANDS``: parsing
-    leaves it unchanged and every default it hands out is immutable."""
+# the global flags, each of which takes one value, and their add_argument keywords
+_GLOBAL_FLAGS = {
+    "--config": {"help": "flat key=value config file"},
+    "--cache-dir": {"help": "directory for binary sieve caches"},
+    "--threads": {"type": int, "help": "worker processes for scans, forked with one pipe each "
+                  "and given interleaved shares of the grid; serial where os.fork is missing "
+                  "(0 = one per CPU)"},
+    "--format": {"choices": ("csv", "json"), "help": "report format"},
+    "--seed": {"type": int, "help": "seed for sampled scans"},
+}
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The subcommand that argv names: its first argument that is not a
+    global flag or a flag's value, when that is a subcommand; else None."""
+    i = 0
+    while i < len(argv):
+        if argv[i] in _GLOBAL_FLAGS:
+            i += 2
+        elif argv[i].partition("=")[0] in _GLOBAL_FLAGS:
+            i += 1
+        else:
+            return argv[i] if argv[i] in _COMMANDS else None
+    return None
+
+
+@lru_cache(maxsize=None)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The d3lab parser, built once per process and subcommand from
+    ``_COMMANDS``: parsing leaves it unchanged and every default it hands
+    out is immutable.  With a ``command`` it holds that subcommand's parser
+    alone, which parses that command as the full parser does; the list of
+    names in the usage line stays the full one, so every message is the
+    same.  Without one (help, no command or an unknown one) it holds all."""
     ap = argparse.ArgumentParser(
         prog="d3lab",
         allow_abbrev=False,
@@ -661,16 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
         "arithmetic progressions: exact exponential sums, residue main terms, "
         "oscillatory kernels, and variance experiments.",
     )
-    ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--cache-dir", help="directory for binary sieve caches")
-    ap.add_argument("--threads", type=int,
-                    help="worker processes for scans, forked with one pipe each and given "
-                    "interleaved shares of the grid; serial where os.fork is missing "
-                    "(0 = one per CPU)")
-    ap.add_argument("--format", choices=("csv", "json"), help="report format")
-    ap.add_argument("--seed", type=int, help="seed for sampled scans")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, flags) in _COMMANDS.items():
+    for option, kw in _GLOBAL_FLAGS.items():
+        ap.add_argument(option, **kw)
+    # the usage line of a one-command parser still lists every name
+    names = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=names)
+    for name in [command] if command else _COMMANDS:
+        fn, help_text, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the report to this file")
@@ -680,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_named_command(argv)).parse_args(argv)
     flags = {"cache_dir": args.cache_dir, "threads": args.threads, "fmt": args.format,
              "seed": args.seed}
     try:

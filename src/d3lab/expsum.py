@@ -71,6 +71,12 @@ TABLE_Q_GUARD = 64  # r_sum_bruteforce_table: one q^3 complex tensor
 CORRELATION_Q_GUARD = 60  # correlation_sums, and q1*q2 in its multiplicativity check
 PAIR_SUM_Q_GUARD = 500  # cq_pair_sum and cq_pair_sum_bruteforce
 IDENTITY_Q_GUARD = 40  # corr_identity_values
+# The O(q) loops of the csum and kloosterman commands, which cli refuses
+# past these without --force.  At a prime q, the worst case, the Ramanujan
+# oracle took 0.27 s at q = 499979; the direct Kloosterman sum and the FFT
+# column took 0.13 s and 0.07 s at q = 99991 (Python 3.11, 2-vCPU VM).
+RAMANUJAN_Q_GUARD = 500_000  # ramanujan_sum_bruteforce
+KLOOSTERMAN_Q_GUARD = 100_000  # kloosterman_sum and kloosterman_table
 # the reduced pairs (h, h2) on which the splitting identity is sampled
 SPLITTING_SAMPLES = 4
 # prime_power_catalog is exhaustive while q^4 <= CATALOG_SAMPLES, else it

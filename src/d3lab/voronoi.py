@@ -15,17 +15,24 @@ The integrand is analytic off the real axis, the swept sector is
 pole-free, and on the ray the modulus decays at least like e^{-3u}, so
 truncation is certified by the last evaluated magnitudes.  The vertical
 panels are graded geometrically toward the triple pole of G at s = 0,
-so the first pass is accurate to rounding and a quadrature converges at
-its second pass.  Its error estimate is the change under one 1.4x
-refinement plus the tail bound and a rounding floor of a few ulps of the
-summed term magnitudes; ``QuadratureError`` is raised when that misses
-the tolerance _RTOL by more than 100x.  One private driver,
-``_contour_integral``, holds the contour, its panels and the pass loop
-for every kernel, and evaluates it for an array of scales X at once:
-only X^{-s} depends on X, so G(s) and the weight are formed once per
-pass, and each scale keeps its own error estimate.  ``kernel_U`` takes an
-array of X and shares one contour among the X of each block with
-X_hi < 8 X_lo, so a grid of X costs one contour per block, not per X.
+so a pass at node density 1 is already accurate to rounding.  The passes
+climb a ladder of densities: a probe at 1/1.4, whose sum serves only the
+error estimate, then value passes at 1.4, 1.4^2, ...; a quadrature
+converges at its second pass, the first value pass.  Each error estimate
+is the change from the pass before (from the probe, two rungs coarser,
+for the first value pass) plus the tail bound and a rounding floor of a
+few ulps of the summed term magnitudes; ``QuadratureError`` is raised
+when that misses the tolerance _RTOL by more than 100x.  One private
+driver, ``_contour_integral``, holds the contour, its panels and the
+pass loop for every kernel, and evaluates it for an array of scales X at
+once: only X^{-s} depends on X, so G(s) and the weight are formed once
+per pass, and each scale keeps its own error estimate.  On the leg G(s)
+costs one ln Gamma per node, as its two arguments are conjugates there,
+and the passes of one contour share the ramp rules of W(s) and, where
+their nodes fall into the same cells, its cell moments.  ``kernel_U``
+takes an array of X and shares one contour among the X of each block
+with X_hi < 8 X_lo, so a grid of X costs one contour per block, not per
+X.
 
 The window transform int_0^infty w(t) U(Nt) dt is evaluated on the same
 contour after exchanging the absolutely convergent integrals:
@@ -59,7 +66,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import numpy.polynomial  # numpy 2 loads it on first use: load it here, at import
@@ -178,6 +185,9 @@ def _log_gamma(z: np.ndarray) -> np.ndarray:
 def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
     """(Gamma(s/2) / Gamma((1-s)/2))^3 from Stirling's series for ln Gamma.
 
+    On the line Re s = 1/2, (1-s)/2 is conj(s/2) exactly, and ln Gamma is
+    summed by conjugate-symmetric operations, so there the second ln Gamma
+    is the conjugate of the first, bit for bit, and is not summed again.
     Scalar calls closer than 1e-8 to a pole s in {0, -2, -4, ...} are
     rejected.
     """
@@ -188,7 +198,11 @@ def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
             raise ValueError(f"s = {sc} is within 1e-8 of a pole of Gamma(s/2)")
         return complex(gamma_ratio_cubed(np.array([sc]))[0])
     s = np.asarray(s, dtype=np.complex128)
-    return np.exp(3.0 * (_log_gamma(s / 2.0) - _log_gamma((1.0 - s) / 2.0)))
+    log_num = _log_gamma(s / 2.0)
+    log_den = np.conj(log_num)
+    off = s.real != 0.5
+    log_den[off] = _log_gamma((1.0 - s[off]) / 2.0)
+    return np.exp(3.0 * (log_num - log_den))
 
 
 # The vertical leg runs on Re s = _LEG = 1/2, where |G(s)| = 1; G has no
@@ -198,9 +212,10 @@ def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
 # and vertical panels are graded toward it: the pole adds _POLE_RATE / |s|
 # to the phase rate, so a panel spans at most 4 pi / _POLE_RATE = 1.05
 # times |s| at density 1 and the widths grow geometrically away from the
-# pole.  For the model integrand s^{-3} at distance c = 1/2 the first pass
-# then errs by 1.9e-16 of its magnitude 1/c^2 = 4 (4.5e-8 with the weight
-# 3, 2.9e-16 with 10; summed in 30 digits), much as at any other c.
+# pole.  For the model integrand s^{-3} at distance c = 1/2 a pass at
+# density 1 then errs by 1.9e-16 of its magnitude 1/c^2 = 4 (4.5e-8 with
+# the weight 3, 2.9e-16 with 10; summed in 30 digits), much as at any
+# other c.
 # The leg at 1/2 still needs the grading: without it, U(1) still changes
 # by 7e-4 at its fourth pass and raises QuadratureError.  On the ray the
 # integrand varies like e^{lambda u} with |lambda| about sqrt(2) (the phase
@@ -221,6 +236,10 @@ _POLE_RATE = 12.0
 _RTOL = 1e-9
 _T_FLOOR = 40.0
 _MAX_REFINEMENTS = 3
+# The node-density ladder: a probe at 1/_REFINE, then the value passes at
+# _REFINE, _REFINE * _REFINE, ...  The probe's sum serves only as the
+# partner of the first value pass's error estimate, two rungs coarser.
+_REFINE = 1.4
 _RAY_PANELS = 2.0
 _U_MAX = 14.0
 _NODES_PER_OSC = 8.0
@@ -266,14 +285,16 @@ def _contour_integral(scales, lo: float, hi: float, weight=None,
 
     The weight is 1 or W(s) for a window supported on [lo, hi] in units of
     X^{-1}, for every X; ``weight(s, nodes_hint)`` is called once per pass,
-    and so is G(s).  The turn height T = max(_T_FLOOR, 2e hi^{1/3}) passes
-    the stationary point of every phase, and the panels resolve the phase
-    rates of scales in [lo, hi].  The full line integral is 2i Im of the
-    upper path by conjugate symmetry of the integrand, so each value is
-    Im(int_upper)/pi.
-    Each error estimate is the change under a 1.4x node-density
-    refinement, plus the tail bound and a rounding floor of _ROUNDING_ULPS
-    ulps of the summed term magnitudes.  Refinement stops when every scale
+    with the same nodes_hint, and so is G(s).  The turn height
+    T = max(_T_FLOOR, 2e hi^{1/3}) passes the stationary point of every
+    phase, and the panels resolve the phase rates of scales in [lo, hi].
+    The full line integral is 2i Im of the upper path by conjugate symmetry
+    of the integrand, so each value is Im(int_upper)/pi.
+    The passes run at node densities 1/_REFINE (the probe), _REFINE,
+    _REFINE^2, ...; a value is never the probe's.  Each error estimate is
+    the change from the pass before (the probe, for the first value pass),
+    plus the tail bound and a rounding floor of _ROUNDING_ULPS ulps of the
+    summed term magnitudes.  Refinement stops when every scale
     meets the tolerance _RTOL |value| + 1e-15 or has a change below its
     floor, where no refinement can help; QuadratureError is raised, naming
     ``label(i)`` of the worst scale i (by default X itself), if an error
@@ -284,7 +305,7 @@ def _contour_integral(scales, lo: float, hi: float, weight=None,
     T = max(_T_FLOOR, 2.0 * math.e * hi ** (1.0 / 3.0))
     hint = T + _U_MAX * 1.05
     err = floor = np.full(len(log_scales), math.inf)
-    prev, density = None, 1.0
+    prev, density = None, 1.0 / _REFINE
     for _ in range(_MAX_REFINEMENTS + 1):
         s, w = _contour_nodes(T, log_lo, log_hi, density)
         result, mass, tail = _contour_rows(
@@ -295,7 +316,7 @@ def _contour_integral(scales, lo: float, hi: float, weight=None,
             err = change + floor
             if np.all((err <= _RTOL * np.abs(result) + 1e-15) | (change <= floor)):
                 break
-        prev, density = result, density * 1.4
+        prev, density = result, _REFINE if prev is None else density * _REFINE
     excess = err / (100 * (_RTOL * np.abs(result) + 1e-15))
     worst = int(np.argmax(excess))
     if excess[worst] > 1.0:
@@ -415,21 +436,45 @@ def _ramp_sum_dense(s, logt, wn, log_lo, log_hi) -> np.ndarray:
     return out
 
 
-def _ramp_sum_moments(s, logt, wn, log_lo, log_hi) -> np.ndarray:
+def _ramp_sum_moments(s, logt, wn, log_lo, log_hi, memo=None) -> np.ndarray:
     """F(s) by Taylor moments about the centres s0 of square cells whose
-    half-diagonal is rho/h; see the expansion above."""
+    half-diagonal is rho/h; see the expansion above.
+
+    A ``memo`` dict, which the caller passes only with this one ramp, keeps
+    the moments of the last call's cells: a call whose s-nodes fall into
+    the same cells reuses them, and they are the same bits it would build."""
     m = 0.5 * (log_lo + log_hi)
     h = 0.5 * (log_hi - log_lo)
-    d = logt - m
     side = math.sqrt(2.0) * _MOMENT_RADIUS / h
     gr, gi = np.rint(s.real / side), np.rint(s.imag / side)
     r0, i0 = gr.min(), gi.min()
     width = int(gi.max() - i0) + 1
     key = (gr - r0).astype(np.int64) * width + (gi - i0).astype(np.int64)
     keys, cell = np.unique(key, return_inverse=True)
-    a, b = np.divmod(keys, width)
-    s0 = side * ((a + r0) + 1j * (b + i0))
-    # the three tables of e^{-s0 d}; see the expansion above
+    grid = (side, _MOMENT_TERMS, r0, i0, width, keys.tobytes())
+    # one entry, read and replaced whole: a reader never pairs one call's
+    # cells with another's moments
+    last = memo.get("cells") if memo is not None else None
+    if last is not None and last[0] == grid:
+        _, s0, moments = last
+    else:
+        a, b = np.divmod(keys, width)
+        s0 = side * ((a + r0) + 1j * (b + i0))
+        moments = _cell_moments(logt - m, wn, side, a, b, r0, i0)
+        if memo is not None:
+            memo["cells"] = (grid, s0, moments)
+    z = s0[cell] - s
+    acc = moments[-1].take(cell)
+    tmp = np.empty_like(acc)
+    for j in range(_MOMENT_TERMS - 2, -1, -1):
+        acc *= z
+        acc += moments[j].take(cell, out=tmp)
+    return np.exp(-s * m) * acc
+
+
+def _cell_moments(d, wn, side, a, b, r0, i0) -> np.ndarray:
+    """M_j(s0) for j < J (rows) at the cell centres s0 = side (a + r0 +
+    i (b + i0)) (columns), from the three tables of e^{-s0 d}."""
     u, v = np.divmod(b, 16)
     real_rows = np.exp(np.multiply.outer(-side * (np.arange(a.max() + 1) + r0), d)) * wn
     fine = np.exp(np.multiply.outer(-1j * side * (np.arange(16) + i0), d))
@@ -440,23 +485,17 @@ def _ramp_sum_moments(s, logt, wn, log_lo, log_hi) -> np.ndarray:
     steps[:, 0] = 1.0
     steps[:, 1:] = d[:, None] / np.arange(1, _MOMENT_TERMS)
     powers = np.cumprod(steps, axis=1)
-    moments = np.empty((_MOMENT_TERMS, len(keys)), dtype=np.complex128)
+    moments = np.empty((_MOMENT_TERMS, len(a)), dtype=np.complex128)
     rows = max(1, _MOMENT_SLAB // len(d))
     slab = np.empty((rows, len(d)), dtype=np.complex128)
-    for i in range(0, len(keys), rows):
+    for i in range(0, len(a), rows):
         c = slice(i, i + rows)
         e = slab[: len(a[c])]
         np.multiply(real_rows[a[c]], fine[v[c]], out=e)
         e *= coarse[u[c]]
         moments.real[:, c] = (e.real @ powers).T
         moments.imag[:, c] = (e.imag @ powers).T
-    z = s0[cell] - s
-    acc = moments[-1].take(cell)
-    tmp = np.empty_like(acc)
-    for j in range(_MOMENT_TERMS - 2, -1, -1):
-        acc *= z
-        acc += moments[j].take(cell, out=tmp)
-    return np.exp(-s * m) * acc
+    return moments
 
 
 @dataclass(frozen=True)
@@ -487,7 +526,7 @@ class SmoothWindow:
 
     # -- integral transforms ------------------------------------------------
 
-    def mellin(self, s: np.ndarray, nodes_hint: float) -> np.ndarray:
+    def mellin(self, s: np.ndarray, nodes_hint: float, memo: dict | None = None) -> np.ndarray:
         """W(s) = int w(t) t^{-s} dt, vectorized over s.
 
         Exact plateau antiderivative plus composite Gauss-Legendre ramps; the
@@ -503,23 +542,37 @@ class SmoothWindow:
         one per cell.  With cells of radius rho/h, h = max |d_k|, the
         truncation is at most |e^{-s m}| sum_k |wn_k e^{-s0 d_k}| times
         1.8e-19 (rho = 2, J = 26), so the result is the same discrete sum
-        as the dense oracle ``mellin_dense`` to rounding.
+        as the dense oracle ``mellin_dense`` to rounding.  A ``memo`` dict,
+        which the caller keeps for the calls of one contour, holds the ramp
+        rules at each nodes_hint and the moments of each ramp's last cells.
         """
-        return self._mellin(s, nodes_hint, _ramp_sum_moments)
+        memo = {} if memo is None else memo
+        if nodes_hint not in memo:
+            memo[nodes_hint] = [partial(f, memo={})
+                                for f in self._ramp_sums(nodes_hint, _ramp_sum_moments)]
+        return self._mellin(s, memo[nodes_hint])
 
     def mellin_dense(self, s: np.ndarray, nodes_hint: float) -> np.ndarray:
         """Oracle for ``mellin``: the same plateau and ramp rules at the same
         nodes_hint, with each ramp sum a dense (s, t) matrix of exponentials."""
-        return self._mellin(s, nodes_hint, _ramp_sum_dense)
+        return self._mellin(s, self._ramp_sums(nodes_hint, _ramp_sum_dense))
 
-    def _mellin(self, s, nodes_hint, ramp_sum) -> np.ndarray:
-        s = np.atleast_1d(s)
+    def _mellin(self, s, ramp_sums) -> np.ndarray:
+        s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
         one_minus_s = 1.0 - s
-        plateau = ((self.x - self.Y) ** one_minus_s - (2.0 * self.Y) ** one_minus_s) / one_minus_s
-        out = plateau.astype(np.complex128)
-        for lo, hi, tn, wn in self._ramp_rules(nodes_hint):
-            out += ramp_sum(s, np.log(tn), wn, math.log(lo), math.log(hi))
+        # a^{1-s} as exp((1-s) log a): the product cpow forms, without its
+        # complex log of the real a
+        out = (np.exp(one_minus_s * math.log(self.x - self.Y))
+               - np.exp(one_minus_s * math.log(2.0 * self.Y))) / one_minus_s
+        for ramp_sum in ramp_sums:
+            out += ramp_sum(s)
         return out
+
+    def _ramp_sums(self, tmax: float, ramp_sum) -> list:
+        """``ramp_sum`` bound to each ramp rule at tmax: F(s) of each ramp."""
+        return [partial(ramp_sum, logt=np.log(tn), wn=wn,
+                        log_lo=math.log(lo), log_hi=math.log(hi))
+                for lo, hi, tn, wn in self._ramp_rules(tmax)]
 
     def _ramp_rules(self, tmax: float):
         """(lo, hi, nodes t_k, weights wn_k = w(t_k) dt_k) of the composite
@@ -587,7 +640,7 @@ def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndar
         block = ns[i:j]
         N = [math.pi**3 * m / q**3 for m in block]
         out[i:j] = _contour_integral(
-            N, N[0] * window.Y, N[-1] * window.x, window.mellin,
+            N, N[0] * window.Y, N[-1] * window.x, partial(window.mellin, memo={}),
             lambda k: f"n = {block[k]}")[0]
     if not isinstance(n, range):
         return float(out[0])

@@ -18,6 +18,7 @@ from d3lab.cli import (
     _COMMANDS,
     RunConfig,
     _csv,
+    _named_command,
     _rows_json,
     build_parser,
     cache_path,
@@ -27,6 +28,8 @@ from d3lab.cli import (
     read_cache,
     write_cache,
 )
+
+from benchmark_commands import timed_commands
 
 # the benchmark's reference outputs, captured at its default seed
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -76,6 +79,34 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "fast: 2740.50861466 0" and lines[1].startswith("brute: 2740.50861466 ")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("guard, argv, oracle, lines", [
+        ("RAMANUJAN_Q_GUARD", ["csum", "--q", "7", "--n", "3"], "ramanujan_sum_bruteforce",
+         ["-1", "brute: -1  |dev| = 0"]),
+        ("KLOOSTERMAN_Q_GUARD", ["kloosterman", "--n", "1", "--m", "2", "--q", "7"],
+         "kloosterman_table", ["-2.35689586789 3.33066907388e-16"]),
+    ], ids=["csum", "kloosterman"])
+    def test_o_q_oracles_refuse_past_their_guards(self, guard, argv, oracle, lines,
+                                                  monkeypatch, capsys):
+        # past its guard the command refuses before its O(q) loops, and
+        # prints nothing; --force runs it as before
+        monkeypatch.setattr(expsum, guard, 6)
+        run = getattr(arith, oracle)
+
+        def reached(*args):
+            raise AssertionError(f"{oracle} reached")
+
+        monkeypatch.setattr(arith, oracle, reached)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: q=7 exceeds ") and err.endswith(" guard 6\n")
+        monkeypatch.setattr(arith, oracle, run)
+        assert main([*argv, "--force"]) == 0
+        assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
+        monkeypatch.setattr(expsum, guard, 7)  # the guard itself is taken
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
 
     def test_lemma2_without_samples(self, tmp_path):
         # no samples: the header alone, and nothing failed
@@ -218,6 +249,36 @@ _SMALL_ARGV = {
     "delta": ["delta", "--q", "5", "--x", "1000"],
     "scan": ["scan", "--grid", "1000:5"],
 }
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_one_command_parser_parses_as_the_full_one(self, name, capsys):
+        argv = ["--seed", "7", *_SMALL_ARGV[name]]
+        assert _named_command(argv) == name
+        one, full = build_parser(name), build_parser()
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+        assert one.format_usage() == full.format_usage()
+        # an error in a global flag prints the full usage line
+        errors = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--threads", "x", name])
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "{sieve,csum," in errors[0]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--seed=7", "--format", "json", "kernel"], "kernel"),
+        (["--cache-dir", "scan", "sieve"], "sieve"),
+        (["--threads", "scan"], None),
+        (["-h"], None),
+        (["--help", "scan"], None),
+        (["no-such-command"], None),
+        ([], None),
+    ])
+    def test_named_command(self, argv, name):
+        # None, and so the full parser, for help, no command or an unknown one
+        assert _named_command(argv) == name
 
 
 class TestOut:
@@ -504,6 +565,21 @@ class TestScanReference:
             main(["scan", "--grid", grid])
         assert exc.value.code == 2
         assert f"grid point {grid!r}" in capsys.readouterr().err
+
+
+VORONOI_COMMANDS = timed_commands("voronoi")
+
+
+class TestVoronoiReference:
+    # Every 12-digit cell of the voronoi workload's commands, byte for
+    # byte.  The benchmark's references hold them to 6 digits and are
+    # older: their last digits differ.
+    @pytest.mark.parametrize("name", list(VORONOI_COMMANDS))
+    def test_byte_identical(self, name, tmp_path):
+        out = tmp_path / f"{name}.out"
+        assert main([*VORONOI_COMMANDS[name], "--out", str(out)]) == 0
+        pinned = Path(__file__).resolve().parent / "reference" / f"{name}.out.gz"
+        assert out.read_bytes() == gzip.decompress(pinned.read_bytes())
 
 
 class TestScanWithoutBounds:
@@ -821,6 +897,8 @@ class TestHelp:
             ("lemma3-check", "closed form"),
             ("kernel", "kernel"),
             ("csum", "brute-force"),
+            ("csum", f"refuses q > {expsum.RAMANUJAN_Q_GUARD} without --force"),
+            ("kloosterman", f"refuses q > {expsum.KLOOSTERMAN_Q_GUARD} without --force"),
             ("rsum", f"refuses q > {expsum.BRUTE_Q_GUARD} without --force"),
             ("corr", f"refuses q > {expsum.CORRELATION_Q_GUARD} without --force"),
             ("kloosterman", "FFT column"),

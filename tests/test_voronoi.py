@@ -20,6 +20,8 @@ from d3lab.voronoi import (
     w_transform_direct,
 )
 
+from benchmark_commands import timed_commands
+
 
 class TestGammaRatio:
     def test_symmetry_point(self):
@@ -60,15 +62,20 @@ def _recorded_nodes(monkeypatch, q, n, window):
         gammas.append(np.array(s))
         return gamma(s)
 
-    def recording_mellin(self, s, nodes_hint):
+    def recording_mellin(self, s, nodes_hint, **kw):
         mellins.append((np.array(s), nodes_hint))
-        return mellin(self, s, nodes_hint)
+        return mellin(self, s, nodes_hint, **kw)
 
     monkeypatch.setattr(voronoi, "gamma_ratio_cubed", recording_gamma)
     monkeypatch.setattr(SmoothWindow, "mellin", recording_mellin)
     w_transform.__wrapped__(q, n, window)
     monkeypatch.undo()
     return gammas, mellins
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit: -0.0 is not 0.0."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _mp_gamma_ratio(s: complex) -> complex:
@@ -89,11 +96,14 @@ class TestStirlingGamma:
         return np.abs(gamma_ratio_cubed(points) - ref) / np.abs(ref)
 
     def _contour_nodes(self, monkeypatch, leg):
-        """The first-pass s-nodes of w_hat_10(17783) with the leg on Re s = leg,
-        split at |s| = 60 into the foot and the far nodes."""
+        """The density-1 s-nodes of the contour of w_hat_10(17783) at
+        (x, Y) = (1e4, 1e2), with the leg on Re s = leg, split at |s| = 60
+        into the foot and the far nodes."""
         monkeypatch.setattr(voronoi, "_LEG", leg)
-        gammas, _ = _recorded_nodes(monkeypatch, 10, 17783, SmoothWindow(1e4, 1e2))
-        s = gammas[0]
+        N = math.pi**3 * 17783 / 10**3
+        lo, hi = N * 1e2, N * 1e4
+        T = max(voronoi._T_FLOOR, 2.0 * math.e * hi ** (1.0 / 3.0))
+        s, _ = voronoi._contour_nodes(T, math.log(lo), math.log(hi), 1.0)
         return s[np.abs(s) < 60], s[np.abs(s) >= 60]
 
     def test_contour_nodes(self, monkeypatch):
@@ -213,9 +223,8 @@ class TestKernelBlocks:
             one = kernel_U(X)
             # the contours differ, not the integral; the two estimates are
             # not bounds at rounding level (ROADMAP item 1(c)): the worst
-            # difference is 1.88 times their sum, 2.5e-15 at U(1e6) =
-            # -2.9e-4 (2.03 times with G shifted and summed to 22 terms at
-            # every node, so the blocks, not the series, move these rows)
+            # difference is 1.12 times their sum, 2.6e-15 at U(3.56e3) =
+            # 0.0195, and 1.36 times on the Meijer-G grid (docs/LEDGER.md)
             assert len(errors[X]) == 2 and abs(U - one) <= 2 * sum(errors[X])
 
     def test_order_and_repeats(self):
@@ -377,11 +386,52 @@ class TestFastMellin:
             fast, dense = voronoi._ramp_sum_moments(*args), voronoi._ramp_sum_dense(*args)
             assert np.all(np.abs(fast - dense) <= 2e-11 * scale)
 
+    def test_memo_reuses_only_the_same_cells(self, monkeypatch):
+        # the far tail's probe and value pass fall into the same cells: the
+        # value pass reuses the probe's moments, the bits a fresh build
+        # gives; nodes in other cells build their own
+        w = SmoothWindow(1e4, 1e2)
+        _, [(probe, hint), (s, _)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        for lo, hi, tn, wn in w._ramp_rules(hint):
+            # without the middle node's cell: fewer cells in the same extent
+            side = math.sqrt(2.0) * voronoi._MOMENT_RADIUS / (0.5 * math.log(hi / lo))
+            cells = np.rint(s.real / side) + 1j * np.rint(s.imag / side)
+            kept = cells != cells[len(s) // 2]
+            extent = [(f(c.real), f(c.imag)) for c in (cells, cells[kept]) for f in (min, max)]
+            assert extent[:2] == extent[2:]
+            fewer = s[kept]
+            args = (np.log(tn), wn, math.log(lo), math.log(hi))
+            memo = {}
+            voronoi._ramp_sum_moments(probe, *args, memo=memo)
+            built = memo["cells"][2]
+            for nodes, reused in ((s, True), (fewer, False)):
+                value = voronoi._ramp_sum_moments(nodes, *args, memo=memo)
+                assert _same_bits(value, voronoi._ramp_sum_moments(nodes, *args))
+                assert (memo["cells"][2] is built) == reused
+
+    def test_memo_lives_as_long_as_one_contour(self, monkeypatch):
+        # the far tail's value pass reuses the probe's moments of each of
+        # the two ramps, and a second call of the same transform builds them
+        # again
+        built = []
+        cell_moments = voronoi._cell_moments
+        monkeypatch.setattr(voronoi, "_cell_moments",
+                            lambda *args: built.append(1) or cell_moments(*args))
+        w = SmoothWindow(1e4, 1e2)
+        counts = []
+        for _ in range(2):
+            built.clear()
+            w_transform.__wrapped__(10, 17783, w)
+            counts.append(len(built))
+        assert counts == [2, 2]
+
     @pytest.mark.parametrize("q, n, x, Y", [(10, 17783, 1e4, 1e2), (5, 17, 1e4, 1e3)])
     def test_w_transform_matches_dense(self, monkeypatch, q, n, x, Y):
         w = SmoothWindow(x=x, Y=Y)
         fast = w_transform.__wrapped__(q, n, w)
-        monkeypatch.setattr(SmoothWindow, "mellin", SmoothWindow.mellin_dense)
+        # the dense sums take no memo of the contour's ramp sums
+        monkeypatch.setattr(SmoothWindow, "mellin",
+                            lambda self, s, nodes_hint, memo: self.mellin_dense(s, nodes_hint))
         dense = w_transform.__wrapped__(q, n, w)
         assert fast == pytest.approx(dense, rel=1e-10)
 
@@ -451,8 +501,8 @@ class TestMemory:
     whole (cells, t-nodes) or (scales, s-nodes) matrices."""
 
     def test_far_tail_mellin(self, monkeypatch):
-        # 12,176 pass-2 nodes: measured 3.3 MB, against 7.3 MB for whole
-        # matrices and a (moments, nodes) gather
+        # 12,176 pass-2 nodes, cell moments built afresh: measured 2.2 MB,
+        # against 7.3 MB for whole matrices and a (moments, nodes) gather
         w = SmoothWindow(1e4, 1e2)
         _, [_, (s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
         assert _traced_peak(w.mellin, s, hint) <= 4.5e6
@@ -574,8 +624,8 @@ class TestContourConvergence:
         monkeypatch.setattr(voronoi, "_MAX_REFINEMENTS", 1)
 
     def test_missed_tolerance_raises(self, unreachable):
-        # error 8.6e-13 at two passes, nearly all of it the rounding floor
-        # of terms whose magnitudes sum to 917 pi: no refinement gets to 1e-17
+        # error 1.5e-12 at two passes, 8.1e-13 of it the rounding floor of
+        # terms whose magnitudes sum to 917 pi: no refinement gets to 1e-17
         with pytest.raises(voronoi.QuadratureError):
             w_transform.__wrapped__(10, 1, SmoothWindow(1e4, 1e2))
 
@@ -589,6 +639,74 @@ class TestContourConvergence:
         assert 1 <= worst <= 7
         with pytest.raises(voronoi.QuadratureError, match=f"at n = {worst};"):
             w_transform.__wrapped__(5, worst, w)
+
+
+class TestWorkloadContours:
+    """Every contour of the voronoi workload's five commands, recorded
+    from an empty w_transform cache, as in a fresh process."""
+
+    @pytest.fixture(scope="class")
+    def contours(self, tmp_path_factory):
+        """Per contour: its nodes s of each pass, and (window, s, nodes_hint,
+        W(s)) of each W(s) it formed."""
+        from d3lab.cli import main
+
+        log = []
+        build_nodes, integrate = voronoi._contour_nodes, voronoi._contour_integral
+        mellin = SmoothWindow.mellin
+
+        def recording_nodes(*args):
+            s, w = build_nodes(*args)
+            log[-1]["s"].append(s)
+            return s, w
+
+        def recording(*args, **kw):
+            log.append({"s": [], "W": []})
+            return integrate(*args, **kw)
+
+        def recording_mellin(self, s, nodes_hint, **kw):
+            value = mellin(self, s, nodes_hint, **kw)
+            log[-1]["W"].append((self, s, nodes_hint, value.copy()))
+            return value
+
+        out = tmp_path_factory.mktemp("workload") / "out"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(voronoi, "_contour_nodes", recording_nodes)
+            mp.setattr(voronoi, "_contour_integral", recording)
+            mp.setattr(SmoothWindow, "mellin", recording_mellin)
+            w_transform.cache_clear()
+            for argv in timed_commands("voronoi").values():
+                assert main([*argv, "--out", str(out)]) == 0
+        return log
+
+    def test_every_contour_converges_at_pass_2(self, contours):
+        # 7 kernel blocks, 2 dual-sum blocks (n <= 7 and 8..17) and 3 single n,
+        # each a probe and one value pass
+        assert len(contours) == 12
+        assert [len(c["s"]) for c in contours] == [2] * 12
+        # the benchmark's traced G(s) points and W(s) nodes: 63,088 and
+        # 35,200 with a first pass at density 1 in place of the probe
+        assert sum(len(s) for c in contours for s in c["s"]) == 55_664
+        assert sum(len(s) for c in contours for _, s, _, _ in c["W"]) == 31_040
+
+    def test_gamma_and_w_are_the_direct_forms(self, contours):
+        # G(s) with one ln Gamma on Re s = 1/2, and W(s) with a^{1-s} as
+        # exp((1-s) log a) and the value pass's cell moments those of the
+        # probe, against the expressions they replace, bit for bit at
+        # every node of every pass
+        lg = voronoi._log_gamma
+        for c in contours:
+            for s in c["s"]:
+                direct = np.exp(3.0 * (lg(s / 2.0) - lg((1.0 - s) / 2.0)))
+                assert _same_bits(gamma_ratio_cubed(s), direct)
+            for w, s, hint, value in c["W"]:
+                one_minus_s = 1.0 - s
+                direct = ((w.x - w.Y) ** one_minus_s - (2.0 * w.Y) ** one_minus_s) / one_minus_s
+                for lo, hi, tn, wn in w._ramp_rules(hint):
+                    direct += voronoi._ramp_sum_moments(s, np.log(tn), wn,
+                                                        math.log(lo), math.log(hi))
+                assert _same_bits(value, direct)
+        assert sum(bool(c["W"]) for c in contours) == 5
 
 
 class TestTransformRange:
