@@ -11,8 +11,8 @@ budget arith.MAX_SIEVE_LIMIT, a table beyond 64 bits) or a failed
 computation into one ``error:`` line and exit 1.
 A refused request writes nothing; a failed check (exit 1) still writes
 its report.  The cost guards are expsum's constants; ``--force`` lifts
-those of rsum, corr, csum and kloosterman, and each of these refuses
-past its guard without it.
+those of rsum, asum, corr, csum and kloosterman, and each of these
+refuses past its guard without it.
 
 Global flags go before the subcommand.  A ``--config`` file holds flat
 ``key=value`` lines with the keys cache_dir, threads, format and seed;
@@ -425,6 +425,14 @@ def _cmd_kloosterman(args, cfg: RunConfig) -> tuple[int, str]:
     return (1 if dev > 1e-9 * (1 + abs(v)) else 0), text
 
 
+# rsum and asum fail their check beyond this |fast - brute|
+_R_SUM_TOL = 1e-6
+
+
+def _brute_line(brute: complex, dev: float) -> str:
+    return f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}\n"
+
+
 @_command("rsum", "triple exponential sum R_{a,b,c}(h/q): fast divisor reduction, "
           "checked against the brute-force oracle, whose cost guard refuses "
           f"q > {expsum.BRUTE_Q_GUARD} without --force", *map(_flag, "abch"), Q, FORCE)
@@ -433,16 +441,23 @@ def _cmd_rsum(args, cfg: RunConfig) -> tuple[int, str]:
     fast = expsum.r_sum_fast(args.a, args.b, args.c, pt)
     brute = expsum.r_sum_bruteforce(args.a, args.b, args.c, pt, force=args.force)
     dev = abs(fast - brute)
-    text = (f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}\n"
-            f"brute: {fmt12(brute.real)} {fmt12(brute.imag)}  |dev| = {fmt12(dev)}\n")
-    return (1 if dev > 1e-6 else 0), text
+    text = f"fast: {fmt12(fast.real)} {fmt12(fast.imag)}\n" + _brute_line(brute, dev)
+    return (1 if dev > _R_SUM_TOL else 0), text
 
 
-@_command("asum", "divisor-weighted sum A_{h/q}(n) over ordered triples",
-          _flag("h"), Q, _flag("n", _positive_int))
+@_command("asum", "divisor-weighted sum A_{h/q}(n) over ordered triples, checked against "
+          "the brute-force R table (one q^3 FFT) summed over the same triples, whose cost "
+          f"guard refuses q > {expsum.TABLE_Q_GUARD} without --force",
+          _flag("h"), Q, _flag("n", _positive_int), FORCE)
 def _cmd_asum(args, cfg: RunConfig) -> tuple[int, str]:
-    v = expsum.a_sum(ReducedFraction.reduce(args.h, args.q), args.n)
-    return 0, f"{fmt12(v.real)} {fmt12(v.imag)}\n"
+    pt = ReducedFraction.reduce(args.h, args.q)
+    table = expsum.r_sum_bruteforce_table(pt, force=args.force)
+    v = expsum.a_sum(pt, args.n)
+    q = pt.q
+    brute = complex(sum(table[a % q, b % q, c % q] for a, b, c in expsum.ordered_triples(args.n)))
+    dev = abs(v - brute)
+    text = f"{fmt12(v.real)} {fmt12(v.imag)}\n" + _brute_line(brute, dev)
+    return (1 if dev > _R_SUM_TOL else 0), text
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:

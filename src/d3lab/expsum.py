@@ -148,14 +148,15 @@ def _phase_combine(counts: np.ndarray, q: int) -> complex:
     return complex(np.sum(counts * np.exp(2j * np.pi * r / q)))
 
 
-def r_sum_bruteforce_table(point: ReducedFraction) -> np.ndarray:
+def r_sum_bruteforce_table(point: ReducedFraction, *, force: bool = False) -> np.ndarray:
     """R_{a,b,c}(h/q) for every residue triple, via one 3-D inverse FFT.
 
     R(a,b,c) is the 3-D Fourier transform of the phase tensor
-    e(-h*x*y*z/q) at frequency (a,b,c).
+    e(-h*x*y*z/q) at frequency (a,b,c).  q > TABLE_Q_GUARD is a
+    GuardError unless force is set.
     """
     h, q = point.h, point.q
-    _require(q <= TABLE_Q_GUARD, f"q={q} exceeds table guard {TABLE_Q_GUARD}")
+    _require(force or q <= TABLE_Q_GUARD, f"q={q} exceeds table guard {TABLE_Q_GUARD}")
     x = np.arange(q, dtype=np.int64)
     xyz = x[:, None, None] * x[None, :, None] * x[None, None, :]
     F = np.exp(-2j * np.pi * ((h * xyz) % q) / q)

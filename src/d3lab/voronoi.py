@@ -15,17 +15,20 @@ The integrand is analytic off the real axis, the swept sector is
 pole-free, and on the ray the modulus decays at least like e^{-3u}, so
 truncation is certified by the last evaluated magnitudes.  The vertical
 panels are graded geometrically toward the triple pole of G at s = 0,
-so a pass at node density 1 is already accurate to rounding.  The passes
-climb a ladder of densities: a probe at 1/1.4, whose sum serves only the
-error estimate, then value passes at 1.4, 1.4^2, ...; a quadrature
-converges at its second pass, the first value pass.  Each error estimate
-is the change from the pass before (from the probe, two rungs coarser,
-for the first value pass) plus the tail bound and a rounding floor of a
-few ulps of the summed term magnitudes; ``QuadratureError`` is raised
-when that misses the tolerance _RTOL by more than 100x.  One private
-driver, ``_contour_integral``, holds the contour, its panels and the
-pass loop for every kernel, and evaluates it for an array of scales X at
-once: only X^{-s} depends on X, so G(s) and the weight are formed once
+so the 16-point Gauss rule at node density 1 is already accurate to
+rounding.  Each pass is one composite 16/33-point Gauss-Kronrod rule: the
+first lays its panels out at density 1/1.4, and its Kronrod sum is the
+value while the embedded Gauss sum, on the same nodes, serves the error
+estimate, so every node's G(s), W(s) and row count toward the value.  The
+estimate is the Kronrod-Gauss difference plus the tail bound and a
+rounding floor of a few ulps of the summed term magnitudes; every
+quadrature of the benchmark meets the tolerance _RTOL at its first pass.
+A scale that misses is integrated again, alone, at 1.4 times the density,
+while the scales that met it keep their values; ``QuadratureError`` is
+raised when an estimate still misses _RTOL by more than 100x.  One
+private function, ``_contour_integral``, holds the contour, its panels and
+the pass loop for every kernel, and evaluates it for an array of scales X
+at once: only X^{-s} depends on X, so G(s) and the weight are formed once
 per pass, and each scale keeps its own error estimate.  On the leg G(s)
 costs one ln Gamma per node, as its two arguments are conjugates there,
 and the passes of one contour share the ramp rules of W(s) and, where
@@ -101,10 +104,49 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _composite_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the order-point Gauss-Legendre rule on every
-    panel between consecutive edges."""
-    xg, wg = _leggauss(order)
+# The 16-point Gauss-Legendre rule and its 33-point Kronrod extension on
+# [-1, 1] (Laurie, Math. Comp. 66 (1997)).  One row per non-negative node
+# x_k, descending to 0: x_k, its Kronrod weight and its Gauss weight (0 at
+# the even k, the Kronrod-only nodes).  Derived in 60-digit arithmetic,
+# which a test repeats; the Kronrod rule is exact to degree 49 and every
+# weight is positive.  Text, which compiles to one constant.
+_KRONROD = """
+0.9982392741454446   0.004742777049247318   0
+0.9894009349916499   0.013257930688091158   0.027152459411754096
+0.9715059509693926   0.022498859440049444   0
+0.9445750230732326   0.031260543647380526   0.062253523938647894
+0.9091576670123429   0.039512951202421966   0
+0.8656312023878318   0.047506215976407015   0.09515851168249279
+0.8142402870624444   0.055205633095422174   0
+0.755404408355003    0.062358806011834855   0.12462897125553388
+0.6897411066817623   0.06886299519153125    0
+0.6178762444026438   0.07476982388559955    0.14959598881657674
+0.5404076763521397   0.08005394126371929    0
+0.45801677765722737  0.08459580379259064    0.16915651939500254
+0.37148378087841627  0.08833750257911273    0
+0.2816035507792589   0.09129203282819166    0.18260341504492358
+0.18916857901808373  0.09343867406092123    0
+0.09501250983763744  0.09472840124723005    0.1894506104550685
+0.0                  0.0951542160804983     0
+"""
+
+
+@lru_cache(maxsize=1)
+def _kronrod() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 33 Kronrod nodes on [-1, 1], ascending, their weights, and each
+    node's Gauss weight over its Kronrod weight (0 at the 17 Kronrod-only
+    nodes, the even ones), read-only."""
+    half = np.array(_KRONROD.split(), dtype=float).reshape(-1, 3)
+    rule = np.concatenate([half[:-1] * (-1.0, 1.0, 1.0), half[::-1]]).T
+    rule[2] /= rule[1]
+    rule.flags.writeable = False
+    return tuple(rule)
+
+
+def _composite_rule(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``rule`` (nodes and weights on [-1, 1]) on every
+    panel between consecutive edges, panel after panel."""
+    xg, wg = rule
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -212,23 +254,23 @@ def gamma_ratio_cubed(s: complex | np.ndarray) -> complex | np.ndarray:
 # and vertical panels are graded toward it: the pole adds _POLE_RATE / |s|
 # to the phase rate, so a panel spans at most 4 pi / _POLE_RATE = 1.05
 # times |s| at density 1 and the widths grow geometrically away from the
-# pole.  For the model integrand s^{-3} at distance c = 1/2 a pass at
-# density 1 then errs by 1.9e-16 of its magnitude 1/c^2 = 4 (4.5e-8 with
-# the weight 3, 2.9e-16 with 10; summed in 30 digits), much as at any
-# other c.
+# pole.  For the model integrand s^{-3} at distance c = 1/2 the 16-point
+# Gauss rule at density 1 then errs by 1.9e-16 of its magnitude 1/c^2 = 4
+# (4.5e-8 with the weight 3, 2.9e-16 with 10; summed in 30 digits), much as
+# at any other c.
 # The leg at 1/2 still needs the grading: without it, U(1) still changes
 # by 7e-4 at its fourth pass and raises QuadratureError.  On the ray the
 # integrand varies like e^{lambda u} with |lambda| about sqrt(2) (the phase
-# rate at T, less 1); 16 nodes on each of _RAY_PANELS panels per unit of u
-# integrate that to rounding for |lambda| up to about 35.  The ray ends at
-# u = _U_MAX, where the integrand has decayed at least like e^{-3u}, so the
-# last node magnitudes / 3 bound the tail.
+# rate at T, less 1); 16 Gauss nodes on each of _RAY_PANELS panels per
+# unit of u integrate that to rounding for |lambda| up to about 35.  The ray
+# ends at u = _U_MAX, where the integrand has decayed at least like e^{-3u},
+# so the last node magnitudes / 3 bound the tail.
 _LEG = 0.5
 _POLE_RATE = 12.0
 # Every contour integral targets the relative error _RTOL, turns at height
 # at least _T_FLOOR and refines at most _MAX_REFINEMENTS times.  _RTOL is a
 # target, not a guarantee: where a sum cancels deeply, refinement stops
-# once the change between passes is below its rounding floor, and a value
+# once the Kronrod-Gauss difference is below its rounding floor, and a value
 # may miss _RTOL by up to 100x before QuadratureError is raised.  The
 # functions read these at call time, so a test may monkeypatch them; it
 # must then call w_transform.__wrapped__ or clear w_transform's cache,
@@ -236,9 +278,11 @@ _POLE_RATE = 12.0
 _RTOL = 1e-9
 _T_FLOOR = 40.0
 _MAX_REFINEMENTS = 3
-# The node-density ladder: a probe at 1/_REFINE, then the value passes at
-# _REFINE, _REFINE * _REFINE, ...  The probe's sum serves only as the
-# partner of the first value pass's error estimate, two rungs coarser.
+# The node-density ladder: the first pass lays its panels out at density
+# 1/_REFINE, each refinement at _REFINE times the last.  The panels are
+# sized for the 16-point Gauss rule (_ORDER) and carry the 33-point Kronrod
+# rule: its sum is the value, and the embedded Gauss sum, on the same nodes,
+# partners the error estimate.
 _REFINE = 1.4
 _RAY_PANELS = 2.0
 _U_MAX = 14.0
@@ -266,14 +310,16 @@ def _vertical_panels(T: float, log_lo: float, log_hi: float, density: float):
 
 
 def _contour_nodes(T: float, log_lo: float, log_hi: float, density: float):
-    """Gauss-Legendre nodes and complex ds-weights for the contour.
+    """Gauss-Kronrod nodes and complex ds-weights for the contour, 33 per
+    panel, panel after panel.
 
     Vertical part: s = 1/2 + it, t in [0, T], ds = i dt.
     Diagonal part: s = 1/2 + iT + (-1 + i)u, u in [0, _U_MAX], ds = (-1+i) du.
     """
-    t_nodes, t_weights = _composite_rule(_vertical_panels(T, log_lo, log_hi, density), _ORDER)
+    rule = _kronrod()[:2]
+    t_nodes, t_weights = _composite_rule(_vertical_panels(T, log_lo, log_hi, density), rule)
     n_diag = math.ceil(_RAY_PANELS * _U_MAX * density)
-    u_nodes, u_weights = _composite_rule(np.linspace(0.0, _U_MAX, n_diag + 1), _ORDER)
+    u_nodes, u_weights = _composite_rule(np.linspace(0.0, _U_MAX, n_diag + 1), rule)
     s = np.concatenate([_LEG + 1j * t_nodes, _LEG + 1j * T + (-1.0 + 1j) * u_nodes])
     return s, np.concatenate([1j * t_weights, (-1.0 + 1j) * u_weights])
 
@@ -290,33 +336,36 @@ def _contour_integral(scales, lo: float, hi: float, weight=None,
     phase, and the panels resolve the phase rates of scales in [lo, hi].
     The full line integral is 2i Im of the upper path by conjugate symmetry
     of the integrand, so each value is Im(int_upper)/pi.
-    The passes run at node densities 1/_REFINE (the probe), _REFINE,
-    _REFINE^2, ...; a value is never the probe's.  Each error estimate is
-    the change from the pass before (the probe, for the first value pass),
-    plus the tail bound and a rounding floor of _ROUNDING_ULPS ulps of the
-    summed term magnitudes.  Refinement stops when every scale
-    meets the tolerance _RTOL |value| + 1e-15 or has a change below its
-    floor, where no refinement can help; QuadratureError is raised, naming
-    ``label(i)`` of the worst scale i (by default X itself), if an error
-    then exceeds 100x its tolerance.
+    Each pass is one composite 16/33-point Gauss-Kronrod sum, at node
+    density 1/_REFINE first, then _REFINE times the last.  A value is the
+    Kronrod sum; its error estimate is its difference from the embedded
+    Gauss sum, plus the tail bound and a rounding floor of _ROUNDING_ULPS
+    ulps of the summed term magnitudes.  A scale is done when it meets the
+    tolerance _RTOL |value| + 1e-15 or has a change below its floor, where
+    no refinement can help, and keeps that pass's value; a refinement
+    integrates only the scales not yet done.  QuadratureError is raised,
+    naming ``label(i)`` of the worst scale i (by default X itself), if an
+    error then exceeds 100x its tolerance.
     """
     log_scales = np.array([math.log(x) for x in scales])
     log_lo, log_hi = math.log(lo), math.log(hi)
     T = max(_T_FLOOR, 2.0 * math.e * hi ** (1.0 / 3.0))
     hint = T + _U_MAX * 1.05
-    err = floor = np.full(len(log_scales), math.inf)
-    prev, density = None, 1.0 / _REFINE
+    result, err, floor = (np.full(len(log_scales), math.inf) for _ in range(3))
+    todo = np.arange(len(log_scales))
+    density = 1.0 / _REFINE
     for _ in range(_MAX_REFINEMENTS + 1):
         s, w = _contour_nodes(T, log_lo, log_hi, density)
-        result, mass, tail = _contour_rows(
-            s, w, gamma_ratio_cubed(s), None if weight is None else weight(s, hint), log_scales)
-        if prev is not None:
-            change = np.abs(result - prev) + tail / 3.0
-            floor = _ROUNDING_ULPS * np.finfo(float).eps * mass / math.pi
-            err = change + floor
-            if np.all((err <= _RTOL * np.abs(result) + 1e-15) | (change <= floor)):
-                break
-        prev, density = result, _REFINE if prev is None else density * _REFINE
+        value, gauss, mass, tail = _contour_rows(
+            s, w, gamma_ratio_cubed(s), None if weight is None else weight(s, hint),
+            log_scales[todo])
+        change = np.abs(value - gauss) + tail / 3.0
+        rounding = _ROUNDING_ULPS * np.finfo(float).eps * mass / math.pi
+        result[todo], err[todo], floor[todo] = value, change + rounding, rounding
+        todo = todo[(change + rounding > _RTOL * np.abs(value) + 1e-15) & (change > rounding)]
+        if not len(todo):
+            break
+        density *= _REFINE
     excess = err / (100 * (_RTOL * np.abs(result) + 1e-15))
     worst = int(np.argmax(excess))
     if excess[worst] > 1.0:
@@ -328,11 +377,13 @@ def _contour_integral(scales, lo: float, hi: float, weight=None,
 
 def _contour_rows(s, w, g, weights, log_scales):
     """For each scale L = log X, with v_k = g_k e^{-s_k L} weights_k: the
-    value Im(sum_k w_k v_k)/pi, the term mass sum_k |w_k v_k| and the tail
-    magnitude max |v_k| over the last panel.  The rows e^{-s L} are formed
-    in slabs of at most _BLOCK complex entries (whole rows, so a row's sums
-    do not depend on the slab it falls in)."""
-    out = np.empty((3, len(log_scales)))
+    Kronrod value Im(sum_k w_k v_k)/pi, the value of the embedded Gauss
+    rule, the term mass sum_k |w_k v_k| and the tail magnitude max |v_k|
+    over the last panel.  The rows e^{-s L} are formed in slabs of at most
+    _BLOCK complex entries (whole rows, so a row's sums do not depend on
+    the slab it falls in)."""
+    ratio = _kronrod()[2]
+    out = np.empty((4, len(log_scales)))
     rows = max(1, _BLOCK // len(s))
     for i in range(0, len(log_scales), rows):
         vals = np.multiply(-s, log_scales[i : i + rows, None])
@@ -342,10 +393,13 @@ def _contour_rows(s, w, g, weights, log_scales):
         np.multiply(g, vals, out=vals)
         if weights is not None:
             vals *= weights
-        out[2, i : i + rows] = np.abs(vals[:, -_ORDER:]).max(axis=1)
+        out[3, i : i + rows] = np.abs(vals[:, -len(ratio):]).max(axis=1)
         np.multiply(w, vals, out=vals)
         out[0, i : i + rows] = vals.sum(axis=1).imag / math.pi
-        out[1, i : i + rows] = np.abs(vals).sum(axis=1)
+        # the Gauss weight of a node is its Kronrod weight times ratio
+        panels = vals.imag.reshape(len(vals), -1, len(ratio))
+        out[1, i : i + rows] = (panels @ ratio).sum(axis=1) / math.pi
+        out[2, i : i + rows] = np.abs(vals).sum(axis=1)
     return out
 
 
@@ -450,7 +504,9 @@ def _ramp_sum_moments(s, logt, wn, log_lo, log_hi, memo=None) -> np.ndarray:
     r0, i0 = gr.min(), gi.min()
     width = int(gi.max() - i0) + 1
     key = (gr - r0).astype(np.int64) * width + (gi - i0).astype(np.int64)
+    del gr, gi  # the per-node arrays stay few while the moments are built
     keys, cell = np.unique(key, return_inverse=True)
+    del key
     grid = (side, _MOMENT_TERMS, r0, i0, width, keys.tobytes())
     # one entry, read and replaced whole: a reader never pairs one call's
     # cells with another's moments
@@ -485,6 +541,7 @@ def _cell_moments(d, wn, side, a, b, r0, i0) -> np.ndarray:
     steps[:, 0] = 1.0
     steps[:, 1:] = d[:, None] / np.arange(1, _MOMENT_TERMS)
     powers = np.cumprod(steps, axis=1)
+    del steps
     moments = np.empty((_MOMENT_TERMS, len(a)), dtype=np.complex128)
     rows = max(1, _MOMENT_SLAB // len(d))
     slab = np.empty((rows, len(d)), dtype=np.complex128)
@@ -582,7 +639,7 @@ class SmoothWindow:
         for lo, hi in ((self.Y, 2.0 * self.Y), (self.x - self.Y, self.x)):
             osc = tmax * abs(math.log(hi / lo)) / (2.0 * math.pi)
             panels = math.ceil(max(48, 10 * osc) / _RAMP_ORDER)
-            tn, dt = _composite_rule(np.linspace(lo, hi, panels + 1), _RAMP_ORDER)
+            tn, dt = _composite_rule(np.linspace(lo, hi, panels + 1), _leggauss(_RAMP_ORDER))
             yield lo, hi, tn, dt * self(tn)
 
     def log_moments(self) -> list[float]:

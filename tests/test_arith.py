@@ -24,7 +24,7 @@ from d3lab.arith import (
     _unit_roots,
     unit_phase,
 )
-from d3lab.voronoi import _leggauss
+from d3lab.voronoi import _kronrod, _leggauss
 
 
 def dk_by_enumeration(k, n):
@@ -254,7 +254,8 @@ class TestKloosterman:
         # the cached units, inverses and roots the tables are built from
         # (a write to them would move every later table at that q), and
         # the cached quadrature rules of the contour, ramp and moment integrals
-        for table in (*_unit_roots(12), *_leggauss(16), *_leggauss(32), *_leggauss(64)):
+        for table in (*_unit_roots(12), *_kronrod(), *_leggauss(16), *_leggauss(32),
+                      *_leggauss(64)):
             with pytest.raises(ValueError):
                 table[1] = 7
 

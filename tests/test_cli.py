@@ -80,6 +80,31 @@ class TestExitCodes:
         assert lines[0] == "fast: 2740.50861466 0" and lines[1].startswith("brute: 2740.50861466 ")
         assert len(lines) == 2
 
+    def test_asum_checked_against_the_brute_force_table(self, monkeypatch, capsys):
+        argv = ["asum", "--h", "1", "--q", "5", "--n", "6"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "17.1884705063 0" and lines[1].startswith("brute: 17.1884705063 ")
+        # an oracle that disagrees with the Kloosterman reduction fails the
+        # check: 1e-3 more at each of the 9 ordered triples of 6
+        table = expsum.r_sum_bruteforce_table
+        monkeypatch.setattr(expsum, "r_sum_bruteforce_table",
+                            lambda pt, force: table(pt, force=force) + 1e-3)
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "17.1884705063 0" and lines[1].startswith("brute: 17.1974705063 ")
+
+    def test_asum_refuses_past_its_guard(self, monkeypatch, capsys):
+        # past the table's guard asum prints nothing; --force builds it
+        monkeypatch.setattr(expsum, "TABLE_Q_GUARD", 6)
+        argv = ["asum", "--h", "1", "--q", "7", "--n", "12"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: q=7 exceeds table guard 6\n"
+        assert main([*argv, "--force"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("brute: ")
+
     @pytest.mark.parametrize("guard, argv, oracle, lines", [
         ("RAMANUJAN_Q_GUARD", ["csum", "--q", "7", "--n", "3"], "ramanujan_sum_bruteforce",
          ["-1", "brute: -1  |dev| = 0"]),
@@ -900,6 +925,8 @@ class TestHelp:
             ("csum", f"refuses q > {expsum.RAMANUJAN_Q_GUARD} without --force"),
             ("kloosterman", f"refuses q > {expsum.KLOOSTERMAN_Q_GUARD} without --force"),
             ("rsum", f"refuses q > {expsum.BRUTE_Q_GUARD} without --force"),
+            ("asum", "brute-force R table"),
+            ("asum", f"refuses q > {expsum.TABLE_Q_GUARD} without --force"),
             ("corr", f"refuses q > {expsum.CORRELATION_Q_GUARD} without --force"),
             ("kloosterman", "FFT column"),
             ("scan", "Parseval"),

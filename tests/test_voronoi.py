@@ -96,34 +96,34 @@ class TestStirlingGamma:
         return np.abs(gamma_ratio_cubed(points) - ref) / np.abs(ref)
 
     def _contour_nodes(self, monkeypatch, leg):
-        """The density-1 s-nodes of the contour of w_hat_10(17783) at
+        """The first-pass s-nodes of the contour of w_hat_10(17783) at
         (x, Y) = (1e4, 1e2), with the leg on Re s = leg, split at |s| = 60
         into the foot and the far nodes."""
         monkeypatch.setattr(voronoi, "_LEG", leg)
         N = math.pi**3 * 17783 / 10**3
         lo, hi = N * 1e2, N * 1e4
         T = max(voronoi._T_FLOOR, 2.0 * math.e * hi ** (1.0 / 3.0))
-        s, _ = voronoi._contour_nodes(T, math.log(lo), math.log(hi), 1.0)
+        s, _ = voronoi._contour_nodes(T, math.log(lo), math.log(hi), 1.0 / voronoi._REFINE)
         return s[np.abs(s) < 60], s[np.abs(s) >= 60]
 
     def test_contour_nodes(self, monkeypatch):
         # the leg on Re s = 0.1, next to the pole at s = 0
         foot, far = self._contour_nodes(monkeypatch, 0.1)
-        assert len(foot) == 837
-        # scipy.special.loggamma measured rms 2.6e-14, max 1.15e-13 here
+        assert len(foot) == 1243
+        # scipy.special.loggamma measured rms 2.6e-14, max 1.33e-13 here
         rel = self._rel_errors(foot)
         assert np.sqrt(np.mean(rel**2)) <= 3.5e-14 and rel.max() <= 2e-13
-        # scipy: max 3.8e-12 on every 40th far node, as 3 ln Gamma grows like |s| log |s|
+        # scipy: max 4.1e-12 on every 40th far node, as 3 ln Gamma grows like |s| log |s|
         assert self._rel_errors(far[::40]).max() <= 6e-12
 
     def test_contour_nodes_on_leg(self, monkeypatch):
         # the contour's own leg, Re s = 1/2
         foot, far = self._contour_nodes(monkeypatch, 0.5)
-        assert len(foot) == 804
-        # scipy.special.loggamma measured rms 2.7e-14, max 1.36e-13 here
+        assert len(foot) == 1194
+        # scipy.special.loggamma measured rms 2.7e-14, max 1.73e-13 here
         rel = self._rel_errors(foot)
         assert np.sqrt(np.mean(rel**2)) <= 3.5e-14 and rel.max() <= 2e-13
-        # scipy: max 4.5e-12 on every 40th far node; this G measured 6.2e-12
+        # scipy: max 4.7e-12 on every 40th far node, and so did this G
         assert self._rel_errors(far[::40]).max() <= 7e-12
 
     def test_coefficient_table(self):
@@ -223,8 +223,8 @@ class TestKernelBlocks:
             one = kernel_U(X)
             # the contours differ, not the integral; the two estimates are
             # not bounds at rounding level (ROADMAP item 1(c)): the worst
-            # difference is 1.12 times their sum, 2.6e-15 at U(3.56e3) =
-            # 0.0195, and 1.36 times on the Meijer-G grid (docs/LEDGER.md)
+            # difference is 1.90 times their sum, 3.0e-15 at U(4.29e5) =
+            # -0.00169, and 0.90 times on the Meijer-G grid (docs/LEDGER.md)
             assert len(errors[X]) == 2 and abs(U - one) <= 2 * sum(errors[X])
 
     def test_order_and_repeats(self):
@@ -248,7 +248,7 @@ class TestKernelBlocks:
 
         # a floor of 1e4 ulps puts every error near 1e-11: above 100x the
         # tolerance 1e-17 |U| + 1e-15, and within rtol = 1e-9, where the
-        # same two passes run and the estimates can be recorded
+        # same one pass runs and the estimates can be recorded
         monkeypatch.setattr(voronoi, "_ROUNDING_ULPS", 1e4)
         monkeypatch.setattr(voronoi, "_MAX_REFINEMENTS", 1)
         monkeypatch.setattr(voronoi, "_contour_integral", recording)
@@ -370,11 +370,11 @@ class TestFastMellin:
             assert abs(dense[i] - ref) <= 2e-11 * abs(ref)
 
     def test_matches_dense_oracle_across_slabs_and_tables(self, monkeypatch):
-        # the far tail's pass-2 nodes: on the lower ramp they fall into 122
-        # cells, 18 slabs of 7 cells, with 3 real and 120 imaginary cell
-        # indices, so every row of the three exponential tables is used
+        # the far tail's nodes: on the lower ramp they fall into 122 cells,
+        # 18 slabs of 7 cells, with 3 real and 120 imaginary cell indices,
+        # so every row of the three exponential tables is used
         w = SmoothWindow(1e4, 1e2)
-        _, [_, (s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        _, [(s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
         scale = _term_scale(w, s, hint)
         for lo, hi, tn, wn in w._ramp_rules(hint):
             if lo == w.Y:
@@ -387,11 +387,15 @@ class TestFastMellin:
             assert np.all(np.abs(fast - dense) <= 2e-11 * scale)
 
     def test_memo_reuses_only_the_same_cells(self, monkeypatch):
-        # the far tail's probe and value pass fall into the same cells: the
-        # value pass reuses the probe's moments, the bits a fresh build
-        # gives; nodes in other cells build their own
+        # the far tail's first pass and a refinement at density 1 fall into
+        # the same cells: the refinement reuses the first pass's moments,
+        # the bits a fresh build gives; nodes in other cells build their own
         w = SmoothWindow(1e4, 1e2)
-        _, [(probe, hint), (s, _)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        _, [(first, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        N = math.pi**3 * 17783 / 10**3
+        T = 2.0 * math.e * (N * w.x) ** (1.0 / 3.0)
+        s, _ = voronoi._contour_nodes(T, math.log(N * w.Y), math.log(N * w.x), 1.0)
+        assert len(s) > len(first) and np.isin(first, s).sum() < len(first) // 2
         for lo, hi, tn, wn in w._ramp_rules(hint):
             # without the middle node's cell: fewer cells in the same extent
             side = math.sqrt(2.0) * voronoi._MOMENT_RADIUS / (0.5 * math.log(hi / lo))
@@ -402,7 +406,7 @@ class TestFastMellin:
             fewer = s[kept]
             args = (np.log(tn), wn, math.log(lo), math.log(hi))
             memo = {}
-            voronoi._ramp_sum_moments(probe, *args, memo=memo)
+            voronoi._ramp_sum_moments(first, *args, memo=memo)
             built = memo["cells"][2]
             for nodes, reused in ((s, True), (fewer, False)):
                 value = voronoi._ramp_sum_moments(nodes, *args, memo=memo)
@@ -410,9 +414,8 @@ class TestFastMellin:
                 assert (memo["cells"][2] is built) == reused
 
     def test_memo_lives_as_long_as_one_contour(self, monkeypatch):
-        # the far tail's value pass reuses the probe's moments of each of
-        # the two ramps, and a second call of the same transform builds them
-        # again
+        # the far tail builds the moments of each of its two ramps once, and
+        # a second call of the same transform builds them again
         built = []
         cell_moments = voronoi._cell_moments
         monkeypatch.setattr(voronoi, "_cell_moments",
@@ -439,7 +442,8 @@ class TestFastMellin:
 def _panels_doubled(window: SmoothWindow, rules):
     """Each ramp rule laid out again on twice its equal 32-point panels."""
     for lo, hi, tn, _ in rules:
-        t, dt = voronoi._composite_rule(np.linspace(lo, hi, 2 * len(tn) // 32 + 1), 32)
+        t, dt = voronoi._composite_rule(np.linspace(lo, hi, 2 * len(tn) // 32 + 1),
+                                        voronoi._leggauss(32))
         yield lo, hi, t, dt * window(t)
 
 
@@ -501,10 +505,12 @@ class TestMemory:
     whole (cells, t-nodes) or (scales, s-nodes) matrices."""
 
     def test_far_tail_mellin(self, monkeypatch):
-        # 12,176 pass-2 nodes, cell moments built afresh: measured 2.2 MB,
-        # against 7.3 MB for whole matrices and a (moments, nodes) gather
+        # the 12,804 Gauss-Kronrod nodes, cell moments built afresh: measured
+        # 1,699,751 bytes; 2,193,623 at the 12,176 nodes of the two-pass
+        # Gauss ladder's value pass, and 7.3 MB for whole matrices and a
+        # (moments, nodes) gather
         w = SmoothWindow(1e4, 1e2)
-        _, [_, (s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
+        _, [(s, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
         assert _traced_peak(w.mellin, s, hint) <= 4.5e6
 
     def test_ranged_transform(self):
@@ -542,10 +548,134 @@ class TestTransform:
             assert v * n ** (2 / 3) / (1e4 ** (1 / 3) * 100) < 0.1
 
 
+def _kronrod_mp(n: int = 16):
+    """The n-point Gauss nodes, the n + 1 Kronrod nodes and the weights of
+    both rules on [-1, 1] in 60 digits: P_n from its recurrence in exact
+    rationals, the Stieltjes polynomial E_{n+1} = x^{n+1} + ... from its
+    orthogonality to x^j P_n for j <= n, and the weights from the moments."""
+    from fractions import Fraction
+
+    import mpmath
+
+    p0, p1 = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] + [Fraction(2 * k + 1, k + 1) * c for c in p1]
+        for i, c in enumerate(p0):
+            nxt[i] -= Fraction(k, k + 1) * c
+        p0, p1 = p1, nxt
+
+    def moment(m):  # int_{-1}^{1} x^m dx
+        return Fraction(2, m + 1) if m % 2 == 0 else Fraction(0)
+
+    def against_p(m):  # int x^m P_n(x) dx
+        return sum(c * moment(i + m) for i, c in enumerate(p1))
+
+    with mpmath.workdps(60):
+        mp = lambda f: mpmath.mpf(f.numerator) / f.denominator
+        degs = range(n - 1, -1, -2)  # E's lower terms, of the parity of n + 1
+        odd = range(1, n + 1, 2)  # x^j P_n with j of another parity integrate to 0
+        coef = mpmath.lu_solve(mpmath.matrix([[mp(against_p(d + j)) for d in degs] for j in odd]),
+                               mpmath.matrix([-mp(against_p(n + 1 + j)) for j in odd]))
+        stieltjes = [mpmath.mpf(0)] * (n + 2)
+        stieltjes[n + 1] = mpmath.mpf(1)
+        for d, c in zip(degs, coef):
+            stieltjes[d] = c
+        roots = lambda cs: sorted(mpmath.re(r) for r in mpmath.polyroots(
+            [mp(c) if isinstance(c, Fraction) else c for c in reversed(cs)],
+            maxsteps=200, extraprec=200))
+        gauss, nodes = roots(p1), sorted(roots(p1) + roots(stieltjes))
+
+        def weights(xs):
+            vander = mpmath.matrix([[x**j for x in xs] for j in range(len(xs))])
+            return list(mpmath.lu_solve(vander, mpmath.matrix([mp(moment(j))
+                                                               for j in range(len(xs))])))
+
+        return gauss, weights(gauss), nodes, weights(nodes)
+
+
+class TestKronrodRule:
+    """The 16/33-point Gauss-Kronrod table against its derivation in 60
+    digits, and the Kronrod-Gauss difference against the actual error."""
+
+    def test_table_is_the_rule_in_60_digits(self):
+        import mpmath
+
+        gauss, wg, nodes, wk = _kronrod_mp()
+        x, w, ratio = voronoi._kronrod()
+        # the table holds the 60-digit values, rounded once
+        assert x.tolist() == [float(v) for v in nodes]
+        assert w.tolist() == [float(v) for v in wk]
+        assert (w * ratio)[1::2].tolist() == pytest.approx([float(v) for v in wg], rel=4e-16)
+        assert min(wk) > 0 and np.all(ratio[::2] == 0.0)
+        with mpmath.workdps(60):
+            exact = [mpmath.mpf(2) / (j + 1) if j % 2 == 0 else 0 for j in range(51)]
+            errors = [abs(mpmath.fsum(c * v**j for c, v in zip(wk, nodes)) - exact[j])
+                      for j in range(51)]
+        # exact to degree 49 = 3n + 1, not beyond
+        assert max(errors[:50]) < 1e-50 and errors[50] > 1e-20
+        # the doubles too, to rounding
+        for j in range(50):
+            assert abs(math.fsum(w * x**j) - (2.0 / (j + 1) if j % 2 == 0 else 0.0)) <= 1e-15
+
+    def test_embedded_gauss_rule_is_leggauss(self):
+        x, w, ratio = voronoi._kronrod()
+        xg, wg = voronoi._leggauss(16)
+        assert np.all(np.abs(x[1::2] - xg) <= np.spacing(np.abs(xg)))
+        # numpy's weights are the less accurate: up to 63 ulps from the
+        # rounded 60-digit ones
+        assert np.all(np.abs((w * ratio)[1::2] - wg) <= 64 * np.spacing(wg))
+
+    @given(st.floats(0.0, 1.0), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_gauss_difference_dominates_the_error(self, frac, coefs):
+        # e^{i omega x} p(x) on one panel of the first pass, which spans a
+        # phase of at most 4 pi _REFINE (_ORDER nodes per _NODES_PER_OSC):
+        # |omega| <= 2 pi _REFINE on [-1, 1]
+        import mpmath
+
+        top = max(abs(c) for c in coefs)
+        assume(top > 0.0)
+        coefs = [c / top for c in coefs]  # mpmath's quad stops at an absolute tolerance
+        omega = frac * math.pi * voronoi._ORDER / voronoi._NODES_PER_OSC * voronoi._REFINE
+        x, w, ratio = voronoi._kronrod()
+        f = np.exp(1j * omega * x) * np.polynomial.polynomial.polyval(x, coefs)
+        kronrod, gauss = np.sum(w * f), np.sum(w * ratio * f)
+        with mpmath.workdps(30):
+            exact = complex(mpmath.quad(lambda t: mpmath.expj(omega * t) * mpmath.polyval(
+                coefs[::-1], t), [-1, 0, 1]))
+        # as in the contour's estimate: the difference plus a floor of
+        # _ROUNDING_ULPS ulps of the summed term magnitudes
+        floor = voronoi._ROUNDING_ULPS * np.finfo(float).eps * np.sum(w * np.abs(f))
+        assert abs(kronrod - exact) <= abs(kronrod - gauss) + floor
+
+
+class TestRowRefinement:
+    def test_only_the_rows_that_miss_are_refined(self, monkeypatch):
+        # make row 3 of the block n <= 7 miss at the first pass: only its
+        # scale is integrated again, and every other row keeps its value
+        rows = voronoi._contour_rows
+        calls = []
+
+        def one_row_misses(s, w, g, weights, log_scales):
+            out = rows(s, w, g, weights, log_scales)
+            calls.append((len(s), log_scales.copy(), out.copy()))
+            if len(calls) == 1:
+                out[1, 3] += 1e-3  # its Gauss sum, and so its error estimate
+            return out
+
+        monkeypatch.setattr(voronoi, "_contour_rows", one_row_misses)
+        values = w_transform.__wrapped__(5, range(1, 8), SmoothWindow(1e4, 1e3))
+        (nodes, scales, first), (more_nodes, rescaled, second) = calls
+        assert len(scales) == 7 and np.array_equal(rescaled, scales[3:4])
+        assert more_nodes > nodes
+        kept = np.arange(7) != 3
+        assert np.array_equal(values[kept], first[0, kept]) and values[3] == second[0, 0]
+
+
 class TestContourConvergence:
     """With the leg on Re s = 1/2 and its panels graded at the s = 0 pole,
     every U and w-hat quadrature of the benchmark and of criterion 08
-    meets rtol at its first refinement."""
+    meets rtol at its first Gauss-Kronrod pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -571,26 +701,26 @@ class TestContourConvergence:
         rtol = voronoi._RTOL
         assert len(log) == count
         for builds, value, err, _ in log:
-            assert builds == 2 and np.all(err <= rtol * np.abs(value))
+            assert builds == 1 and np.all(err <= rtol * np.abs(value))
 
-    def test_kernel_stops_at_second_pass(self, passes):
+    def test_kernel_stops_at_first_pass(self, passes):
         # the Meijer-G points, 3 per block with X_hi < 8 X_lo
         kernel_U(np.geomspace(0.05, 1e6, 25))
         assert [len(value) for _, value, _, _ in passes] == [3] * 8 + [1]
         self._check(passes, 9)
 
-    def test_benchmark_kernel_builds_14_contours(self, passes):
+    def test_benchmark_kernel_builds_7_contours(self, passes):
         # the voronoi workload's kernel command: 8 of its 50 X per block,
-        # 2 contours per block
+        # one contour per block
         kernel_U(np.geomspace(1.0, 1e6, 50))
         assert [len(value) for _, value, _, _ in passes] == [8] * 6 + [2]
         self._check(passes, 7)
-        assert sum(builds for builds, *_ in passes) == 14
+        assert sum(builds for builds, *_ in passes) == 7
 
-    def test_transform_stops_at_second_pass(self, passes):
+    def test_transform_stops_at_first_pass(self, passes):
         # the voronoi workload's points, and criterion 08's at q = 2, 3,
         # whose sums cancel up to 3e4-fold (a leg at Re s = 0.1, next to
-        # the pole, took 3 or 4 passes at 4 of the 8 q = 2 points)
+        # the pole, took 3 or 4 Gauss passes at 4 of the 8 q = 2 points)
         points = [(10, n, SmoothWindow(1e4, 1e2)) for n in (1, 32, 17783)]
         points += [(q, n, SmoothWindow(1e4, 1e3)) for q, top in ((5, 17), (3, 8), (2, 8))
                    for n in range(1, top + 1)]
@@ -598,7 +728,7 @@ class TestContourConvergence:
             w_transform.__wrapped__(q, n, w)
         self._check(passes, len(points))
 
-    def test_transform_blocks_stop_at_second_pass(self, passes):
+    def test_transform_blocks_stop_at_first_pass(self, passes):
         # the ranges of the voronoi workload's dual sum (blocks n <= 7 and
         # 8..17) and of criterion 08 at q = 2, 3: a row that misses rtol is
         # one whose change is below its rounding floor
@@ -607,14 +737,14 @@ class TestContourConvergence:
             w_transform.__wrapped__(q, range(1, top + 1), SmoothWindow(1e4, 1e3))
         assert [len(value) for _, value, _, _ in passes] == [7, 10, 7, 1, 7, 1]
         for builds, value, err, floor in passes:
-            assert builds == 2 and np.all((err <= rtol * np.abs(value)) | (err <= 2 * floor))
+            assert builds == 1 and np.all((err <= rtol * np.abs(value)) | (err <= 2 * floor))
 
     def test_rounding_floor_stops_refinement(self, passes):
         # w_hat_3(18) = -1.8973e-5 is a sum of terms 1.9e6 times larger, so
         # rounding alone is 2e-9 of it: refining cannot reach rtol = 1e-9
         value = w_transform.__wrapped__(3, 18, SmoothWindow(1e4, 1e3))
         [(builds, _, (err,), _)] = passes
-        assert builds == 2 and 1e-9 * abs(value) < err < 1e-8 * abs(value)
+        assert builds == 1 and 1e-9 * abs(value) < err < 1e-8 * abs(value)
 
     @pytest.fixture
     def unreachable(self, monkeypatch):
@@ -679,21 +809,21 @@ class TestWorkloadContours:
                 assert main([*argv, "--out", str(out)]) == 0
         return log
 
-    def test_every_contour_converges_at_pass_2(self, contours):
+    def test_every_contour_converges_at_its_first_pass(self, contours):
         # 7 kernel blocks, 2 dual-sum blocks (n <= 7 and 8..17) and 3 single n,
-        # each a probe and one value pass
+        # each one Gauss-Kronrod pass
         assert len(contours) == 12
-        assert [len(c["s"]) for c in contours] == [2] * 12
-        # the benchmark's traced G(s) points and W(s) nodes: 63,088 and
-        # 35,200 with a first pass at density 1 in place of the probe
-        assert sum(len(s) for c in contours for s in c["s"]) == 55_664
-        assert sum(len(s) for c in contours for _, s, _, _ in c["W"]) == 31_040
+        assert [len(c["s"]) for c in contours] == [1] * 12
+        # the benchmark's traced G(s) points and W(s) nodes: 55,664 and
+        # 31,040 with a Gauss-16 probe and value pass in place of one
+        # Kronrod pass
+        assert sum(len(s) for c in contours for s in c["s"]) == 38_841
+        assert sum(len(s) for c in contours for _, s, _, _ in c["W"]) == 21_648
 
     def test_gamma_and_w_are_the_direct_forms(self, contours):
         # G(s) with one ln Gamma on Re s = 1/2, and W(s) with a^{1-s} as
-        # exp((1-s) log a) and the value pass's cell moments those of the
-        # probe, against the expressions they replace, bit for bit at
-        # every node of every pass
+        # exp((1-s) log a) and the cell moments of the contour's memo,
+        # against the expressions they replace, bit for bit at every node
         lg = voronoi._log_gamma
         for c in contours:
             for s in c["s"]:
