@@ -30,12 +30,10 @@ private function, ``_contour_integral``, holds the contour, its panels and
 the pass loop for every kernel, and evaluates it for an array of scales X
 at once: only X^{-s} depends on X, so G(s) and the weight are formed once
 per pass, and each scale keeps its own error estimate.  On the leg G(s)
-costs one ln Gamma per node, as its two arguments are conjugates there,
-and the passes of one contour share the ramp rules of W(s) and, where
-their nodes fall into the same cells, its cell moments.  ``kernel_U``
-takes an array of X and shares one contour among the X of each block
-with X_hi < 8 X_lo, so a grid of X costs one contour per block, not per
-X.
+costs one ln Gamma per node, as its two arguments are conjugates there.
+``kernel_U`` takes an array of X and shares one contour among the X of
+each block with X_hi < 8 X_lo, so a grid of X costs one contour per
+block, not per X.
 
 The window transform int_0^infty w(t) U(Nt) dt is evaluated on the same
 contour after exchanging the absolutely convergent integrals:
@@ -69,7 +67,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial  # numpy 2 loads it on first use: load it here, at import
@@ -490,13 +488,9 @@ def _ramp_sum_dense(s, logt, wn, log_lo, log_hi) -> np.ndarray:
     return out
 
 
-def _ramp_sum_moments(s, logt, wn, log_lo, log_hi, memo=None) -> np.ndarray:
+def _ramp_sum_moments(s, logt, wn, log_lo, log_hi) -> np.ndarray:
     """F(s) by Taylor moments about the centres s0 of square cells whose
-    half-diagonal is rho/h; see the expansion above.
-
-    A ``memo`` dict, which the caller passes only with this one ramp, keeps
-    the moments of the last call's cells: a call whose s-nodes fall into
-    the same cells reuses them, and they are the same bits it would build."""
+    half-diagonal is rho/h; see the expansion above."""
     m = 0.5 * (log_lo + log_hi)
     h = 0.5 * (log_hi - log_lo)
     side = math.sqrt(2.0) * _MOMENT_RADIUS / h
@@ -507,18 +501,9 @@ def _ramp_sum_moments(s, logt, wn, log_lo, log_hi, memo=None) -> np.ndarray:
     del gr, gi  # the per-node arrays stay few while the moments are built
     keys, cell = np.unique(key, return_inverse=True)
     del key
-    grid = (side, _MOMENT_TERMS, r0, i0, width, keys.tobytes())
-    # one entry, read and replaced whole: a reader never pairs one call's
-    # cells with another's moments
-    last = memo.get("cells") if memo is not None else None
-    if last is not None and last[0] == grid:
-        _, s0, moments = last
-    else:
-        a, b = np.divmod(keys, width)
-        s0 = side * ((a + r0) + 1j * (b + i0))
-        moments = _cell_moments(logt - m, wn, side, a, b, r0, i0)
-        if memo is not None:
-            memo["cells"] = (grid, s0, moments)
+    a, b = np.divmod(keys, width)
+    s0 = side * ((a + r0) + 1j * (b + i0))
+    moments = _cell_moments(logt - m, wn, side, a, b, r0, i0)
     z = s0[cell] - s
     acc = moments[-1].take(cell)
     tmp = np.empty_like(acc)
@@ -567,8 +552,9 @@ class SmoothWindow:
     Y: float
 
     def __post_init__(self):
-        if self.Y < 1.0 or 3.0 * self.Y > self.x:
-            raise ValueError("window geometry requires 1 <= Y and 3Y <= x")
+        # false for a nan or an infinite x or Y
+        if not (1.0 <= self.Y and 3.0 * self.Y <= self.x < math.inf):
+            raise ValueError("window geometry requires 1 <= Y and 3Y <= x < inf")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -583,7 +569,7 @@ class SmoothWindow:
 
     # -- integral transforms ------------------------------------------------
 
-    def mellin(self, s: np.ndarray, nodes_hint: float, memo: dict | None = None) -> np.ndarray:
+    def mellin(self, s: np.ndarray, nodes_hint: float) -> np.ndarray:
         """W(s) = int w(t) t^{-s} dt, vectorized over s.
 
         Exact plateau antiderivative plus composite Gauss-Legendre ramps; the
@@ -599,37 +585,25 @@ class SmoothWindow:
         one per cell.  With cells of radius rho/h, h = max |d_k|, the
         truncation is at most |e^{-s m}| sum_k |wn_k e^{-s0 d_k}| times
         1.8e-19 (rho = 2, J = 26), so the result is the same discrete sum
-        as the dense oracle ``mellin_dense`` to rounding.  A ``memo`` dict,
-        which the caller keeps for the calls of one contour, holds the ramp
-        rules at each nodes_hint and the moments of each ramp's last cells.
+        as the dense oracle ``mellin_dense`` to rounding.
         """
-        memo = {} if memo is None else memo
-        if nodes_hint not in memo:
-            memo[nodes_hint] = [partial(f, memo={})
-                                for f in self._ramp_sums(nodes_hint, _ramp_sum_moments)]
-        return self._mellin(s, memo[nodes_hint])
+        return self._mellin(s, nodes_hint, _ramp_sum_moments)
 
     def mellin_dense(self, s: np.ndarray, nodes_hint: float) -> np.ndarray:
         """Oracle for ``mellin``: the same plateau and ramp rules at the same
         nodes_hint, with each ramp sum a dense (s, t) matrix of exponentials."""
-        return self._mellin(s, self._ramp_sums(nodes_hint, _ramp_sum_dense))
+        return self._mellin(s, nodes_hint, _ramp_sum_dense)
 
-    def _mellin(self, s, ramp_sums) -> np.ndarray:
+    def _mellin(self, s, nodes_hint, ramp_sum) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
         one_minus_s = 1.0 - s
         # a^{1-s} as exp((1-s) log a): the product cpow forms, without its
         # complex log of the real a
         out = (np.exp(one_minus_s * math.log(self.x - self.Y))
                - np.exp(one_minus_s * math.log(2.0 * self.Y))) / one_minus_s
-        for ramp_sum in ramp_sums:
-            out += ramp_sum(s)
+        for lo, hi, tn, wn in self._ramp_rules(nodes_hint):
+            out += ramp_sum(s, np.log(tn), wn, math.log(lo), math.log(hi))
         return out
-
-    def _ramp_sums(self, tmax: float, ramp_sum) -> list:
-        """``ramp_sum`` bound to each ramp rule at tmax: F(s) of each ramp."""
-        return [partial(ramp_sum, logt=np.log(tn), wn=wn,
-                        log_lo=math.log(lo), log_hi=math.log(hi))
-                for lo, hi, tn, wn in self._ramp_rules(tmax)]
 
     def _ramp_rules(self, tmax: float):
         """(lo, hi, nodes t_k, weights wn_k = w(t_k) dt_k) of the composite
@@ -697,7 +671,7 @@ def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndar
         block = ns[i:j]
         N = [math.pi**3 * m / q**3 for m in block]
         out[i:j] = _contour_integral(
-            N, N[0] * window.Y, N[-1] * window.x, partial(window.mellin, memo={}),
+            N, N[0] * window.Y, N[-1] * window.x, window.mellin,
             lambda k: f"n = {block[k]}")[0]
     if not isinstance(n, range):
         return float(out[0])

@@ -592,12 +592,18 @@ class TestScanReference:
         assert f"grid point {grid!r}" in capsys.readouterr().err
 
 
-VORONOI_COMMANDS = timed_commands("voronoi")
+# The voronoi workload's commands, each of whose contours converges at its
+# first pass, and a range whose top block refines 4, then 2, then 1 rows.
+VORONOI_COMMANDS = {
+    **timed_commands("voronoi"),
+    "wtransform-q2-n200": ["wtransform", "--q", "2", "--x", "1e4", "--Y", "1e3",
+                           "--n-max", "200"],
+}
 
 
 class TestVoronoiReference:
-    # Every 12-digit cell of the voronoi workload's commands, byte for
-    # byte.  The benchmark's references hold them to 6 digits and are
+    # Every 12-digit cell of these commands, byte for byte.  The
+    # benchmark's references hold the workload's to 6 digits and are
     # older: their last digits differ.
     @pytest.mark.parametrize("name", list(VORONOI_COMMANDS))
     def test_byte_identical(self, name, tmp_path):

@@ -62,9 +62,9 @@ def _recorded_nodes(monkeypatch, q, n, window):
         gammas.append(np.array(s))
         return gamma(s)
 
-    def recording_mellin(self, s, nodes_hint, **kw):
+    def recording_mellin(self, s, nodes_hint):
         mellins.append((np.array(s), nodes_hint))
-        return mellin(self, s, nodes_hint, **kw)
+        return mellin(self, s, nodes_hint)
 
     monkeypatch.setattr(voronoi, "gamma_ratio_cubed", recording_gamma)
     monkeypatch.setattr(SmoothWindow, "mellin", recording_mellin)
@@ -269,10 +269,11 @@ class TestWindow:
         assert 0.0 < w(1.5e3) < 1.0
 
     def test_geometry_guard(self):
-        with pytest.raises(ValueError):
-            SmoothWindow(x=100.0, Y=40.0)
-        with pytest.raises(ValueError):
-            SmoothWindow(x=100.0, Y=0.5)
+        # a nan or an infinite x or Y is refused, not left to fail inside W(s)
+        for x, Y in ((100.0, 40.0), (100.0, 0.5), (math.nan, math.nan),
+                     (math.inf, 10.0), (1e4, math.nan)):
+            with pytest.raises(ValueError, match="window geometry"):
+                SmoothWindow(x=x, Y=Y)
 
     @given(st.floats(0, 1.2e4))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -386,55 +387,11 @@ class TestFastMellin:
             fast, dense = voronoi._ramp_sum_moments(*args), voronoi._ramp_sum_dense(*args)
             assert np.all(np.abs(fast - dense) <= 2e-11 * scale)
 
-    def test_memo_reuses_only_the_same_cells(self, monkeypatch):
-        # the far tail's first pass and a refinement at density 1 fall into
-        # the same cells: the refinement reuses the first pass's moments,
-        # the bits a fresh build gives; nodes in other cells build their own
-        w = SmoothWindow(1e4, 1e2)
-        _, [(first, hint)] = _recorded_nodes(monkeypatch, 10, 17783, w)
-        N = math.pi**3 * 17783 / 10**3
-        T = 2.0 * math.e * (N * w.x) ** (1.0 / 3.0)
-        s, _ = voronoi._contour_nodes(T, math.log(N * w.Y), math.log(N * w.x), 1.0)
-        assert len(s) > len(first) and np.isin(first, s).sum() < len(first) // 2
-        for lo, hi, tn, wn in w._ramp_rules(hint):
-            # without the middle node's cell: fewer cells in the same extent
-            side = math.sqrt(2.0) * voronoi._MOMENT_RADIUS / (0.5 * math.log(hi / lo))
-            cells = np.rint(s.real / side) + 1j * np.rint(s.imag / side)
-            kept = cells != cells[len(s) // 2]
-            extent = [(f(c.real), f(c.imag)) for c in (cells, cells[kept]) for f in (min, max)]
-            assert extent[:2] == extent[2:]
-            fewer = s[kept]
-            args = (np.log(tn), wn, math.log(lo), math.log(hi))
-            memo = {}
-            voronoi._ramp_sum_moments(first, *args, memo=memo)
-            built = memo["cells"][2]
-            for nodes, reused in ((s, True), (fewer, False)):
-                value = voronoi._ramp_sum_moments(nodes, *args, memo=memo)
-                assert _same_bits(value, voronoi._ramp_sum_moments(nodes, *args))
-                assert (memo["cells"][2] is built) == reused
-
-    def test_memo_lives_as_long_as_one_contour(self, monkeypatch):
-        # the far tail builds the moments of each of its two ramps once, and
-        # a second call of the same transform builds them again
-        built = []
-        cell_moments = voronoi._cell_moments
-        monkeypatch.setattr(voronoi, "_cell_moments",
-                            lambda *args: built.append(1) or cell_moments(*args))
-        w = SmoothWindow(1e4, 1e2)
-        counts = []
-        for _ in range(2):
-            built.clear()
-            w_transform.__wrapped__(10, 17783, w)
-            counts.append(len(built))
-        assert counts == [2, 2]
-
     @pytest.mark.parametrize("q, n, x, Y", [(10, 17783, 1e4, 1e2), (5, 17, 1e4, 1e3)])
     def test_w_transform_matches_dense(self, monkeypatch, q, n, x, Y):
         w = SmoothWindow(x=x, Y=Y)
         fast = w_transform.__wrapped__(q, n, w)
-        # the dense sums take no memo of the contour's ramp sums
-        monkeypatch.setattr(SmoothWindow, "mellin",
-                            lambda self, s, nodes_hint, memo: self.mellin_dense(s, nodes_hint))
+        monkeypatch.setattr(SmoothWindow, "mellin", SmoothWindow.mellin_dense)
         dense = w_transform.__wrapped__(q, n, w)
         assert fast == pytest.approx(dense, rel=1e-10)
 
@@ -794,8 +751,8 @@ class TestWorkloadContours:
             log.append({"s": [], "W": []})
             return integrate(*args, **kw)
 
-        def recording_mellin(self, s, nodes_hint, **kw):
-            value = mellin(self, s, nodes_hint, **kw)
+        def recording_mellin(self, s, nodes_hint):
+            value = mellin(self, s, nodes_hint)
             log[-1]["W"].append((self, s, nodes_hint, value.copy()))
             return value
 
@@ -822,8 +779,8 @@ class TestWorkloadContours:
 
     def test_gamma_and_w_are_the_direct_forms(self, contours):
         # G(s) with one ln Gamma on Re s = 1/2, and W(s) with a^{1-s} as
-        # exp((1-s) log a) and the cell moments of the contour's memo,
-        # against the expressions they replace, bit for bit at every node
+        # exp((1-s) log a), against the expressions they replace, bit for
+        # bit at every node
         lg = voronoi._log_gamma
         for c in contours:
             for s in c["s"]:
