@@ -7,16 +7,18 @@ returns its exit code and its report text; ``main`` alone writes the
 text, to ``--out`` when it is given and to stdout otherwise.  A handler
 refuses a request by raising: ``main`` turns a UsageError into one
 ``error:`` line and exit 2, and a refused cost (a cost guard, the sieve
-budget arith.MAX_SIEVE_LIMIT, a table beyond 64 bits) or a failed
-computation into one ``error:`` line and exit 1.
+budget arith.MAX_SIEVE_LIMIT, a table beyond 64 bits, the contour node
+budget voronoi.MAX_CONTOUR_NODES, an array that cannot be allocated) or
+a failed computation into one ``error:`` line and exit 1.
 A refused request writes nothing; a failed check (exit 1) still writes
 its report.  The cost guards are expsum's constants; ``--force`` lifts
 those of rsum, asum, corr, csum and kloosterman, and each of these
 refuses past its guard without it.
 
 Global flags go before the subcommand.  A ``--config`` file holds flat
-``key=value`` lines with the keys cache_dir, threads, format and seed;
-the global flags override it.
+``key=value`` lines with the keys cache_dir, threads, format and seed,
+which --cache-dir, --threads, --format and --seed override; ``_SETTINGS``
+declares each of these settings once.
 
 Exit codes: 0 success, 1 check failure (an asserted identity or bound
 violated) or refused cost, 2 usage error.  All floating output is
@@ -48,12 +50,16 @@ CACHE_VERSION = 1
 IDENTITY_TOL = 1e-9
 
 
-# config-file key -> (RunConfig field, value parser)
-_CONFIG_KEYS = {
-    "cache_dir": ("cache_dir", str),
-    "threads": ("threads", int),
-    "format": ("fmt", str),
-    "seed": ("seed", int),
+# run setting -> (value parser, keywords of its global flag): each is a
+# config-file key, a RunConfig field and the flag --cache-dir, --threads,
+# --format or --seed, under one name
+_SETTINGS = {
+    "cache_dir": (str, {"help": "directory for binary sieve caches"}),
+    "threads": (int, {"help": "worker processes for scans, forked with one pipe each and "
+                      "given interleaved shares of the grid; serial where os.fork is "
+                      "missing (0 = one per CPU)"}),
+    "format": (str, {"choices": ("csv", "json"), "help": "report format"}),
+    "seed": (int, {"help": "seed for sampled scans"}),
 }
 
 
@@ -63,14 +69,14 @@ class RunConfig:
 
     cache_dir: str = ""
     threads: int = 0
-    fmt: str = "csv"
+    format: str = "csv"
     seed: int = 0
 
     def __post_init__(self):
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {self.threads}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.format!r}")
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
@@ -81,10 +87,9 @@ class RunConfig:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(f"unknown config key: {key}")
-            field, parse = _CONFIG_KEYS[key]
-            kw[field] = parse(value.strip())
+            kw[key] = _SETTINGS[key][0](value.strip())
         return RunConfig(**kw)
 
     def workers(self) -> int:
@@ -308,22 +313,6 @@ def _flag(name: str, type=int, default=None, **kw) -> tuple[str, dict]:
     return f"--{name}", {"type": type, "default": default, **kw}
 
 
-def _nonnegative_int(text: str) -> int:
-    """An integer >= 0: the type of flags whose 0 means "not given"."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """An integer >= 1: the type of moduli and of single indices n."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
-    return value
-
-
 def _prime(text: str) -> int:
     """A prime: the base p of a prime power p^k."""
     value = int(text)
@@ -363,6 +352,11 @@ def _int_in(low: int, high: int | None = None):
         return value
     parse.__name__ = f"int {span}"
     return parse
+
+
+# flags whose 0 means "not given", and moduli and single indices n
+_nonnegative_int = _int_in(0)
+_positive_int = _int_in(1)
 
 
 class UsageError(Exception):
@@ -499,7 +493,7 @@ def _cmd_lemma2_check(args, cfg: RunConfig) -> tuple[int, str]:
     columns = [np.full(n, q1), np.full(n, q2), *t1.T, *t2.T,
                *(rep[key] for key in ("s12", "s1", "s2", "deviation", "splitting_deviation")),
                rep["passed"].astype(np.int64)]
-    return (0 if failures == 0 else 1), _table(cfg.fmt, meta, cols, columns)
+    return (0 if failures == 0 else 1), _table(cfg.format, meta, cols, columns)
 
 
 @_command("lemma3-check", "prime-power closed form of the Ramanujan-twisted pair sum vs "
@@ -517,7 +511,7 @@ def _cmd_lemma3_check(args, cfg: RunConfig) -> tuple[int, str]:
     zero = np.zeros(n, dtype=np.int64)
     columns = [np.full(n, cat.q), *cat.tuples.T, cat.case, cat.brute, zero, cat.closed, zero,
                abs_dev, abs_dev / (1 + np.abs(cat.brute)), (abs_dev == 0).astype(np.int64)]
-    return (0 if mismatches == 0 else 1), _table(cfg.fmt, meta, cols, columns)
+    return (0 if mismatches == 0 else 1), _table(cfg.format, meta, cols, columns)
 
 
 @_command("lemma4-scan", "max correlation ratio against the divisor-sum bound over "
@@ -549,7 +543,7 @@ def _cmd_corr_identity(args, cfg: RunConfig) -> tuple[int, str]:
                              abs(lhs - rhs), abs(lhs - rhs) / q**3])
     meta = {"n_max": args.n_max, "rel_dev_is": "abs_dev/q^3"}
     cols = ["q", "n", "m", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_dev", "rel_dev"]
-    return 0, _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
+    return 0, _table(cfg.format, meta, cols, _transpose(rows, len(cols)))
 
 
 @_command("mainterm", "progression main term and its log-polynomial", Q, _flag("a"),
@@ -572,7 +566,7 @@ def _cmd_kernel(args, cfg: RunConfig) -> tuple[int, str]:
     xs = np.geomspace(args.x_min, args.x_max, args.points)
     U = voronoi.kernel_U(xs)
     meta = {"c": U_ABSCISSA, "points": args.points}
-    return 0, _table(cfg.fmt, meta, ["X", "U"], [xs, U])
+    return 0, _table(cfg.format, meta, ["X", "U"], [xs, U])
 
 
 @_command("wtransform", "window transform w_hat_q(n)",
@@ -583,7 +577,7 @@ def _cmd_wtransform(args, cfg: RunConfig) -> tuple[int, str]:
     w_hat = voronoi.w_transform(args.q, n_values, window)
     meta = {"x": args.x, "Y": args.Y, "q": args.q, "c": U_ABSCISSA,
             "T": f"2e*(N*x)^(1/3)"}
-    return 0, _table(cfg.fmt, meta, ["n", "w_hat"], [n_values, w_hat])
+    return 0, _table(cfg.format, meta, ["n", "w_hat"], [n_values, w_hat])
 
 
 @_command("voronoi-compare", "magnitude comparison: leading dual-sum term vs the smoothed "
@@ -605,14 +599,14 @@ def _cmd_voronoi_compare(args, cfg: RunConfig) -> tuple[int, str]:
         rows.append([args.q, h, abs(direct), abs(dual), ratio, tail])
     meta = {"x": args.x, "Y": args.Y, "q": args.q}
     cols = ["q", "h", "abs_direct", "abs_dual", "ratio", "tail_est"]
-    return (0 if worst <= 10.0 else 1), _table(cfg.fmt, meta, cols, _transpose(rows, len(cols)))
+    return (0 if worst <= 10.0 else 1), _table(cfg.format, meta, cols, _transpose(rows, len(cols)))
 
 
 @_command("delta", "Delta(a/q) for all a via the chirp-length DFT", Q, X, DELTA_K)
 def _cmd_delta(args, cfg: RunConfig) -> tuple[int, str]:
     table = load_or_build_table(cfg, args.k, max(int(args.x), 1))
     d = variance.delta_all(args.q, args.x, table, args.k)
-    return 0, _table(cfg.fmt, {"x": args.x, "q": args.q}, ["a", "re", "im"],
+    return 0, _table(cfg.format, {"x": args.x, "q": args.q}, ["a", "re", "im"],
                      [range(args.q), d.real, d.imag])
 
 
@@ -665,7 +659,7 @@ def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
         "slope2_q": fmt12(slopes["ratio2"]["slope_q"]),
     }
     ok = all(r.parseval_dev <= IDENTITY_TOL and r.decomp_dev <= IDENTITY_TOL for r in reports)
-    return (0 if ok else 1), _table(cfg.fmt, meta, *_variance_table(reports, cfg.fmt))
+    return (0 if ok else 1), _table(cfg.format, meta, *_variance_table(reports, cfg.format))
 
 
 # ---------------------------------------------------------------------------
@@ -673,29 +667,16 @@ def _cmd_scan(args, cfg: RunConfig) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-# the global flags, each of which takes one value, and their add_argument keywords
-_GLOBAL_FLAGS = {
-    "--config": {"help": "flat key=value config file"},
-    "--cache-dir": {"help": "directory for binary sieve caches"},
-    "--threads": {"type": int, "help": "worker processes for scans, forked with one pipe each "
-                  "and given interleaved shares of the grid; serial where os.fork is missing "
-                  "(0 = one per CPU)"},
-    "--format": {"choices": ("csv", "json"), "help": "report format"},
-    "--seed": {"type": int, "help": "seed for sampled scans"},
-}
-
-
 def _named_command(argv: list[str]) -> str | None:
     """The subcommand that argv names: its first argument that is not a
     global flag or a flag's value, when that is a subcommand; else None."""
+    flags = {"--config", *(f"--{name.replace('_', '-')}" for name in _SETTINGS)}
     i = 0
     while i < len(argv):
-        if argv[i] in _GLOBAL_FLAGS:
-            i += 2
-        elif argv[i].partition("=")[0] in _GLOBAL_FLAGS:
-            i += 1
-        else:
+        option, eq, _ = argv[i].partition("=")
+        if option not in flags:
             return argv[i] if argv[i] in _COMMANDS else None
+        i += 1 if eq else 2
     return None
 
 
@@ -714,8 +695,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "arithmetic progressions: exact exponential sums, residue main terms, "
         "oscillatory kernels, and variance experiments.",
     )
-    for option, kw in _GLOBAL_FLAGS.items():
-        ap.add_argument(option, **kw)
+    ap.add_argument("--config", help="flat key=value config file")
+    for name, (parse, kw) in _SETTINGS.items():
+        ap.add_argument(f"--{name.replace('_', '-')}", type=parse, **kw)
     # the usage line of a one-command parser still lists every name
     names = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = ap.add_subparsers(dest="command", required=True, metavar=names)
@@ -732,11 +714,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(_named_command(argv)).parse_args(argv)
-    flags = {"cache_dir": args.cache_dir, "threads": args.threads, "fmt": args.format,
-             "seed": args.seed}
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        cfg = replace(cfg, **{key: v for key, v in flags.items() if v is not None})
+        cfg = replace(cfg, **{name: getattr(args, name) for name in _SETTINGS
+                              if getattr(args, name) is not None})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -747,8 +728,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (expsum.GuardError, arith.CapacityError, ValueError, OSError,
-            ArithmeticError) as exc:
+    except (expsum.GuardError, MemoryError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

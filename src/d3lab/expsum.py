@@ -10,10 +10,12 @@ double sum
 
     S = sum'_{X,X'=1}^{q} e((aX - a'X')/q) * c_q(bX - b'X')
 
-with its prime-power closed-form evaluation.  Brute-force paths are exact
-(phase residues are counted in integers before a single length-q complex
-sum) and act as oracles for the fast reductions.  Each costly path refuses
-a q past its guard, one module constant (*_Q_GUARD), with a GuardError.
+with its prime-power closed-form evaluation.  Brute-force paths are the
+oracles of the fast reductions.  Two are integer-exact: r_sum_bruteforce
+and cq_pair_sum_bruteforce count phase residues in integers before a
+single length-q complex sum.  r_sum_bruteforce_table is a float 3-D FFT
+of e(-hxyz/q), exact to rounding.  Each costly path refuses a q past its
+guard, one module constant (*_Q_GUARD), with a GuardError.
 """
 
 from __future__ import annotations

@@ -131,13 +131,10 @@ def restricted_series_laurent(
     """
     if q < 1 or delta < 1 or q % delta != 0:
         raise ValueError(f"delta = {delta} must divide q = {q}")
+    e_delta = dict(factorize(delta))
     steps = []
     for p, e_q in factorize(q):
-        e_d = 0
-        dd = delta
-        while dd % p == 0:
-            dd //= p
-            e_d += 1
+        e_d = e_delta.get(p, 0)
         steps.append((p, e_d, e_d == e_q))
     out = _series_prefix(k, hi, delta, tuple(steps))
     if out.hi < hi:
@@ -173,12 +170,9 @@ def restricted_series_eval(q: int, delta: int, s: complex, k: int = 3) -> comple
         raise ValueError(f"delta = {delta} must divide q = {q}")
     z = zeta_near_1(s)
     val = z**k * delta ** (-s)
+    e_delta = dict(factorize(delta))
     for p, e_q in factorize(q):
-        e_d = 0
-        dd = delta
-        while dd % p == 0:
-            dd //= p
-            e_d += 1
+        e_d = e_delta.get(p, 0)
         t = p ** (-s)
         val *= (1 - t) ** k
         if e_d < e_q:

@@ -290,33 +290,50 @@ _ORDER = 16
 # w_hat_2(5) and w_hat_3(18) at (x, Y) = (1e4, 1e3) cancel 2e3- and 2e6-fold,
 # and their changes between passes 2 to 5 are 0.1 to 1.1 times this floor.
 _ROUNDING_ULPS = 4.0
+# The nodes of one contour pass, counted while its panels are laid out, so
+# a larger contour raises GuardError before any node array exists.  U(X)
+# passes it at its first pass from X = 3.3e13 on (1,035,276 nodes at
+# 10^13.5, 1,075,767 at 10^13.55).  A window transform's block spans the
+# scales N Y .. N x and is refused from a smaller N x: 3.7e12 at x/Y = 100.
+# A refinement pass has up to 2.7 times the nodes of the first.  Like
+# arith.MAX_SIEVE_LIMIT, the budget has no override.
+MAX_CONTOUR_NODES = 1 << 20
 
 
-def _vertical_panels(T: float, log_lo: float, log_hi: float, density: float):
+def _vertical_panels(T: float, log_lo: float, log_hi: float, density: float,
+                     max_panels: int):
     """Panel edges on [0, T] sized so each panel spans a bounded phase,
     graded geometrically toward the pole at s = 0.  The phase rate of
-    G(s) Z^{-s} is |3 log(t/2) - log Z| + O(1) for every Z in [lo, hi]."""
+    G(s) Z^{-s} is |3 log(t/2) - log Z| + O(1) for every Z in [lo, hi].
+    Raises GuardError rather than lay out more than max_panels panels."""
     edges = [0.0]
     t = 0.0
     max_phase = 2.0 * math.pi * _ORDER / (_NODES_PER_OSC * density)
     while t < T:
+        if len(edges) > max_panels:
+            raise GuardError(
+                f"a contour pass needs more than {MAX_CONTOUR_NODES} nodes, its budget, which "
+                f"admits U(X) up to X of about 3e13 and a window transform to a smaller N x; "
+                f"this one turns at height {T:.3g}")
         g = 3.0 * math.log(max(t, 2.0) / 2.0)
         rate = max(abs(g - log_lo), abs(g - log_hi)) + 1.0 + _POLE_RATE / math.hypot(_LEG, t)
-        t = min(T, t + max(max_phase / rate, T * 1e-6))
+        t = min(T, t + max_phase / rate)
         edges.append(t)
     return np.array(edges)
 
 
 def _contour_nodes(T: float, log_lo: float, log_hi: float, density: float):
     """Gauss-Kronrod nodes and complex ds-weights for the contour, 33 per
-    panel, panel after panel.
+    panel, panel after panel, at most MAX_CONTOUR_NODES of them.
 
     Vertical part: s = 1/2 + it, t in [0, T], ds = i dt.
     Diagonal part: s = 1/2 + iT + (-1 + i)u, u in [0, _U_MAX], ds = (-1+i) du.
     """
     rule = _kronrod()[:2]
-    t_nodes, t_weights = _composite_rule(_vertical_panels(T, log_lo, log_hi, density), rule)
     n_diag = math.ceil(_RAY_PANELS * _U_MAX * density)
+    edges = _vertical_panels(T, log_lo, log_hi, density,
+                             MAX_CONTOUR_NODES // len(rule[0]) - n_diag)
+    t_nodes, t_weights = _composite_rule(edges, rule)
     u_nodes, u_weights = _composite_rule(np.linspace(0.0, _U_MAX, n_diag + 1), rule)
     s = np.concatenate([_LEG + 1j * t_nodes, _LEG + 1j * T + (-1.0 + 1j) * u_nodes])
     return s, np.concatenate([1j * t_weights, (-1.0 + 1j) * u_weights])
@@ -646,24 +663,25 @@ class SmoothWindow:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200_000)
-def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndarray:
-    """w_hat_q(n) = int w(t) U(N t) dt with N = pi^3 n / q^3, for one n or
-    for every n of an ascending range (a read-only array).
+# distinct (q, range, window) calls: 115 over the whole test suite in one
+# process, 4 per run of the benchmark's voronoi workload
+@lru_cache(maxsize=256)
+def w_transform(q: int, ns: range, window: SmoothWindow) -> np.ndarray:
+    """w_hat_q(n) = int w(t) U(N t) dt with N = pi^3 n / q^3 for every n of
+    an ascending range, as a read-only array (range(n, n + 1) for one n).
 
     Evaluated as the contour integral of G(s) N^{-s} W(s): identical to
     quadrature of w(t) U(Nt) sampled at Gauss nodes after the two
     absolutely convergent integrals are exchanged, but every s-node's
-    t-integral is the exact plateau term plus short ramp quadratures.  A
+    t-integral is the exact plateau term plus short ramp quadratures.  The
     range is split into blocks with n_hi < 8 n_lo, and each block shares
     one contour, resolved for every N of the block, and one G(s) W(s) per
     pass; each n keeps its own error estimate and tolerance check, and
     ``QuadratureError`` names the worst n of a block.  The relative error
     target is _RTOL = 1e-9; under deep cancellation a value may meet only
     the rounding floor, within 100x of _RTOL, without raising.  Values are
-    cached per (q, n, window), a range as one entry.
+    cached per (q, range, window).
     """
-    ns = n if isinstance(n, range) else range(n, n + 1)
     if q < 1 or ns.step < 1 or (ns and ns[0] < 1):
         raise ValueError("need q >= 1 and n >= 1, a range ascending")
     out = np.empty(len(ns))
@@ -673,8 +691,6 @@ def w_transform(q: int, n: int | range, window: SmoothWindow) -> float | np.ndar
         out[i:j] = _contour_integral(
             N, N[0] * window.Y, N[-1] * window.x, window.mellin,
             lambda k: f"n = {block[k]}")[0]
-    if not isinstance(n, range):
-        return float(out[0])
     out.flags.writeable = False
     return out
 

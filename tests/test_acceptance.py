@@ -230,7 +230,7 @@ class TestCriterion07TransformBounds:
                     for arg in args:
                         n = max(1, round(x**2 * q**3 / (math.pi**3 * Y**3 * arg)))
                         N = math.pi**3 * n / q**3
-                        val = abs(w_transform(q, n, SmoothWindow(x=x, Y=Y)))
+                        val = abs(w_transform(q, range(n, n + 1), SmoothWindow(x=x, Y=Y))[0])
                         for j in (1, 2, 3):
                             bound = (Y / (N * x) ** (1 / 3)) * (x**2 / (N * Y**3)) ** (j / 3)
                             per_x[j] = max(per_x[j], val / bound)
@@ -253,10 +253,11 @@ class TestCriterion07TransformBounds:
     )
     def test_far_tail_decay_clause(self):
         window = SmoothWindow(x=1e4, Y=1e2)
-        peak = max(abs(w_transform(10, n, window)) for n in range(1, 33))
+        peak = max(abs(w_transform(10, range(n, n + 1), window)[0]) for n in range(1, 33))
         cutoff_pow = (1e4**2 * 10**3 / 1e2**3) ** 1.1
         n0 = math.ceil(cutoff_pow)
-        tail_vals = {n: abs(w_transform(10, n, window)) for n in (n0, 2 * n0, 4 * n0)}
+        tail_vals = {n: abs(w_transform(10, range(n, n + 1), window)[0])
+                     for n in (n0, 2 * n0, 4 * n0)}
         ok = all(v <= 1e-8 * peak for v in tail_vals.values())
         gate(7, "transform far-tail decay at the nominal cutoff", ok,
              f"max={peak:.3g}, tail={ {n: f'{v:.2e}' for n, v in tail_vals.items()} }, "

@@ -166,7 +166,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n-max", "-3"])
         assert exc.value.code == 2
-        assert "argument --n-max: -3 is negative" in capsys.readouterr().err
+        assert "argument --n-max: -3 is not >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["wtransform", "--q", "10", "--x", "1e4", "--Y", "1e2"], "--n", "0"),
@@ -230,6 +230,22 @@ class TestExitCodes:
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith("error: d_60(n) reaches ") and line.endswith("beyond 64 bits")
+
+    def test_impossible_allocation_is_one_error_line(self, capsys):
+        # the nominal dual length, about 3.2e15, asks numpy for 22.8 PiB
+        assert main(["voronoi-compare", "--x", "1e6", "--Y", "1", "--q", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: Unable to allocate")
+
+    def test_contour_beyond_its_budget_is_one_error_line(self, capsys):
+        # 801,601 panels at its first pass: refused once 31,755 are laid out
+        assert main(["kernel", "--x-min", "1e18", "--x-max", "1e18", "--points", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: a contour pass needs more than 1048576 nodes")
 
     def test_deleted_commands_are_unknown(self, capsys):
         # scan prints the row of variance and the decomp_dev cell of decomp-check
@@ -798,7 +814,7 @@ class TestConfig:
         cfg = RunConfig.from_file(str(cfg_file))
         assert cfg.cache_dir == "c"
         assert cfg.threads == 4
-        assert cfg.fmt == "json"
+        assert cfg.format == "json"
         assert cfg.seed == 9
         # the sieve has one budget, arith.MAX_SIEVE_LIMIT, and no config key
         cfg_file.write_text("sieve_limit = 100\n")
@@ -819,7 +835,7 @@ class TestConfig:
 
     def test_bad_format_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="format must be csv or json"):
-            RunConfig(fmt="xml")
+            RunConfig(format="xml")
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("format = xml\n")
         with pytest.raises(ValueError, match="format must be csv or json"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from d3lab import voronoi
 from d3lab.arith import ReducedFraction
-from d3lab.expsum import dk_exact
+from d3lab.expsum import GuardError, dk_exact
 from d3lab.laurent import bernoulli_numbers
 from d3lab.voronoi import (
     SmoothWindow,
@@ -68,7 +68,7 @@ def _recorded_nodes(monkeypatch, q, n, window):
 
     monkeypatch.setattr(voronoi, "gamma_ratio_cubed", recording_gamma)
     monkeypatch.setattr(SmoothWindow, "mellin", recording_mellin)
-    w_transform.__wrapped__(q, n, window)
+    w_transform.__wrapped__(q, range(n, n + 1), window)
     monkeypatch.undo()
     return gammas, mellins
 
@@ -390,9 +390,9 @@ class TestFastMellin:
     @pytest.mark.parametrize("q, n, x, Y", [(10, 17783, 1e4, 1e2), (5, 17, 1e4, 1e3)])
     def test_w_transform_matches_dense(self, monkeypatch, q, n, x, Y):
         w = SmoothWindow(x=x, Y=Y)
-        fast = w_transform.__wrapped__(q, n, w)
+        fast = w_transform.__wrapped__(q, range(n, n + 1), w)[0]
         monkeypatch.setattr(SmoothWindow, "mellin", SmoothWindow.mellin_dense)
-        dense = w_transform.__wrapped__(q, n, w)
+        dense = w_transform.__wrapped__(q, range(n, n + 1), w)[0]
         assert fast == pytest.approx(dense, rel=1e-10)
 
 
@@ -476,11 +476,32 @@ class TestMemory:
         assert _traced_peak(w_transform.__wrapped__, 3, range(1, 101), w) <= 4e6
 
 
+class TestNodeBudget:
+    def test_largest_admitted_first_pass(self):
+        # U(X) at X = 10^13.5 lays out 1,035,276 nodes at its first pass, and
+        # at 10^13.55 it would lay out 1,075,767
+        def first_pass(X):
+            T = 2.0 * math.e * X ** (1.0 / 3.0)
+            return voronoi._contour_nodes(T, math.log(X), math.log(X), 1.0 / voronoi._REFINE)
+
+        assert len(first_pass(10**13.5)[0]) == 1_035_276 <= voronoi.MAX_CONTOUR_NODES
+        with pytest.raises(GuardError, match="up to X of about 3e13"):
+            first_pass(10**13.55)
+
+    def test_refused_before_any_node_array(self):
+        # 26.5M nodes at the first pass for X = 1e18, 0.42 GB per complex array
+        def refused():
+            with pytest.raises(GuardError, match="more than 1048576 nodes"):
+                kernel_U(1e18)
+
+        assert _traced_peak(refused) <= 4e6
+
+
 class TestTransform:
     def test_mellin_vs_direct(self):
         w = SmoothWindow(x=1e4, Y=1e3)
         for q, n in ((2, 1), (3, 2), (5, 4)):
-            a = w_transform(q, n, w)
+            a = w_transform(q, range(n, n + 1), w)[0]
             b = w_transform_direct(q, n, w)
             assert a == pytest.approx(b, rel=2e-4, abs=1e-9)
 
@@ -490,18 +511,18 @@ class TestTransform:
         N = math.pi**3 * n / q**3
         ts = np.geomspace(w.Y, w.x, 30)
         max_u = max(abs(kernel_U(float(N * t))) for t in ts)
-        assert abs(w_transform(q, n, w)) <= 1.05 * w.x * max_u
+        assert abs(w_transform(q, range(n, n + 1), w)[0]) <= 1.05 * w.x * max_u
 
     def test_cache_hit_is_identical(self):
         w = SmoothWindow(x=1e4, Y=1e3)
-        assert w_transform(2, 1, w) == w_transform(2, 1, w)
+        assert w_transform(2, range(1, 2), w)[0] == w_transform(2, range(1, 2), w)[0]
 
     def test_midrange_scaling(self):
         # the dimensionless ratio |w_hat| n^{2/3} / (x^{1/3} q^2) stays
         # bounded through the mid-range (measured max ~0.03)
         w = SmoothWindow(x=1e4, Y=1e2)
         for n in (50, 200, 1000, 5000):
-            v = abs(w_transform(10, n, w))
+            v = abs(w_transform(10, range(n, n + 1), w)[0])
             assert v * n ** (2 / 3) / (1e4 ** (1 / 3) * 100) < 0.1
 
 
@@ -682,7 +703,7 @@ class TestContourConvergence:
         points += [(q, n, SmoothWindow(1e4, 1e3)) for q, top in ((5, 17), (3, 8), (2, 8))
                    for n in range(1, top + 1)]
         for q, n, w in points:
-            w_transform.__wrapped__(q, n, w)
+            w_transform.__wrapped__(q, range(n, n + 1), w)
         self._check(passes, len(points))
 
     def test_transform_blocks_stop_at_first_pass(self, passes):
@@ -699,7 +720,7 @@ class TestContourConvergence:
     def test_rounding_floor_stops_refinement(self, passes):
         # w_hat_3(18) = -1.8973e-5 is a sum of terms 1.9e6 times larger, so
         # rounding alone is 2e-9 of it: refining cannot reach rtol = 1e-9
-        value = w_transform.__wrapped__(3, 18, SmoothWindow(1e4, 1e3))
+        [value] = w_transform.__wrapped__(3, range(18, 19), SmoothWindow(1e4, 1e3))
         [(builds, _, (err,), _)] = passes
         assert builds == 1 and 1e-9 * abs(value) < err < 1e-8 * abs(value)
 
@@ -714,7 +735,7 @@ class TestContourConvergence:
         # error 1.5e-12 at two passes, 8.1e-13 of it the rounding floor of
         # terms whose magnitudes sum to 917 pi: no refinement gets to 1e-17
         with pytest.raises(voronoi.QuadratureError):
-            w_transform.__wrapped__(10, 1, SmoothWindow(1e4, 1e2))
+            w_transform.__wrapped__(10, range(1, 2), SmoothWindow(1e4, 1e2))
 
     def test_missed_tolerance_names_the_worst_n(self, unreachable):
         # every row of the block misses 1e-17; the message names the one
@@ -725,7 +746,7 @@ class TestContourConvergence:
         worst = int(exc.value.args[0].split("n = ")[1].split(";")[0])
         assert 1 <= worst <= 7
         with pytest.raises(voronoi.QuadratureError, match=f"at n = {worst};"):
-            w_transform.__wrapped__(5, worst, w)
+            w_transform.__wrapped__(5, range(worst, worst + 1), w)
 
 
 class TestWorkloadContours:
@@ -818,12 +839,7 @@ class TestTransformRange:
         for i in {0, len(ns) - 1, data.draw(st.integers(0, len(ns) - 1))}:
             # the contours differ, not the integral: 1.8e-13 apart at most
             # where measured (w_hat_5(2) in range(1, 18))
-            assert abs(batch[i] - w_transform(q, ns[i], w)) <= 1e-10
-
-    def test_range_of_one_is_the_one_n_call(self):
-        w = SmoothWindow(1e4, 1e3)
-        for q, n in ((2, 5), (3, 18), (5, 17)):
-            assert w_transform(q, range(n, n + 1), w)[0] == w_transform(q, n, w)
+            assert abs(batch[i] - w_transform(q, ns[i : i + 1], w)[0]) <= 1e-10
 
     def test_slabs_match_the_whole_block(self, monkeypatch):
         # slabs of 3 * 4096 entries hold one row of these 6576- and
